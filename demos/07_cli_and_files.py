@@ -5,8 +5,8 @@ File formats and the command line, end to end
 Spaces, functions, and subsets persist as versioned JSON; reports are emitted
 with sorted keys and a fixed layout so identical computations give identical
 bytes. The CLI wraps every operation; this script drives it in-process
-(each `metricweights <argv>` call is `cli.main(argv)`) and shows that thread
-count never changes report content.
+(each `metricweights <argv>` call is `cli.main(argv)`) and shows that the
+`--workers` flag, kept for compatibility, never changes report content.
 """
 
 import json

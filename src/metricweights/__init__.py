@@ -1,7 +1,9 @@
 """Weights, maximal operators, and Whitney geometry on finite metric measure spaces.
 
 The package revolves around one object, MetricMeasureSpace, and the canonical
-enumeration of its distinct balls. On top of it:
+enumeration of its distinct balls; every characteristic and the doubling
+constant is a supremum over that enumeration, taken by CanonicalBallSet.sup.
+On top of it:
 
 * maximal: restricted maximal operators and the power-of-maximal weight
   construction;
@@ -23,7 +25,6 @@ from .errors import (
     MetricWeightsError,
 )
 from .extension import (
-    ConditionReport,
     ExtensionReport,
     RestrictionReport,
     check_extension_condition,
@@ -42,11 +43,8 @@ from .space import (
     validate_space,
 )
 from .weights import (
-    AInfinityFit,
-    ApParams,
     CharacteristicReport,
-    SelfImprovementReport,
-    a_infinity_fit,
+    ConditionReport,
     ap_domain_characteristic,
     ap_tilde_characteristic,
     conjugate_exponent,
@@ -70,7 +68,6 @@ from .whitney import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApParams",
     "Ball",
     "CharacteristicReport",
     "ConditionReport",
@@ -84,10 +81,7 @@ __all__ = [
     "MetricWeightsError",
     "RestrictionReport",
     "WhitneyCover",
-    "AInfinityFit",
-    "SelfImprovementReport",
     "a1_bounds",
-    "a_infinity_fit",
     "ap_domain_characteristic",
     "ap_tilde_characteristic",
     "build_grid_space",

@@ -25,6 +25,7 @@ from .factorization import jones_factorize
 from .maximal import as_subset, maximal_fn
 from .space import build_grid_space, doubling_constant, validate_space
 from .weights import (
+    _eps_table,
     ap_domain_characteristic,
     ap_tilde_characteristic,
     reverse_holder_constant,
@@ -96,7 +97,7 @@ def _cmd_space_validate(args) -> int:
 
 def _cmd_ball_doubling(args) -> int:
     space = io.load_space(args.space)
-    value = doubling_constant(space, workers=args.workers)
+    value = doubling_constant(space)
     _emit(args, "doubling", {"doubling_constant": value, "n": space.n})
     return 0
 
@@ -109,9 +110,7 @@ def _cmd_maximal(args) -> int:
     subset = _subset_arg(space, args)
     if subset is not None:
         f = f[subset]
-    values = maximal_fn(
-        space, f, E=subset, radius_cap=args.radius_cap, workers=args.workers
-    )
+    values = maximal_fn(space, f, E=subset, radius_cap=args.radius_cap)
     payload = io.function_to_dict(values)
     payload["radius_cap"] = args.radius_cap
     _emit(args, "maximal", payload)
@@ -123,53 +122,31 @@ def _cmd_characteristic(args) -> int:
     if args.domain and args.subset:
         raise FormatError("pass either --subset or --domain, not both")
     if args.domain:
-        d_ids = io.load_subset(args.domain)
-        w = _load_weight_on(space, args.weight, expect_ids=None)
-        if args.eps_grid:
-            table = [
-                {
-                    "eps": e,
-                    "value": ap_domain_characteristic(
-                        space, d_ids, w ** (1.0 + e), args.p, workers=args.workers
-                    ).value,
-                }
-                for e in args.eps_grid
-            ]
-            payload = {"p": args.p, "scope": "domain", "table": table}
-        else:
-            payload = ap_domain_characteristic(
-                space, d_ids, w, args.p, workers=args.workers
-            ).to_dict()
+        scope, ids = "domain", io.load_subset(args.domain)
+        characteristic = ap_domain_characteristic
     else:
-        e_ids = _subset_arg(space, args)
-        expect = e_ids if e_ids is not None else np.arange(space.n)
-        w = _load_weight_on(space, args.weight, expect_ids=expect)
-        if args.eps_grid:
-            table = [
-                {
-                    "eps": e,
-                    "value": ap_tilde_characteristic(
-                        space, e_ids, w ** (1.0 + e), args.p, workers=args.workers
-                    ).value,
-                }
-                for e in args.eps_grid
-            ]
-            payload = {"p": args.p, "scope": "subset", "table": table}
-        else:
-            payload = ap_tilde_characteristic(
-                space, e_ids, w, args.p, workers=args.workers
-            ).to_dict()
+        scope, ids = "subset", _subset_arg(space, args)
+        characteristic = ap_tilde_characteristic
+    expect = ids if ids is not None else np.arange(space.n)
+    w = _load_weight_on(space, args.weight, expect_ids=expect)
+    if args.eps_grid:
+        report = _eps_table(
+            lambda v: characteristic(space, ids, v, args.p).value,
+            w, args.p, args.eps_grid, np.inf,
+        )
+        table = [{"eps": e, "value": c} for e, c in report.table]
+        payload = {"p": args.p, "scope": scope, "table": table}
+    else:
+        payload = characteristic(space, ids, w, args.p).to_dict()
     _emit(args, "characteristic", payload)
     return 0
 
 
 def _cmd_rhi(args) -> int:
     space = io.load_space(args.space)
-    w = _load_weight_on(space, args.weight, expect_ids=None)
     domain = io.load_subset(args.domain) if args.domain else None
-    value = reverse_holder_constant(
-        space, w, args.delta, domain=domain, workers=args.workers
-    )
+    w = _load_weight_on(space, args.weight, expect_ids=domain)
+    value = reverse_holder_constant(space, w, args.delta, domain=domain)
     _emit(args, "rhi", {"delta": args.delta, "value": value})
     return 0
 
@@ -179,9 +156,7 @@ def _cmd_factorize(args) -> int:
     e_ids = _subset_arg(space, args)
     expect = e_ids if e_ids is not None else np.arange(space.n)
     v = _load_weight_on(space, args.weight, expect_ids=expect)
-    fact = jones_factorize(
-        space, e_ids, v, args.p, tol=args.tol, workers=args.workers
-    )
+    fact = jones_factorize(space, e_ids, v, args.p, tol=args.tol)
     k1, k2 = fact.bounds()
     payload = {
         "p": fact.p,
@@ -209,9 +184,7 @@ def _cmd_extend(args) -> int:
     e_ids = _subset_arg(space, args)
     expect = e_ids if e_ids is not None else np.arange(space.n)
     w = _load_weight_on(space, args.weight, expect_ids=expect)
-    report = wolff_extend(
-        space, e_ids, w, args.p, args.eps, tol=args.tol, workers=args.workers
-    )
+    report = wolff_extend(space, e_ids, w, args.p, args.eps, tol=args.tol)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -229,7 +202,7 @@ def _cmd_condition(args) -> int:
     expect = e_ids if e_ids is not None else np.arange(space.n)
     w = _load_weight_on(space, args.weight, expect_ids=expect)
     report = check_extension_condition(
-        space, e_ids, w, args.p, args.eps_grid, args.budget, workers=args.workers
+        space, e_ids, w, args.p, args.eps_grid, args.budget
     )
     _emit(args, "condition", report.to_dict())
     return 0
@@ -239,9 +212,7 @@ def _cmd_restrict(args) -> int:
     space = io.load_space(args.space)
     e_ids = _subset_arg(space, args)
     w = _load_weight_on(space, args.weight, expect_ids=None)
-    report = restrict_weight_report(
-        space, e_ids, w, args.p, eps=args.eps, workers=args.workers
-    )
+    report = restrict_weight_report(space, e_ids, w, args.p, eps=args.eps)
     _emit(args, "restrict", report.to_dict())
     return 0
 
@@ -282,10 +253,10 @@ def _cmd_qh(args) -> int:
 
 _SCENARIOS = {
     "extension": lambda args: studies.extension_refinement_study(
-        args.sides, exponent=args.exponent, p=args.p, eps=args.eps, workers=args.workers
+        args.sides, exponent=args.exponent, p=args.p, eps=args.eps
     ),
     "condition": lambda args: studies.condition_refinement_study(
-        args.sides, exponent=args.exponent, p=args.p, eps=args.eps, workers=args.workers
+        args.sides, exponent=args.exponent, p=args.p, eps=args.eps
     ),
     "whitney": lambda args: studies.whitney_refinement_study(args.sides),
     "chains": lambda args: [

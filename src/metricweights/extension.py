@@ -28,7 +28,15 @@ from .errors import ExponentRange, NonpositiveWeight
 from .maximal import as_subset, maximal_fn
 from .factorization import FactorizationResult, jones_factorize
 from .space import MetricMeasureSpace
-from .weights import CharacteristicReport, ap_tilde_characteristic
+from .weights import (
+    CharacteristicReport,
+    ConditionReport,
+    _ap_functional,
+    _characteristic,
+    _check_weight,
+    _eps_table,
+    ap_tilde_characteristic,
+)
 
 
 @dataclass
@@ -80,14 +88,14 @@ def wolff_extend(
         raise NonpositiveWeight("w must be strictly positive")
 
     v = w ** (1.0 + eps / 2.0)
-    fact = jones_factorize(space, E, v, p, tol=tol, workers=workers)
+    fact = jones_factorize(space, E, v, p, tol=tol)
     delta = 1.0 / (1.0 + eps / 2.0)
 
-    m1 = maximal_fn(space, fact.v1, E, workers=workers)
+    m1 = maximal_fn(space, fact.v1, E)
     g1 = fact.v1 / m1[ids]
     g = np.ones(space.n)
     if p > 1:
-        m2 = maximal_fn(space, fact.v2, E, workers=workers)
+        m2 = maximal_fn(space, fact.v2, E)
         g2 = fact.v2 / m2[ids]
         g[ids] = g1**delta * g2 ** (delta * (1.0 - p))
         W = g * m1**delta * m2 ** (delta * (1.0 - p))
@@ -96,7 +104,7 @@ def wolff_extend(
         W = g * m1**delta
 
     agreement = float(np.max(np.abs(W[ids] / w - 1.0)))
-    ap_w = ap_tilde_characteristic(space, None, W, p, workers=workers).value
+    ap_w = ap_tilde_characteristic(space, None, W, p).value
     return ExtensionReport(
         W=W,
         agreement_error=agreement,
@@ -111,24 +119,6 @@ def wolff_extend(
     )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Largest grid eps whose raised weight stays within budget, with table."""
-
-    best_eps: float | None
-    budget: float
-    p: float
-    table: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "best_eps": self.best_eps,
-            "budget": self.budget,
-            "p": self.p,
-            "table": [{"eps": e, "char": c} for e, c in self.table],
-        }
-
-
 def check_extension_condition(
     space: MetricMeasureSpace,
     E,
@@ -141,23 +131,11 @@ def check_extension_condition(
     """Tabulate the subset-induced characteristic of w^{1+eps} over the grid."""
     if p < 1:
         raise ExponentRange("p must be >= 1")
-    grid = sorted(float(e) for e in eps_grid)
-    if not grid or grid[0] < 0:
-        raise ValueError("eps grid must be nonempty and nonnegative")
     ids, _ = as_subset(space, E)
-    w = np.asarray(w, dtype=float)
-    if w.shape != ids.shape:
-        raise ValueError("w must be aligned with E")
-    if np.any(w <= 0):
-        raise NonpositiveWeight("w must be strictly positive")
-    table = []
-    best: float | None = None
-    for eps in grid:
-        char = ap_tilde_characteristic(space, E, w ** (1.0 + eps), p, workers).value
-        table.append((eps, char))
-        if char <= budget:
-            best = eps
-    return ConditionReport(best, float(budget), float(p), tuple(table))
+    w = _check_weight(w, ids.size)
+    return _eps_table(
+        lambda v: ap_tilde_characteristic(space, E, v, p).value, w, p, eps_grid, budget
+    )
 
 
 @dataclass(frozen=True)
@@ -198,7 +176,7 @@ def restrict_weight_report(
         raise ExponentRange("p must be >= 1")
     if eps < 0:
         raise ExponentRange("eps must be >= 0")
-    ids, mask = as_subset(space, E)
+    ids, _ = as_subset(space, E)
     W = np.asarray(W, dtype=float)
     if W.shape != (space.n,):
         raise ValueError("W must be defined on all of X")
@@ -206,38 +184,13 @@ def restrict_weight_report(
         raise NonpositiveWeight("W must be strictly positive")
 
     u = W ** (1.0 + eps)
-    u_mu = u * space.mu
-    ue_mu = np.where(mask, u_mu, 0.0)
-    if p > 1:
-        sig = u ** (-1.0 / (p - 1.0))
-        sig_mu = sig * space.mu
-        sige_mu = np.where(mask, sig_mu, 0.0)
-    else:
-        u_inf = u.copy()
-        ue_inf = np.where(mask, u, np.inf)
-    in_e = mask.astype(float)
-
-    cb = space.canonical
-    cb.ensure_all()
-
-    worst = 0.0
-    for c in range(space.n):
-        data = cb.center(c)
-        if p > 1:
-            restr = (data.prefix_sums(ue_mu) / data.mu_prefix) * (
-                data.prefix_sums(sige_mu) / data.mu_prefix
-            ) ** (p - 1.0)
-            glob = (data.prefix_sums(u_mu) / data.mu_prefix) * (
-                data.prefix_sums(sig_mu) / data.mu_prefix
-            ) ** (p - 1.0)
-            ratios = restr / glob
-        else:
-            count = data.prefix_sums(in_e)
-            restr = (data.prefix_sums(ue_mu) / data.mu_prefix) / data.prefix_mins(ue_inf)
-            glob = (data.prefix_sums(u_mu) / data.mu_prefix) / data.prefix_mins(u_inf)
-            ratios = np.where(count > 0, restr / glob, 0.0)
-        worst = max(worst, float(np.max(ratios)))
-
-    restricted = ap_tilde_characteristic(space, E, u[ids], p, workers=workers)
-    global_ = ap_tilde_characteristic(space, None, u, p, workers=workers)
-    return RestrictionReport(worst, restricted, global_, float(p), float(eps))
+    restr = _ap_functional(space, E, u[ids], p)
+    glob = _ap_functional(space, None, u, p)
+    worst, _ = space.canonical.sup(lambda data: restr(data) / glob(data))
+    return RestrictionReport(
+        max(0.0, worst),
+        _characteristic(space, restr, p, "tilde"),
+        _characteristic(space, glob, p, "tilde"),
+        float(p),
+        float(eps),
+    )

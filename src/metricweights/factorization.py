@@ -101,8 +101,8 @@ def rdf_apply_T(
         raise ValueError("f must be nonnegative")
 
     root = v ** (1.0 / p)
-    first = maximal_fn(space, root * f ** (p - 1.0), E, workers=workers)[ids]
-    second = maximal_fn(space, f / root, E, workers=workers)[ids]
+    first = maximal_fn(space, root * f ** (p - 1.0), E)[ids]
+    second = maximal_fn(space, f / root, E)[ids]
     return (first / root) ** (1.0 / (p - 1.0)) + root * second
 
 
@@ -144,8 +144,8 @@ def jones_factorize(
             p=1.0,
             base_p=1.0,
             base_weight=v.copy(),
-            a1_char_v1=ap_tilde_characteristic(space, E, v, 1.0, workers).value,
-            a1_char_v2=ap_tilde_characteristic(space, E, ones, 1.0, workers).value,
+            a1_char_v1=ap_tilde_characteristic(space, E, v, 1.0).value,
+            a1_char_v2=ap_tilde_characteristic(space, E, ones, 1.0).value,
         )
 
     if p >= 2:
@@ -155,7 +155,7 @@ def jones_factorize(
         vv = v ** (1.0 - q)
 
     def apply_t(f: np.ndarray) -> np.ndarray:
-        return rdf_apply_T(space, E, vv, q, f, workers=workers)
+        return rdf_apply_T(space, E, vv, q, f)
 
     mu_e = space.mu[ids]
 
@@ -211,8 +211,8 @@ def jones_factorize(
 
         k1, k2 = a1_bounds(c_rep, p)
         t_eta = apply_t(eta)
-        m1 = maximal_fn(space, v1, E, workers=workers)[ids]
-        m2 = maximal_fn(space, v2, E, workers=workers)[ids]
+        m1 = maximal_fn(space, v1, E)[ids]
+        m2 = maximal_fn(space, v2, E)[ids]
         ok = (
             np.all(t_eta <= 2.0 * c * eta)
             and np.all(t_eta <= 2.0 * c_rep * eta)
@@ -235,8 +235,8 @@ def jones_factorize(
             p=float(p),
             base_p=q,
             base_weight=vv,
-            a1_char_v1=ap_tilde_characteristic(space, E, v1, 1.0, workers).value,
-            a1_char_v2=ap_tilde_characteristic(space, E, v2, 1.0, workers).value,
+            a1_char_v1=ap_tilde_characteristic(space, E, v1, 1.0).value,
+            a1_char_v2=ap_tilde_characteristic(space, E, v2, 1.0).value,
         )
 
     raise NoConvergence(

@@ -23,11 +23,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import GraphDisconnected, ParseError, SizeOverflow, VersionMismatch
-from .space import DENSE_CAP, MetricMeasureSpace
+from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr
 
 FORMAT_VERSION = 1
 
@@ -77,7 +76,16 @@ def _field(doc: dict, key: str, path) -> object:
 def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
     if raw is None:
         return None
-    edges = [(int(u), int(v), float(ln)) for u, v, ln in raw]
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: field 'edges' must be a list")
+    edges = []
+    for i, edge in enumerate(raw):
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise ParseError(f"{path}: edges[{i}] must be a [u, v, length] triple")
+        try:
+            edges.append((int(edge[0]), int(edge[1]), float(edge[2])))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: edges[{i}] must hold two ids and a length") from exc
     for u, v, ln in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"{path}: edge endpoint out of range: {(u, v)}")
@@ -146,14 +154,7 @@ def load_space(path) -> MetricMeasureSpace:
         edges = _parse_edges(_field(metric, "edges", path), n, path)
         if not edges:
             raise ParseError(f"{path}: graph metric needs a nonempty edge list")
-        us = np.array([e[0] for e in edges], dtype=np.intp)
-        vs = np.array([e[1] for e in edges], dtype=np.intp)
-        ws = np.array([e[2] for e in edges])
-        graph = csr_matrix(
-            (np.concatenate([ws, ws]), (np.concatenate([us, vs]), np.concatenate([vs, us]))),
-            shape=(n, n),
-        )
-        dist = shortest_path(graph, method="D")
+        dist = shortest_path(_symmetric_csr(n, *zip(*edges)), method="D")
         if not np.isfinite(dist).all():
             raise GraphDisconnected("graph metric requires a connected edge graph")
         return MetricMeasureSpace(mu=mu, dist=dist, edges=edges, meta=meta)

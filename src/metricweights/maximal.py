@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySubset, ExponentRange, NonpositiveG, ZeroFunction
-from .parallel import run_chunks
 from .space import MetricMeasureSpace
 
 
@@ -68,6 +67,11 @@ def maximal_fn(
     E : optional subset (bool mask or id array); None means all of X.
     radius_cap : optional R > 0; only balls whose representative radius is
         <= R participate. Points contained in no such ball get 0.
+    workers : accepted for compatibility; has no effect.
+
+    Averages are nonnegative, so a ball past the cap takes part with
+    average 0 instead of being dropped, and one suffix-maximum sweep per
+    center serves both the capped and the uncapped case.
     """
     ids, _ = as_subset(space, E)
     fx_mu = scatter(space, ids, np.abs(np.asarray(f, dtype=float))) * space.mu
@@ -76,30 +80,15 @@ def maximal_fn(
 
     cb = space.canonical
     cb.ensure_all()
-
-    def scan(start: int, stop: int) -> np.ndarray:
-        out = np.zeros(space.n)
-        for c in range(start, stop):
-            data = cb.center(c)
-            avg = data.prefix_sums(fx_mu) / data.mu_prefix
-            if radius_cap is not None:
-                kmax = int(np.searchsorted(data.reps, radius_cap, side="right")) - 1
-                if kmax < 0:
-                    continue
-                avg = avg[: kmax + 1]
-            suffix = np.maximum.accumulate(avg[::-1])[::-1]
-            k0 = data.point_prefix
-            inside = k0 < suffix.shape[0]
-            cand = np.zeros(space.n)
-            cand[inside] = suffix[k0[inside]]
-            np.maximum(out, cand, out=out)
-        return out
-
-    chunks = run_chunks(space.n, workers, scan)
-    result = chunks[0]
-    for extra in chunks[1:]:
-        np.maximum(result, extra, out=result)
-    return result
+    out = np.zeros(space.n)
+    for c in range(space.n):
+        data = cb.center(c)
+        avg = data.prefix_sums(fx_mu) / data.mu_prefix
+        if radius_cap is not None:
+            avg[data.reps > radius_cap] = 0.0
+        suffix = np.maximum.accumulate(avg[::-1])[::-1]
+        np.maximum(out, suffix[data.point_prefix], out=out)
+    return out
 
 
 def coifman_rochberg_weight(
@@ -135,7 +124,7 @@ def coifman_rochberg_weight(
         if np.any(g <= 0):
             raise NonpositiveG("g must be strictly positive")
 
-    mf = maximal_fn(space, f, E=None, workers=workers)
+    mf = maximal_fn(space, f, E=None)
     w = g * mf**eps
-    a1 = ap_tilde_characteristic(space, None, w, 1.0, workers=workers).value
+    a1 = ap_tilde_characteristic(space, None, w, 1.0).value
     return w, a1

@@ -16,7 +16,7 @@ Two storage backends with identical semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .errors import (
     TriangleViolation,
     ZeroDistanceDistinct,
 )
-from .parallel import combine_scan_results, run_chunks
 
 # Dense structures (distance matrix, cached ball prefixes) refuse to build
 # beyond this many points; coordinate-backed row queries have no such limit.
@@ -157,6 +156,39 @@ class CanonicalBallSet:
         self.ensure_all()
         return sum(int(d.counts.shape[0]) for d in self._centers.values())
 
+    def sup(
+        self,
+        values: Callable[[_CenterData], np.ndarray],
+        domain_mask: np.ndarray | None = None,
+    ) -> tuple[float, tuple[int, int]]:
+        """Supremum of a ball functional over the canonical balls, with its witness.
+
+        values(data) gives one value per ball of a center, in prefix order
+        (doubling_constant, which needs no domain mask, passes one per
+        radius interval instead); -inf marks a ball out of scope. With a
+        domain mask only centers in D and balls with no point outside D
+        take part. Centers are visited in id order
+        and the first maximum wins. Returns (value, (center, prefix)), or
+        (-inf, (-1, -1)) when no ball is in scope.
+        """
+        self.ensure_all()
+        if domain_mask is None:
+            centers = range(self._space.n)
+        else:
+            centers = np.flatnonzero(domain_mask).tolist()
+            outside = (~domain_mask).astype(float)
+        best = -np.inf
+        witness = (-1, -1)
+        for c in centers:
+            data = self._centers[c]
+            vals = values(data)
+            if domain_mask is not None:
+                vals = np.where(data.prefix_sums(outside) == 0, vals, -np.inf)
+            k = int(np.argmax(vals))
+            if vals[k] > best:
+                best, witness = float(vals[k]), (c, k)
+        return best, witness
+
 
 class CenterBalls:
     """Public view of one center's canonical balls (for inspection and tests)."""
@@ -229,6 +261,7 @@ class MetricMeasureSpace:
         self.edges = [(int(u), int(v), float(ln)) for u, v, ln in edges] if edges else None
         self.meta = meta
         self._canonical: CanonicalBallSet | None = None
+        self._edge_graph = None
         self._min_positive: float | None = None
         self._kdtree = None
 
@@ -320,9 +353,26 @@ class MetricMeasureSpace:
             self._canonical = CanonicalBallSet(self)
         return self._canonical
 
+    def edge_graph(self):
+        """Symmetric sparse adjacency of the edge graph, weighted by edge length (cached)."""
+        if self._edge_graph is None:
+            us, vs, lengths = zip(*self.edges) if self.edges else ((), (), ())
+            self._edge_graph = _symmetric_csr(self.n, us, vs, lengths)
+        return self._edge_graph
+
     def __repr__(self) -> str:  # pragma: no cover
         kind = "dense" if self._dist is not None else "coords"
         return f"MetricMeasureSpace(n={self.n}, backend={kind}, meta={self.meta!r})"
+
+
+def _symmetric_csr(n: int, us, vs, weights):
+    """n x n sparse matrix with weights[i] at (us[i], vs[i]) and at (vs[i], us[i])."""
+    from scipy.sparse import csr_matrix
+
+    rows = np.concatenate([us, vs]).astype(np.intp)
+    cols = np.concatenate([vs, us]).astype(np.intp)
+    weights = np.asarray(weights, dtype=float)
+    return csr_matrix((np.concatenate([weights, weights]), (rows, cols)), shape=(n, n))
 
 
 def canonical_balls(space: MetricMeasureSpace, center: int) -> CenterBalls:
@@ -392,7 +442,9 @@ def validate_space(
         for u, v, ln in space.edges:
             if ln + REL_TOL * max(ln, 1.0) < space.dist(u, v):
                 return ValidationReport(False, "EdgeTooShort", (u, v), mode)
-        if not _edges_connected(space.n, space.edges):
+        from scipy.sparse.csgraph import connected_components
+
+        if connected_components(space.edge_graph(), directed=False)[0] != 1:
             return ValidationReport(False, "GraphDisconnected", None, mode)
 
     if dense:
@@ -411,22 +463,6 @@ def validate_space(
         if dxz > through + REL_TOL * max(dxz, through):
             return ValidationReport(False, "TriangleViolation", (int(x), int(y), int(z)), mode)
     return ValidationReport(True, mode=mode)
-
-
-def _edges_connected(n: int, edges: Iterable[tuple[int, int, float]]) -> bool:
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    us, vs = [], []
-    for u, v, _ in edges:
-        us.append(u)
-        vs.append(v)
-    if not us:
-        return n == 1
-    data = np.ones(len(us))
-    adj = coo_matrix((data, (us, vs)), shape=(n, n))
-    n_comp, _ = connected_components(adj, directed=False)
-    return n_comp == 1
 
 
 # -- builders -------------------------------------------------------------------
@@ -493,36 +529,24 @@ def doubling_constant(space: MetricMeasureSpace, workers: int = 1) -> float:
     distances v_k and their halves v_k / 2, so evaluating one representative
     radius inside each breakpoint interval (midpoints, plus one beyond the
     last breakpoint) realizes the exact supremum over all real radii.
+    workers is accepted for compatibility and has no effect.
     """
-    cb = space.canonical
-    cb.ensure_all()
 
-    def scan(start: int, stop: int) -> tuple[float, tuple[int, int]]:
-        best = -np.inf
-        witness = (-1, -1)
-        for c in range(start, stop):
-            data = cb.center(c)
-            v = data.values[1:]
-            if v.size == 0:
-                ratio = 1.0
-                if ratio > best:
-                    best, witness = ratio, (c, 0)
-                continue
-            b = np.union1d(v, v * 0.5)
-            reps = np.concatenate((
-                [b[0] * 0.5],
-                0.5 * (b[:-1] + b[1:]),
-                [b[-1] + 1.0],
-            ))
-            cnt_r = np.searchsorted(data.sorted_d, reps, side="left")
-            cnt_2r = np.searchsorted(data.sorted_d, 2.0 * reps, side="left")
-            ratios = data.mu_prefix[
-                np.searchsorted(data.ends, cnt_2r - 1)
-            ] / data.mu_prefix[np.searchsorted(data.ends, cnt_r - 1)]
-            k = int(np.argmax(ratios))
-            if ratios[k] > best:
-                best, witness = float(ratios[k]), (c, k)
-        return best, witness
+    def ratios(data: _CenterData) -> np.ndarray:
+        v = data.values[1:]
+        if v.size == 0:
+            return np.ones(1)
+        b = np.union1d(v, v * 0.5)
+        reps = np.concatenate((
+            [b[0] * 0.5],
+            0.5 * (b[:-1] + b[1:]),
+            [b[-1] + 1.0],
+        ))
+        cnt_r = np.searchsorted(data.sorted_d, reps, side="left")
+        cnt_2r = np.searchsorted(data.sorted_d, 2.0 * reps, side="left")
+        return data.mu_prefix[
+            np.searchsorted(data.ends, cnt_2r - 1)
+        ] / data.mu_prefix[np.searchsorted(data.ends, cnt_r - 1)]
 
-    value, _ = combine_scan_results(run_chunks(space.n, workers, scan))
+    value, _ = space.canonical.sup(ratios)
     return value

@@ -71,10 +71,8 @@ def extension_refinement_study(
         space = interval_space(int(side))
         e_ids = unit_band_subset(space)
         w = power_weight(space, exponent, ids=e_ids)
-        cond = ap_tilde_characteristic(
-            space, e_ids, w ** (1.0 + eps), p, workers=workers
-        )
-        ext = wolff_extend(space, e_ids, w, p, eps, workers=workers)
+        cond = ap_tilde_characteristic(space, e_ids, w ** (1.0 + eps), p)
+        ext = wolff_extend(space, e_ids, w, p, eps)
         rows.append(
             {
                 "side": int(side),
@@ -101,9 +99,7 @@ def condition_refinement_study(
         space = interval_space(int(side))
         e_ids = unit_band_subset(space)
         w = power_weight(space, exponent, ids=e_ids)
-        rep = ap_tilde_characteristic(
-            space, e_ids, w ** (1.0 + eps), p, workers=workers
-        )
+        rep = ap_tilde_characteristic(space, e_ids, w ** (1.0 + eps), p)
         rows.append({"side": int(side), "n_points": space.n, "value": rep.value})
     return rows
 

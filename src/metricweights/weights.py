@@ -11,6 +11,10 @@ the integrals live:
 With E = X the tilde functional is the ordinary global characteristic. The
 essential infimum in the p = 1 functionals is the minimum, since spaces are
 finite and every point has positive mass.
+
+Every constant here is a supremum of one ball functional over the canonical
+balls, taken by ``CanonicalBallSet.sup``. The ``workers`` keywords are
+accepted for compatibility and have no effect.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 from .errors import BudgetExceededAtZero, ExponentRange, NonpositiveWeight
 from .maximal import as_subset, scatter
-from .parallel import combine_scan_results, run_chunks
 from .space import MetricMeasureSpace
 
 
@@ -32,28 +35,6 @@ def conjugate_exponent(p: float) -> float:
     if p == 1:
         return np.inf
     return p / (p - 1.0)
-
-
-@dataclass(frozen=True)
-class ApParams:
-    """Exponent bookkeeping for one extension run: p, its conjugate, eps, delta."""
-
-    p: float
-    eps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ExponentRange("p must be >= 1")
-        if self.eps < 0:
-            raise ExponentRange("eps must be >= 0")
-
-    @property
-    def p_prime(self) -> float:
-        return conjugate_exponent(self.p)
-
-    @property
-    def delta(self) -> float:
-        return 1.0 / (1.0 + self.eps / 2.0)
 
 
 @dataclass(frozen=True)
@@ -84,6 +65,44 @@ def _check_weight(w: np.ndarray, size: int) -> np.ndarray:
     return w
 
 
+def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
+    """The ball functional of ap_tilde_characteristic, as values for sup.
+
+    At p = 1 a ball that misses E is out of scope (-inf): it is the one
+    kind of ball whose minimum over B cap E is still infinite.
+    """
+    if p < 1:
+        raise ExponentRange("p must be >= 1")
+    ids, _ = as_subset(space, E)
+    w = _check_weight(w, ids.size)
+    w_mu = scatter(space, ids, w) * space.mu
+    if p > 1:
+        sig_mu = scatter(space, ids, w ** (-1.0 / (p - 1.0))) * space.mu
+
+        def values(data) -> np.ndarray:
+            return (data.prefix_sums(w_mu) / data.mu_prefix) * (
+                data.prefix_sums(sig_mu) / data.mu_prefix
+            ) ** (p - 1.0)
+    else:
+        w_inf = np.full(space.n, np.inf)
+        w_inf[ids] = w
+
+        def values(data) -> np.ndarray:
+            mins = data.prefix_mins(w_inf)
+            avg = data.prefix_sums(w_mu) / data.mu_prefix
+            return np.where(mins < np.inf, avg / mins, -np.inf)
+
+    return values
+
+
+def _characteristic(
+    space: MetricMeasureSpace, values, p: float, scope: str, domain_mask=None
+) -> CharacteristicReport:
+    value, (center, prefix) = space.canonical.sup(values, domain_mask)
+    kind = ("Ap_" if p > 1 else "A1_") + scope
+    return CharacteristicReport(value, center, prefix, p, kind)
+
+
 def ap_tilde_characteristic(
     space: MetricMeasureSpace,
     E,
@@ -99,46 +118,7 @@ def ap_tilde_characteristic(
     average divided by min over B cap E of w, skipping empty intersections.
     w is given on E (sorted-id alignment); E = None means all of X.
     """
-    if p < 1:
-        raise ExponentRange("p must be >= 1")
-    ids, mask = as_subset(space, E)
-    w = _check_weight(w, ids.size)
-
-    w_mu = scatter(space, ids, w) * space.mu
-    if p > 1:
-        sig_mu = scatter(space, ids, w ** (-1.0 / (p - 1.0))) * space.mu
-        w_inf = None
-    else:
-        sig_mu = None
-        w_inf = np.full(space.n, np.inf)
-        w_inf[ids] = w
-
-    in_e = mask.astype(float)
-    cb = space.canonical
-    cb.ensure_all()
-
-    def scan(start: int, stop: int) -> tuple[float, tuple[int, int]]:
-        best = -np.inf
-        witness = (-1, -1)
-        for c in range(start, stop):
-            data = cb.center(c)
-            sw = data.prefix_sums(w_mu)
-            if p > 1:
-                vals = (sw / data.mu_prefix) * (
-                    data.prefix_sums(sig_mu) / data.mu_prefix
-                ) ** (p - 1.0)
-            else:
-                count = data.prefix_sums(in_e)
-                mins = data.prefix_mins(w_inf)
-                vals = np.where(count > 0, (sw / data.mu_prefix) / mins, -np.inf)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, witness = float(vals[k]), (c, k)
-        return best, witness
-
-    value, witness = combine_scan_results(run_chunks(space.n, workers, scan))
-    kind = "Ap_tilde" if p > 1 else "A1_tilde"
-    return CharacteristicReport(value, witness[0], witness[1], p, kind)
+    return _characteristic(space, _ap_functional(space, E, w, p), p, "tilde")
 
 
 def ap_domain_characteristic(
@@ -153,50 +133,12 @@ def ap_domain_characteristic(
     Integrals run over the full ball and the normalization is mu(B).
     Singleton balls always qualify, so the supremum is over a nonempty
     family whenever D is nonempty. w is given on D (sorted-id alignment).
+    A ball inside D has B cap D = B, so this is the subset-induced
+    functional of D restricted to those balls.
     """
-    if p < 1:
-        raise ExponentRange("p must be >= 1")
-    ids, mask = as_subset(space, D)
-    w = _check_weight(w, ids.size)
-
-    w_mu = scatter(space, ids, w) * space.mu
-    if p > 1:
-        sig_mu = scatter(space, ids, w ** (-1.0 / (p - 1.0))) * space.mu
-        w_inf = None
-    else:
-        sig_mu = None
-        w_inf = np.full(space.n, np.inf)
-        w_inf[ids] = w
-
-    outside = (~mask).astype(float)
-    cb = space.canonical
-    cb.ensure_all()
-    centers = ids
-
-    def scan(start: int, stop: int) -> tuple[float, tuple[int, int]]:
-        best = -np.inf
-        witness = (-1, -1)
-        for c in centers[start:stop]:
-            data = cb.center(int(c))
-            eligible = data.prefix_sums(outside) == 0
-            if not eligible.any():
-                continue
-            sw = data.prefix_sums(w_mu)
-            if p > 1:
-                vals = (sw / data.mu_prefix) * (
-                    data.prefix_sums(sig_mu) / data.mu_prefix
-                ) ** (p - 1.0)
-            else:
-                vals = (sw / data.mu_prefix) / data.prefix_mins(w_inf)
-            vals = np.where(eligible, vals, -np.inf)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, witness = float(vals[k]), (int(c), k)
-        return best, witness
-
-    value, witness = combine_scan_results(run_chunks(centers.size, workers, scan))
-    kind = "Ap_domain" if p > 1 else "A1_domain"
-    return CharacteristicReport(value, witness[0], witness[1], p, kind)
+    values = _ap_functional(space, D, w, p)
+    _, mask = as_subset(space, D)
+    return _characteristic(space, values, p, "domain", mask)
 
 
 def reverse_holder_constant(
@@ -214,44 +156,26 @@ def reverse_holder_constant(
     """
     if delta <= 0:
         raise ExponentRange("delta must be positive")
-    if domain is None:
-        ids = np.arange(space.n, dtype=np.intp)
-        outside = None
-        centers = ids
-    else:
-        ids, mask = as_subset(space, domain)
-        outside = (~mask).astype(float)
-        centers = ids
+    ids, mask = as_subset(space, domain)
     w = _check_weight(w, ids.size)
     w_mu = scatter(space, ids, w) * space.mu
     whi_mu = scatter(space, ids, w ** (1.0 + delta)) * space.mu
-
-    cb = space.canonical
-    cb.ensure_all()
     inv = 1.0 / (1.0 + delta)
 
-    def scan(start: int, stop: int) -> tuple[float, tuple[int, int]]:
-        best = -np.inf
-        witness = (-1, -1)
-        for c in centers[start:stop]:
-            data = cb.center(int(c))
-            vals = (data.prefix_sums(whi_mu) / data.mu_prefix) ** inv / (
-                data.prefix_sums(w_mu) / data.mu_prefix
-            )
-            if outside is not None:
-                vals = np.where(data.prefix_sums(outside) == 0, vals, -np.inf)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, witness = float(vals[k]), (int(c), k)
-        return best, witness
+    def values(data) -> np.ndarray:
+        return (data.prefix_sums(whi_mu) / data.mu_prefix) ** inv / (
+            data.prefix_sums(w_mu) / data.mu_prefix
+        )
 
-    value, _ = combine_scan_results(run_chunks(centers.size, workers, scan))
+    value, _ = space.canonical.sup(values, None if domain is None else mask)
     return value
 
 
 @dataclass(frozen=True)
-class SelfImprovementReport:
-    best_eps: float
+class ConditionReport:
+    """Largest grid eps whose raised weight stays within budget, with table."""
+
+    best_eps: float | None
     budget: float
     p: float
     table: tuple[tuple[float, float], ...]
@@ -265,6 +189,18 @@ class SelfImprovementReport:
         }
 
 
+def _eps_table(
+    characteristic, w: np.ndarray, p: float, eps_grid, budget: float
+) -> ConditionReport:
+    """characteristic(w^{1+eps}) over the sorted grid, and the largest eps within budget."""
+    grid = sorted(float(e) for e in eps_grid)
+    if not grid or grid[0] < 0:
+        raise ValueError("eps grid must be nonempty and nonnegative")
+    table = tuple((eps, characteristic(w ** (1.0 + eps))) for eps in grid)
+    best = max((eps for eps, char in table if char <= budget), default=None)
+    return ConditionReport(best, float(budget), float(p), table)
+
+
 def self_improve_epsilon(
     space: MetricMeasureSpace,
     w: np.ndarray,
@@ -272,25 +208,18 @@ def self_improve_epsilon(
     eps_grid,
     budget: float,
     workers: int = 1,
-) -> SelfImprovementReport:
+) -> ConditionReport:
     """Largest grid eps whose raised weight w^{1+eps} keeps its global
     characteristic within budget, plus the full (eps, characteristic) table."""
-    eps_grid = sorted(float(e) for e in eps_grid)
-    if not eps_grid or eps_grid[0] < 0:
-        raise ValueError("eps grid must be nonempty and nonnegative")
     w = _check_weight(w, space.n)
-    table = []
-    best = None
-    for eps in eps_grid:
-        char = ap_tilde_characteristic(space, None, w ** (1.0 + eps), p, workers).value
-        table.append((eps, char))
-        if char <= budget:
-            best = eps
-    if best is None:
+    report = _eps_table(
+        lambda v: ap_tilde_characteristic(space, None, v, p).value, w, p, eps_grid, budget
+    )
+    if report.best_eps is None:
         raise BudgetExceededAtZero(
             f"characteristic exceeds budget {budget} on the whole grid"
         )
-    return SelfImprovementReport(best, budget, p, tuple(table))
+    return report
 
 
 def power_weight(
@@ -311,78 +240,6 @@ def power_weight(
     half = 0.5 * space.min_positive_distance()
     r = np.where(r == 0.0, half, r)
     return r**exponent
-
-
-@dataclass(frozen=True)
-class AInfinityFit:
-    c_w: float
-    delta: float
-    n_samples: int
-    violations: int
-
-
-def a_infinity_fit(
-    space: MetricMeasureSpace,
-    w: np.ndarray,
-    domain=None,
-    n_samples: int = 400,
-    seed: int = 0,
-) -> AInfinityFit:
-    """Fit (C_w, delta) with w(S)/w(B) <= C_w (mu(S)/mu(B))^delta on samples.
-
-    Samples canonical balls in scope and random nonempty subsets S of each.
-    The slope comes from a least-squares fit through the origin of
-    log-mass-ratio against log-weight-ratio (clamped positive), and C_w is
-    then the smallest constant with zero violations on the sample.
-    """
-    if domain is None:
-        ids = np.arange(space.n, dtype=np.intp)
-        mask = np.ones(space.n, dtype=bool)
-    else:
-        ids, mask = as_subset(space, domain)
-    w = _check_weight(w, ids.size)
-    w_mu_full = scatter(space, ids, w) * space.mu
-
-    rng = np.random.default_rng(seed)
-    cb = space.canonical
-    xs: list[float] = []
-    ys: list[float] = []
-    attempts = 0
-    while len(xs) < n_samples and attempts < 20 * n_samples:
-        attempts += 1
-        c = int(rng.choice(ids))
-        data = cb.center(c)
-        if domain is not None:
-            eligible = np.flatnonzero(data.prefix_sums((~mask).astype(float)) == 0)
-            if eligible.size == 0:
-                continue
-            k = int(rng.choice(eligible))
-        else:
-            k = int(rng.integers(0, data.counts.shape[0]))
-        members = data.order[: data.counts[k]]
-        if members.size < 2:
-            continue
-        take = int(rng.integers(1, members.size))
-        sub = rng.choice(members, size=take, replace=False)
-        mu_b = float(data.mu_prefix[k])
-        mu_s = float(np.sum(space.mu[sub]))
-        w_b = float(np.sum(w_mu_full[members]))
-        w_s = float(np.sum(w_mu_full[sub]))
-        if mu_s >= mu_b or w_s <= 0:
-            continue
-        xs.append(np.log(mu_s / mu_b))
-        ys.append(np.log(w_s / w_b))
-    x = np.array(xs)
-    y = np.array(ys)
-    if x.size == 0:
-        return AInfinityFit(1.0, 1.0, 0, 0)
-    denom = float(np.dot(x, x))
-    slope = float(np.dot(x, y)) / denom if denom > 0 else 1.0
-    delta = max(slope, 1e-6)
-    c_w = float(np.exp(np.max(y - delta * x)))
-    c_w = max(c_w, 1.0)
-    violations = int(np.sum(y > np.log(c_w) + delta * x + 1e-12))
-    return AInfinityFit(c_w, delta, int(x.size), violations)
 
 
 def holder_average_bound_margin(
@@ -412,13 +269,10 @@ def holder_average_bound_margin(
     g_mu = scatter(space, ids, g) * space.mu
     gqv_mu = scatter(space, ids, g**q * v) * space.mu
 
-    worst = 0.0
-    cb = space.canonical
-    for c in range(space.n):
-        data = cb.center(c)
+    def ratios(data) -> np.ndarray:
         lhs = data.prefix_sums(v_mu) * (data.prefix_sums(g_mu) / data.mu_prefix) ** q
         rhs = data.prefix_sums(gqv_mu)
-        ok = rhs > 0
-        if ok.any():
-            worst = max(worst, float(np.max(lhs[ok] / rhs[ok])))
-    return worst
+        return np.divide(lhs, rhs, out=np.full_like(lhs, -np.inf), where=rhs > 0)
+
+    worst, _ = space.canonical.sup(ratios)
+    return max(0.0, worst)

@@ -28,7 +28,7 @@ from .errors import (
     PreconditionFail,
     Unreachable,
 )
-from .space import Ball, MetricMeasureSpace, REL_TOL
+from .space import Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr
 
 
 @dataclass
@@ -61,11 +61,7 @@ class DomainSpec:
                     us.append(u)
                     vs.append(v)
                     ws.append(weight)
-            n = space.n
-            self._qh_graph = csr_matrix(
-                (np.array(ws + ws), (np.array(us + vs), np.array(vs + us))),
-                shape=(n, n),
-            )
+            self._qh_graph = _symmetric_csr(space.n, us, vs, ws)
         return self._qh_graph
 
 
@@ -124,16 +120,8 @@ class WhitneyCover:
 
     def adjacency(self) -> csr_matrix:
         if self._adjacency is None:
-            b = len(self)
-            if self.edges.size:
-                i, j = self.edges[:, 0], self.edges[:, 1]
-                data = np.ones(2 * i.shape[0])
-                self._adjacency = csr_matrix(
-                    (data, (np.concatenate([i, j]), np.concatenate([j, i]))),
-                    shape=(b, b),
-                )
-            else:
-                self._adjacency = csr_matrix((b, b))
+            i, j = self.edges[:, 0], self.edges[:, 1]
+            self._adjacency = _symmetric_csr(len(self), i, j, np.ones(i.shape[0]))
         return self._adjacency
 
     def ball(self, k: int) -> Ball:
@@ -401,17 +389,7 @@ def _edge_path(space: MetricMeasureSpace, start: int, goal: int) -> list[int]:
     """One shortest path along the edge graph, by edge lengths."""
     if not space.edges:
         raise PreconditionFail("construction needs the edge graph")
-    cache = getattr(space, "_edge_csr", None)
-    if cache is None:
-        us = np.array([e[0] for e in space.edges])
-        vs = np.array([e[1] for e in space.edges])
-        ws = np.array([e[2] for e in space.edges])
-        cache = csr_matrix(
-            (np.concatenate([ws, ws]), (np.concatenate([us, vs]), np.concatenate([vs, us]))),
-            shape=(space.n, space.n),
-        )
-        space._edge_csr = cache
-    _, pred = dijkstra(cache, indices=start, return_predecessors=True)
+    _, pred = dijkstra(space.edge_graph(), indices=start, return_predecessors=True)
     if pred[goal] < 0 and goal != start:
         raise Disconnected(f"no edge path joins {start} and {goal}")
     path = [goal]

@@ -73,6 +73,40 @@ def naive_domain_char(space, d_mask, w_on_x, p):
     return best
 
 
+def naive_reverse_holder(space, w_on_x, delta, d_mask=None):
+    """sup of (avg_B w^{1+delta})^{1/(1+delta)} / avg_B w over all balls, or
+    over the balls centered in and contained in the domain."""
+    w = np.asarray(w_on_x, dtype=float)
+    best = 0.0
+    for c, _, mem in ball_system(space):
+        if d_mask is not None and (not d_mask[c] or not d_mask[mem].all()):
+            continue
+        mu_b = float(np.sum(space.mu[mem]))
+        hi = float(np.sum(w[mem] ** (1.0 + delta) * space.mu[mem])) / mu_b
+        lo = float(np.sum(w[mem] * space.mu[mem])) / mu_b
+        best = max(best, hi ** (1.0 / (1.0 + delta)) / lo)
+    return best
+
+
+def naive_holder_margin(space, e_mask, v_on_x, q, g_on_x):
+    """Worst v(B cap E) (avg_B |g| 1_E)^q / int_{B cap E} |g|^q v over balls
+    whose right side is positive; 0 when there is none."""
+    v = np.asarray(v_on_x, dtype=float)
+    g = np.abs(np.asarray(g_on_x, dtype=float))
+    worst = 0.0
+    for _, _, mem in ball_system(space):
+        sel = mem[e_mask[mem]]
+        mu_b = float(np.sum(space.mu[mem]))
+        rhs = float(np.sum(g[sel] ** q * v[sel] * space.mu[sel]))
+        if rhs <= 0:
+            continue
+        lhs = float(np.sum(v[sel] * space.mu[sel])) * (
+            float(np.sum(g[sel] * space.mu[sel])) / mu_b
+        ) ** q
+        worst = max(worst, lhs / rhs)
+    return worst
+
+
 def naive_doubling(space):
     """Doubling constant by direct probing of every breakpoint interval."""
     best = 0.0

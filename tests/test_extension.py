@@ -156,6 +156,20 @@ def test_restriction_never_amplifies(rng):
             assert rep.restricted.value <= rep.global_.value * (1.0 + 1e-12)
 
 
+def test_restriction_characteristics_match_direct_calls(rng):
+    for p in P_GRID:
+        n = int(rng.integers(2, 20))
+        space = oracles.random_metric_space(rng, n)
+        W = oracles.random_weight(rng, n)
+        e_mask = rng.random(n) < 0.5
+        e_mask[int(rng.integers(0, n))] = True
+        ids = np.flatnonzero(e_mask)
+        rep = restrict_weight_report(space, e_mask, W, p, eps=0.3)
+        u = W ** (1.0 + 0.3)
+        assert rep.restricted == ap_tilde_characteristic(space, e_mask, u[ids], p)
+        assert rep.global_ == ap_tilde_characteristic(space, None, u, p)
+
+
 def test_restricting_to_everything_is_an_identity(line11, rng):
     W = oracles.random_weight(rng, line11.n)
     rep = restrict_weight_report(line11, None, W, 2.0)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from metricweights import cli, io, maximal_fn
+from metricweights import (
+    ap_domain_characteristic,
+    build_grid_space,
+    cli,
+    io,
+    maximal_fn,
+    reverse_holder_constant,
+)
 from metricweights.errors import (
     GraphDisconnected,
     NoConvergence,
@@ -110,6 +117,14 @@ def test_graph_space_validates_edges(tmp_path):
                 {**base, "metric": {"type": "graph", "edges": [(0, 1, 0.0)]}},
             )
         )
+    for name, bad in [("arity", (1, 2)), ("field", (1, "two", 1.0))]:
+        with pytest.raises(ParseError, match=r"edges\[1\]"):
+            io.load_space(
+                _write(
+                    tmp_path / f"{name}.json",
+                    {**base, "metric": {"type": "graph", "edges": [(0, 1, 1.0), bad]}},
+                )
+            )
 
 
 def test_oversized_graph_space_is_rejected(tmp_path):
@@ -247,6 +262,57 @@ def test_cli_characteristic_frozen_value(capsys, artifacts):
     doc = json.loads(out)
     assert doc["value"] == pytest.approx(1.5625, rel=1e-12)
     assert doc["witness"]["prefix"] == 1
+
+
+@pytest.fixture
+def domain_artifacts(tmp_path):
+    """A 6x6 grid, a weight on X and on a 16-point domain D, and D itself."""
+    space = build_grid_space(2, 6, 1.0)
+    w = oracles.random_weight(np.random.default_rng(11), space.n)
+    d_ids = np.array([7, 8, 9, 10, 13, 14, 15, 16, 19, 20, 21, 22, 25, 26, 27, 28])
+    paths = {"space": space, "w": w, "d_ids": d_ids}
+    for name, save in [
+        ("grid", lambda p: io.save_space(p, space)),
+        ("w_x", lambda p: io.save_function(p, w)),
+        ("w_d", lambda p: io.save_function(p, w[d_ids], d_ids)),
+        ("domain", lambda p: io.save_subset(p, d_ids)),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        save(paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("weight", ["w_x", "w_d"])
+def test_cli_characteristic_on_a_domain(capsys, domain_artifacts, weight):
+    a = domain_artifacts
+    space, w_d = a["space"], a["w"][a["d_ids"]]
+    argv = ["characteristic", "--space", a["grid"], "--weight", a[weight],
+            "--domain", a["domain"], "--p", "2"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    want = ap_domain_characteristic(space, a["d_ids"], w_d, 2.0)
+    assert out == io.report_bytes(want.to_dict()).decode()
+
+    rc, out, _ = _run(capsys, argv + ["--eps-grid", "0,0.5"])
+    assert rc == 0
+    table = [
+        {"eps": e, "value": ap_domain_characteristic(space, a["d_ids"], w_d ** (1.0 + e), 2.0).value}
+        for e in (0.0, 0.5)
+    ]
+    assert out == io.report_bytes({"p": 2.0, "scope": "domain", "table": table}).decode()
+
+
+@pytest.mark.parametrize("weight", ["w_x", "w_d"])
+def test_cli_rhi_on_a_domain(capsys, domain_artifacts, weight):
+    a = domain_artifacts
+    rc, out, _ = _run(
+        capsys,
+        ["rhi", "--space", a["grid"], "--weight", a[weight], "--domain", a["domain"],
+         "--delta", "0.5"],
+    )
+    assert rc == 0
+    value = reverse_holder_constant(a["space"], a["w"][a["d_ids"]], 0.5, domain=a["d_ids"])
+    assert out == io.report_bytes({"delta": 0.5, "value": value}).decode()
 
 
 def test_cli_space_build_validate_doubling(capsys, tmp_path):

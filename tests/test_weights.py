@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from metricweights import (
-    AInfinityFit,
     ap_domain_characteristic,
     ap_tilde_characteristic,
-    a_infinity_fit,
     conjugate_exponent,
     power_weight,
     reverse_holder_constant,
@@ -15,7 +14,7 @@ from metricweights import (
 from metricweights.errors import BudgetExceededAtZero, ExponentRange, NonpositiveWeight
 from metricweights.space import REL_TOL
 from metricweights.studies import interval_space
-from metricweights.weights import ApParams, holder_average_bound_margin
+from metricweights.weights import holder_average_bound_margin
 
 P_GRID = [1.0, 1.5, 2.0, 3.0]
 
@@ -55,6 +54,9 @@ def test_constant_weight_is_extremal_everywhere(line11):
         assert ap_tilde_characteristic(line11, None, w, p).value == pytest.approx(
             1.0, rel=1e-14
         )
+        # with w = 1 every ball ties at exactly 1, and the first ball wins
+        rep = ap_tilde_characteristic(line11, None, np.ones(line11.n), p)
+        assert (rep.value, rep.witness_center, rep.witness_prefix) == (1.0, 0, 0)
 
 
 def test_witness_ball_attains_the_reported_value(line11, rng):
@@ -102,6 +104,38 @@ def test_domain_characteristic_matches_naive_enumeration(rng):
             got = ap_domain_characteristic(space, d_mask, w[ids], p).value
             want = oracles.naive_domain_char(space, d_mask, w, p)
             assert got == pytest.approx(want, rel=1e-12)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_reverse_holder_matches_naive_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    space = oracles.random_metric_space(rng, int(rng.integers(2, 12)))
+    w = oracles.random_weight(rng, space.n)
+    delta = float(rng.uniform(0.1, 3.0))
+    got = reverse_holder_constant(space, w, delta)
+    assert got == pytest.approx(oracles.naive_reverse_holder(space, w, delta), rel=1e-12)
+    d_mask = rng.random(space.n) < 0.6
+    d_mask[int(rng.integers(space.n))] = True
+    ids = np.flatnonzero(d_mask)
+    got = reverse_holder_constant(space, w[ids], delta, domain=d_mask)
+    want = oracles.naive_reverse_holder(space, w, delta, d_mask)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+def test_holder_margin_matches_naive_enumeration(seed):
+    rng = np.random.default_rng(seed)
+    space = oracles.random_metric_space(rng, int(rng.integers(2, 12)))
+    v = oracles.random_weight(rng, space.n)
+    e_mask = rng.random(space.n) < 0.6
+    e_mask[int(rng.integers(space.n))] = True
+    ids = np.flatnonzero(e_mask)
+    # zeros in g leave balls with a vanishing right side, which are skipped
+    g = np.where(rng.random(space.n) < 0.3, 0.0, rng.normal(size=space.n))
+    q = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+    got = holder_average_bound_margin(space, e_mask, v[ids], q, g[ids])
+    want = oracles.naive_holder_margin(space, e_mask, v, q, g)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_characteristics_are_worker_invariant(rng):
@@ -286,7 +320,7 @@ def test_budget_below_baseline_raises():
         self_improve_epsilon(space, w, 2.0, [0.0, 0.5], budget=0.9 * char0)
 
 
-# -- power weights and A-infinity fits ----------------------------------------------
+# -- power weights -----------------------------------------------------------------
 
 
 def test_power_weight_clamps_the_origin(s3):
@@ -306,23 +340,6 @@ def test_power_weight_needs_coordinates(rng):
         power_weight(space, 0.5)
 
 
-def test_a_infinity_fit_has_no_violations(rng):
-    space = oracles.random_metric_space(rng, 20)
-    w = oracles.random_weight(rng, 20)
-    fit = a_infinity_fit(space, w, n_samples=200, seed=7)
-    assert isinstance(fit, AInfinityFit)
-    assert fit.violations == 0
-    assert fit.delta > 0
-    assert fit.c_w >= 1.0
-    assert fit.n_samples > 0
-
-
-def test_a_infinity_fit_scopes_to_a_domain(line11, rng):
-    w = oracles.random_weight(rng, 7)
-    fit = a_infinity_fit(line11, w, domain=np.arange(2, 9), n_samples=100, seed=3)
-    assert fit.violations == 0
-
-
 # -- parameter plumbing --------------------------------------------------------------
 
 
@@ -332,16 +349,6 @@ def test_conjugate_exponent_values():
     assert conjugate_exponent(1.5) == pytest.approx(3.0, rel=1e-15)
     with pytest.raises(ExponentRange):
         conjugate_exponent(0.5)
-
-
-def test_ap_params_delta():
-    params = ApParams(p=2.0, eps=1.0)
-    assert params.p_prime == 2.0
-    assert params.delta == pytest.approx(1.0 / 1.5, rel=1e-15)
-    with pytest.raises(ExponentRange):
-        ApParams(p=0.5)
-    with pytest.raises(ExponentRange):
-        ApParams(p=2.0, eps=-0.1)
 
 
 def test_weights_must_be_positive(s2):
