@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io, studies
-from .errors import ConvergenceError, FormatError, MetricWeightsError
+from .errors import ConvergenceError, FormatError, MetricWeightsError, ParseError
 from .extension import check_extension_condition, restrict_weight_report, wolff_extend
-from .factorization import jones_factorize
+from .factorization import DEFAULT_TRUNCATION_TOL, jones_factorize
 from .maximal import as_subset, maximal_fn
 from .space import build_grid_space, doubling_constant, validate_space
 from .weights import (
@@ -68,10 +68,14 @@ def _load_weight_on(space, path, expect_ids=None):
 
 
 def _subset_arg(space, args, flag: str = "subset"):
+    """The ids of the --subset (or --domain) file, checked against the space."""
     path = getattr(args, flag, None)
     if path is None:
         return None
-    return io.load_subset(path)
+    ids = io.load_subset(path)
+    if ids.size and (ids[0] < 0 or ids[-1] >= space.n):
+        raise ParseError(f"{path}: 'ids' must lie in [0, {space.n})")
+    return ids
 
 
 # -- handlers ------------------------------------------------------------------
@@ -122,7 +126,7 @@ def _cmd_characteristic(args) -> int:
     if args.domain and args.subset:
         raise FormatError("pass either --subset or --domain, not both")
     if args.domain:
-        scope, ids = "domain", io.load_subset(args.domain)
+        scope, ids = "domain", _subset_arg(space, args, "domain")
         characteristic = ap_domain_characteristic
     else:
         scope, ids = "subset", _subset_arg(space, args)
@@ -144,7 +148,7 @@ def _cmd_characteristic(args) -> int:
 
 def _cmd_rhi(args) -> int:
     space = io.load_space(args.space)
-    domain = io.load_subset(args.domain) if args.domain else None
+    domain = _subset_arg(space, args, "domain")
     w = _load_weight_on(space, args.weight, expect_ids=domain)
     value = reverse_holder_constant(space, w, args.delta, domain=domain)
     _emit(args, "rhi", {"delta": args.delta, "value": value})
@@ -219,7 +223,7 @@ def _cmd_restrict(args) -> int:
 
 def _cmd_whitney(args) -> int:
     space = io.load_space(args.space)
-    domain = make_domain(space, io.load_subset(args.domain))
+    domain = make_domain(space, _subset_arg(space, args, "domain"))
     cover = whitney_cover(space, domain)
     checks = check_cover_invariants(cover)
     payload = {
@@ -237,7 +241,7 @@ def _cmd_whitney(args) -> int:
 
 def _cmd_chains(args) -> int:
     space = io.load_space(args.space)
-    domain = make_domain(space, io.load_subset(args.domain))
+    domain = make_domain(space, _subset_arg(space, args, "domain"))
     payload = studies.chain_report(space, domain, seed=args.seed)
     _emit(args, "chains", payload)
     return 0
@@ -245,7 +249,7 @@ def _cmd_chains(args) -> int:
 
 def _cmd_qh(args) -> int:
     space = io.load_space(args.space)
-    domain = make_domain(space, io.load_subset(args.domain))
+    domain = make_domain(space, _subset_arg(space, args, "domain"))
     value = qh_distance(space, domain, args.x, args.y)
     _emit(args, "qh", {"x": args.x, "y": args.y, "qh": value})
     return 0
@@ -289,7 +293,17 @@ def _add_common(sp, out_help: str = "directory for report files") -> None:
     sp.add_argument("--out", help=out_help)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=1e-12)
+
+
+def _add_tol(sp) -> None:
+    sp.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TRUNCATION_TOL,
+        help="upper limit on the factorization series: it stops at the first "
+        "partial sum (8, 16, 32, ... terms) whose certificates verify, and "
+        "never runs past the first term whose tail is below TOL times the sum",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--subset")
     f.add_argument("--p", type=float, required=True)
     _add_common(f)
+    _add_tol(f)
     f.set_defaults(func=_cmd_factorize)
 
     e = sub.add_parser("extend", help="extend a weight from a subset")
@@ -360,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=float, required=True)
     e.add_argument("--eps", type=float, required=True)
     _add_common(e)
+    _add_tol(e)
     e.set_defaults(func=_cmd_extend)
 
     co = sub.add_parser("condition", help="epsilon table for the extension condition")

@@ -95,6 +95,14 @@ class ExponentRange(DomainError):
     """Exponent outside the admissible range for this operation."""
 
 
+class InvalidParameter(DomainError, ValueError):
+    """A numeric parameter (a tolerance, an eps grid) outside its range.
+
+    Also a ValueError, which is what these checks raised before they were
+    typed.
+    """
+
+
 # -- iterations and searches ---------------------------------------------------
 
 class NoConvergence(ConvergenceError):

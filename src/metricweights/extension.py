@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExponentRange, NonpositiveWeight
-from .maximal import as_subset, maximal_fn
+from .maximal import as_subset
 from .factorization import FactorizationResult, jones_factorize
 from .space import MetricMeasureSpace
 from .weights import (
@@ -91,11 +91,12 @@ def wolff_extend(
     fact = jones_factorize(space, E, v, p, tol=tol)
     delta = 1.0 / (1.0 + eps / 2.0)
 
-    m1 = maximal_fn(space, fact.v1, E)
+    # the factorization hands over the maximal functions it verified with
+    m1 = fact.m_v1
     g1 = fact.v1 / m1[ids]
     g = np.ones(space.n)
     if p > 1:
-        m2 = maximal_fn(space, fact.v2, E)
+        m2 = fact.m_v2
         g2 = fact.v2 / m2[ids]
         g[ids] = g1**delta * g2 ** (delta * (1.0 - p))
         W = g * m1**delta * m2 ** (delta * (1.0 - p))

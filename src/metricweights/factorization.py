@@ -7,17 +7,27 @@ fixed point of the sublinear operator
     T f = (v^{-1/p} m_E(v^{1/p} f^{p-1}))^{1/(p-1)} + v^{1/p} m_E(v^{-1/p} f),
 
 defined for p >= 2. Starting from f = 1, the geometric series
-eta = sum_k (2c)^{-k} T^k f converges once c dominates the empirical growth
-ratio of the iterates, and then T eta <= 2c eta, which yields the two factors
-v1 = v^{1/p} eta^{p-1} and v2 = v^{-1/p} eta.
+eta = sum_{k>=1} (2c)^{-k} T^k 1 converges once c dominates the empirical
+growth ratio of the iterates, and then T eta <= 2c eta, which yields the two
+factors v1 = v^{1/p} eta^{p-1} and v2 = v^{-1/p} eta. The two maximal
+functions inside T eta are m_E v1 and m_E v2, so one application of T checks
+all three bounds.
 
 For 1 < p < 2 the same construction runs on the dual weight u = v^{1-p'} at
 exponent p' and the factors swap. For p = 1 the factorization is trivial.
 
-The growth constant is estimated from norm ratios of the first iterates and
-verified a posteriori: the accepted c must satisfy the fixed-point bound and
-both membership bounds pointwise in the exact arithmetic the caller will
-re-check, doubling c on any failure (at most 10 times).
+The growth constant c is estimated from norm ratios of the first 8 iterates.
+The series is not summed to convergence, since only the certificates are
+needed: by subadditivity T eta_K <= 2c eta_K holds for a partial sum as soon
+as (2c)^{-K} T^{K+1} 1 stays below T 1, which a short sum already gives. The
+partial sums at K = 8, 16, 32, ... are checked and the first one whose
+certificates verify is accepted. The tail tolerance is an upper limit: the
+series never runs past the first term whose tail falls below tol relative to
+the partial sum, and it is checked there too. If that check fails, c doubles
+(at most 10 times). Every bound is verified pointwise, a posteriori, in the
+arithmetic the caller re-checks. eta is returned scaled to maximum 1; T is
+positively homogeneous, so the scale changes neither the certificates nor
+v1 * v2^{1-p}.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentRange, NoConvergence, NonpositiveWeight
+from .errors import ExponentRange, InvalidParameter, NoConvergence, NonpositiveWeight
 from .maximal import as_subset, maximal_fn
 from .space import MetricMeasureSpace
 from .weights import ap_tilde_characteristic, conjugate_exponent
@@ -54,7 +64,10 @@ class FactorizationResult:
 
     eta and the accepted bound c refer to the iteration actually run, which
     for 1 < p < 2 happens at base_p = p' on base_weight = v^{1-p'}; branch
-    records which route was taken. residual is the worst relative
+    records which route was taken. eta has maximum 1, and k_max is the
+    number of series terms in the partial sum that verified. m_v1 and m_v2
+    are m_E v1 and m_E v2 on all of X, the maximal functions the
+    certificates were checked with. residual is the worst relative
     recomposition error over E.
     """
 
@@ -70,9 +83,27 @@ class FactorizationResult:
     base_weight: np.ndarray
     a1_char_v1: float
     a1_char_v2: float
+    m_v1: np.ndarray
+    m_v2: np.ndarray
 
     def bounds(self) -> tuple[float, float]:
         return a1_bounds(self.c, self.p)
+
+
+def _rdf_parts(
+    space: MetricMeasureSpace,
+    E,
+    ids: np.ndarray,
+    root: np.ndarray,
+    p: float,
+    f: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """T f on E at exponent p, with root = v^{1/p}, and the two maximal
+    functions it is made of, on all of X: m_E(root f^{p-1}) and m_E(f / root)."""
+    m_first = maximal_fn(space, root * f ** (p - 1.0), E)
+    m_second = maximal_fn(space, f / root, E)
+    t_f = (m_first[ids] / root) ** (1.0 / (p - 1.0)) + root * m_second[ids]
+    return t_f, m_first, m_second
 
 
 def rdf_apply_T(
@@ -99,11 +130,7 @@ def rdf_apply_T(
         raise NonpositiveWeight("v must be strictly positive")
     if np.any(f < 0):
         raise ValueError("f must be nonnegative")
-
-    root = v ** (1.0 / p)
-    first = maximal_fn(space, root * f ** (p - 1.0), E)[ids]
-    second = maximal_fn(space, f / root, E)[ids]
-    return (first / root) ** (1.0 / (p - 1.0)) + root * second
+    return _rdf_parts(space, E, ids, v ** (1.0 / p), p, f)[0]
 
 
 def _weighted_norm(values: np.ndarray, mu_e: np.ndarray, q: float) -> float:
@@ -118,11 +145,16 @@ def jones_factorize(
     tol: float = DEFAULT_TRUNCATION_TOL,
     workers: int = 1,
 ) -> FactorizationResult:
-    """Split v (exponent p >= 1, on E) into verified A1-class factors."""
+    """Split v (exponent p >= 1, on E) into verified A1-class factors.
+
+    The series stops at the first partial sum, K = 8, 16, 32, ... terms,
+    whose certificates verify, and never later than the first term whose
+    tail is below tol times the partial sum; k_max records the K accepted.
+    """
     if p < 1:
         raise ExponentRange("p must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidParameter(f"tol must be positive and finite, got {tol!r}")
     ids, _ = as_subset(space, E)
     v = np.asarray(v, dtype=float)
     if v.shape != ids.shape:
@@ -146,6 +178,8 @@ def jones_factorize(
             base_weight=v.copy(),
             a1_char_v1=ap_tilde_characteristic(space, E, v, 1.0).value,
             a1_char_v2=ap_tilde_characteristic(space, E, ones, 1.0).value,
+            m_v1=maximal_fn(space, v, E),
+            m_v2=maximal_fn(space, ones, E),
         )
 
     if p >= 2:
@@ -153,6 +187,7 @@ def jones_factorize(
     else:
         branch, q = "1<p<2", conjugate_exponent(p)
         vv = v ** (1.0 - q)
+    root = vv ** (1.0 / q)
 
     def apply_t(f: np.ndarray) -> np.ndarray:
         return rdf_apply_T(space, E, vv, q, f)
@@ -183,44 +218,26 @@ def jones_factorize(
     ]
     c_hat = float(max(ratios))
 
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        c = c_hat * 2.0**attempt
-        log2c = np.log(2.0 * c)
-
-        eta = np.zeros(m)
-        k = 0
-        while True:
-            k += 1
-            while len(terms) <= k + 1:
-                extend()
-            eta = eta + np.exp(logscale[k] - k * log2c) * terms[k]
-            tail = np.exp(logscale[k + 1] - (k + 1) * log2c)
-            if tail < tol * float(eta.max()):
-                break
-            if k >= _MAX_TERMS:
-                raise NoConvergence("series truncation did not settle")
-        k_max = k
-
-        v1q = vv ** (1.0 / q) * eta ** (q - 1.0)
-        v2q = vv ** (-1.0 / q) * eta
+    def certify(partial: np.ndarray, c: float, k_max: int) -> FactorizationResult | None:
+        eta = partial / partial.max()
+        t_eta, m_first, m_second = _rdf_parts(space, E, ids, root, q, eta)
+        v1q = root * eta ** (q - 1.0)
+        v2q = eta / root
         if branch == "p>=2":
-            v1, v2, c_rep = v1q, v2q, c
+            v1, v2, m1, m2, c_rep = v1q, v2q, m_first, m_second, c
         else:
-            v1, v2 = v2q, v1q
+            v1, v2, m1, m2 = v2q, v1q, m_second, m_first
             c_rep = 0.5 * (2.0 * c) ** (q / p)
 
         k1, k2 = a1_bounds(c_rep, p)
-        t_eta = apply_t(eta)
-        m1 = maximal_fn(space, v1, E)[ids]
-        m2 = maximal_fn(space, v2, E)[ids]
         ok = (
             np.all(t_eta <= 2.0 * c * eta)
             and np.all(t_eta <= 2.0 * c_rep * eta)
-            and np.all(m1 <= k1 * v1)
-            and np.all(m2 <= k2 * v2)
+            and np.all(m1[ids] <= k1 * v1)
+            and np.all(m2[ids] <= k2 * v2)
         )
         if not ok:
-            continue
+            return None
 
         recomposed = v1 * v2 ** (1.0 - p)
         residual = float(np.max(np.abs(recomposed / v - 1.0)))
@@ -237,7 +254,30 @@ def jones_factorize(
             base_weight=vv,
             a1_char_v1=ap_tilde_characteristic(space, E, v1, 1.0).value,
             a1_char_v2=ap_tilde_characteristic(space, E, v2, 1.0).value,
+            m_v1=m1,
+            m_v2=m2,
         )
+
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        c = c_hat * 2.0**attempt
+        log2c = np.log(2.0 * c)
+
+        eta = np.zeros(m)
+        for k in range(1, _MAX_TERMS + 1):
+            eta = eta + np.exp(logscale[k] - k * log2c) * terms[k]
+            # candidate stops K = 8, 16, 32, ...; the first reuses the warm-up iterates
+            candidate = k >= _WARMUP_ITERS and k & (k - 1) == 0
+            if candidate and (fact := certify(eta, c, k)) is not None:
+                return fact
+            if len(terms) == k + 1:
+                extend()
+            tail = np.exp(logscale[k + 1] - (k + 1) * log2c)
+            if tail < tol * float(eta.max()):
+                if not candidate and (fact := certify(eta, c, k)) is not None:
+                    return fact
+                break
+        else:
+            raise NoConvergence("series truncation did not settle")
 
     raise NoConvergence(
         f"no verified operator bound within {_MAX_DOUBLINGS} doublings of {c_hat}"

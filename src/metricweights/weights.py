@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededAtZero, ExponentRange, NonpositiveWeight
+from .errors import BudgetExceededAtZero, ExponentRange, InvalidParameter, NonpositiveWeight
 from .maximal import as_subset, scatter
 from .space import MetricMeasureSpace
 
@@ -194,8 +194,8 @@ def _eps_table(
 ) -> ConditionReport:
     """characteristic(w^{1+eps}) over the sorted grid, and the largest eps within budget."""
     grid = sorted(float(e) for e in eps_grid)
-    if not grid or grid[0] < 0:
-        raise ValueError("eps grid must be nonempty and nonnegative")
+    if not grid or not all(np.isfinite(e) and e >= 0 for e in grid):
+        raise InvalidParameter(f"eps grid must be nonempty, finite and nonnegative, got {grid}")
     table = tuple((eps, characteristic(w ** (1.0 + eps))) for eps in grid)
     best = max((eps for eps, char in table if char <= budget), default=None)
     return ConditionReport(best, float(budget), float(p), table)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import metricweights
 import oracles
 from metricweights import (
     ap_tilde_characteristic,
@@ -9,8 +10,10 @@ from metricweights import (
     restrict_weight_report,
     wolff_extend,
 )
-from metricweights.errors import ExponentRange, NonpositiveWeight
+from metricweights.errors import ExponentRange, InvalidParameter, NonpositiveWeight
 from metricweights.maximal import as_subset
+from metricweights.studies import interval_space, unit_band_subset
+from metricweights.weights import power_weight
 
 P_GRID = [1.0, 1.5, 2.0, 3.0]
 
@@ -86,6 +89,34 @@ def test_p_equal_one_pipeline(rng):
     )
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_extension_takes_at_most_twenty_maximal_sweeps(monkeypatch, p):
+    space = interval_space(64)
+    e_ids = unit_band_subset(space)
+    w = power_weight(space, 0.5, ids=e_ids)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return maximal_fn(*args, **kwargs)
+
+    # the binding sites the pipeline can reach it through
+    for name in ("factorization", "extension"):
+        module = getattr(metricweights, name)
+        if getattr(module, "maximal_fn", None) is maximal_fn:
+            monkeypatch.setattr(module, "maximal_fn", counted)
+    rep = wolff_extend(space, e_ids, w, p, eps=0.5)
+    # 8 warm-up iterates of two sweeps each and one two-sweep verification;
+    # summing the series to a 1e-12 tail took 86
+    assert 0 < len(calls) <= 20
+
+    fact = rep.factorization
+    m1 = maximal_fn(space, fact.v1, e_ids)
+    m2 = maximal_fn(space, fact.v2, e_ids)
+    expected = rep.g * m1**rep.delta * m2 ** (rep.delta * (1.0 - p))
+    np.testing.assert_array_equal(rep.W, expected)
+
+
 def test_extension_is_worker_invariant(line11, rng):
     w = oracles.random_weight(rng, 7)
     e_ids = np.arange(2, 9)
@@ -138,6 +169,9 @@ def test_condition_budget_edge_cases(s2):
         check_extension_condition(s2, None, w, 2.0, [], budget=1.0)
     with pytest.raises(ValueError):
         check_extension_condition(s2, None, w, 2.0, [-0.5], budget=1.0)
+    for grid in ([0.0, -0.5], [0.0, np.nan], [np.inf]):
+        with pytest.raises(InvalidParameter):
+            check_extension_condition(s2, None, w, 2.0, grid, budget=1.0)
 
 
 # -- restriction ---------------------------------------------------------------------

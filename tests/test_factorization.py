@@ -10,7 +10,7 @@ from metricweights import (
     maximal_fn,
     rdf_apply_T,
 )
-from metricweights.errors import ExponentRange, NonpositiveWeight
+from metricweights.errors import ExponentRange, InvalidParameter, NonpositiveWeight
 from metricweights.maximal import as_subset
 
 
@@ -29,8 +29,12 @@ def _check_certificates(space, E, v, fact):
     else:
         # the trivial branch certifies through the A1 characteristics alone
         k1, k2 = fact.a1_char_v1, fact.a1_char_v2
-    m1 = maximal_fn(space, fact.v1, E)[ids]
-    m2 = maximal_fn(space, fact.v2, E)[ids]
+    # the maximal functions handed to the extension are the ones a fresh sweep gives
+    np.testing.assert_array_equal(fact.m_v1, maximal_fn(space, fact.v1, E))
+    np.testing.assert_array_equal(fact.m_v2, maximal_fn(space, fact.v2, E))
+    assert fact.eta.max() == 1.0
+    m1 = fact.m_v1[ids]
+    m2 = fact.m_v2[ids]
     assert np.all(m1 <= k1 * fact.v1 * (1.0 + 1e-12))
     assert np.all(m2 <= k2 * fact.v2 * (1.0 + 1e-12))
     recomposed = fact.v1 * fact.v2 ** (1.0 - fact.p)
@@ -138,6 +142,20 @@ def test_factorization_on_a_strict_subset(line11, rng):
         _check_certificates(line11, e_ids, v, fact)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_series_stops_at_the_first_verified_partial_sum(line11, rng, p):
+    v = oracles.random_weight(rng, line11.n)
+    fact = jones_factorize(line11, None, v, p)
+    # K = 8 reuses the warm-up iterates, and its certificates already verify
+    assert fact.k_max == 8
+    _check_certificates(line11, None, v, fact)
+    # tol stays an upper limit: a tail below 1e-2 comes before the eighth term
+    capped = jones_factorize(line11, None, v, p, tol=1e-2)
+    assert capped.k_max < 8
+    assert capped.c == fact.c
+    _check_certificates(line11, None, v, capped)
+
+
 def test_swapped_branch_bookkeeping(line11, rng):
     v = oracles.random_weight(rng, line11.n)
     fact = jones_factorize(line11, None, v, 1.5)
@@ -172,5 +190,8 @@ def test_factorize_rejects_bad_inputs(line11):
         jones_factorize(line11, None, 0.0 * ones, 2.0)
     with pytest.raises(ValueError):
         jones_factorize(line11, None, ones, 2.0, tol=0.0)
+    for tol in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(InvalidParameter):
+            jones_factorize(line11, None, ones, 2.0, tol=tol)
     with pytest.raises(ValueError):
         jones_factorize(line11, None, ones[:-1], 2.0)

@@ -555,6 +555,100 @@ def test_cli_exit_codes(capsys, tmp_path, artifacts):
     assert cli._exit_code(NoConvergence("stalled")) == 3
 
 
+@pytest.fixture
+def line12(tmp_path):
+    """A 12-point line, a weight on X, a subset file, and two with ids off the line."""
+    paths = {}
+    for name, save in [
+        ("space", lambda p: io.save_space(p, build_grid_space(1, 12, 1.0))),
+        ("w", lambda p: io.save_function(p, np.linspace(1.0, 2.0, 12))),
+        ("subset", lambda p: io.save_subset(p, np.arange(1, 11))),
+        ("outside", lambda p: io.save_subset(p, np.array([1, 2, 12]))),
+        ("negative", lambda p: io.save_subset(p, np.array([-1, 2, 3]))),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        save(paths[name])
+    return paths
+
+
+def _assert_error(rc, err, code, kind):
+    assert rc == code
+    doc = json.loads(err)["error"]
+    assert (doc["type"], doc["exit_code"]) == (kind, code)
+    return doc["message"]
+
+
+@pytest.mark.parametrize("command", ["factorize", "extend"])
+@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
+def test_cli_rejects_a_bad_tolerance(capsys, line12, command, tol):
+    argv = [command, "--space", line12["space"], "--weight", line12["w"], "--p", "2",
+            f"--tol={tol}"]
+    if command == "extend":
+        argv += ["--eps", "0.5"]
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    _assert_error(rc, err, 2, "InvalidParameter")
+
+
+def test_tol_is_declared_only_where_it_is_read(capsys, line12):
+    with pytest.raises(SystemExit):
+        cli.main(["ball", "doubling", "--space", line12["space"], "--tol", "1e-3"])
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["characteristic", "condition"])
+def test_cli_rejects_a_negative_eps_grid(capsys, line12, command):
+    argv = [command, "--space", line12["space"], "--weight", line12["w"], "--p", "2",
+            "--eps-grid", "0,-0.5"]
+    if command == "condition":
+        argv += ["--budget", "10"]
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    _assert_error(rc, err, 2, "InvalidParameter")
+
+
+@pytest.mark.parametrize("ids", ["outside", "negative"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "--weight", "w", "--p", "2", "--eps", "0.5"],
+        ["factorize", "--weight", "w", "--p", "2"],
+        ["characteristic", "--weight", "w", "--p", "2"],
+        ["condition", "--weight", "w", "--p", "2", "--eps-grid", "0", "--budget", "10"],
+        ["restrict", "--weight", "w", "--p", "2"],
+        ["maximal", "--function", "w"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_subset_ids_outside_the_space(capsys, line12, argv, ids):
+    # "w" in argv stands for the weight file
+    argv = [line12.get(a, a) for a in argv] + ["--space", line12["space"], "--subset"]
+    assert _run(capsys, argv + [line12["subset"]])[0] == 0
+    rc, out, err = _run(capsys, argv + [line12[ids]])
+    assert out == ""
+    assert line12[ids] in _assert_error(rc, err, 4, "ParseError")
+
+
+@pytest.mark.parametrize("ids", ["outside", "negative"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["characteristic", "--weight", "w", "--p", "2"],
+        ["rhi", "--weight", "w", "--delta", "0.5"],
+        ["whitney"],
+        ["chains"],
+        ["qh", "--x", "1", "--y", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_rejects_domain_ids_outside_the_space(capsys, line12, argv, ids):
+    argv = [line12.get(a, a) for a in argv] + ["--space", line12["space"], "--domain"]
+    assert _run(capsys, argv + [line12["subset"]])[0] == 0
+    rc, out, err = _run(capsys, argv + [line12[ids]])
+    assert out == ""
+    assert line12[ids] in _assert_error(rc, err, 4, "ParseError")
+
+
 def test_cli_reports_are_identical_for_any_worker_count(capsys, tmp_path):
     space = interval_space(20)
     space_path = tmp_path / "interval.json"
