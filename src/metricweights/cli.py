@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import io, studies
-from .errors import ConvergenceError, FormatError, MetricWeightsError, ParseError
+from .errors import (
+    ConvergenceError,
+    FormatError,
+    InvalidParameter,
+    MetricWeightsError,
+    ParseError,
+)
 from .extension import check_extension_condition, restrict_weight_report, wolff_extend
 from .factorization import DEFAULT_TRUNCATION_TOL, jones_factorize
 from .maximal import as_subset, maximal_fn
@@ -250,6 +256,9 @@ def _cmd_chains(args) -> int:
 def _cmd_qh(args) -> int:
     space = io.load_space(args.space)
     domain = make_domain(space, _subset_arg(space, args, "domain"))
+    for flag in ("x", "y"):
+        if not 0 <= getattr(args, flag) < space.n:
+            raise InvalidParameter(f"--{flag} must be a point id in [0, {space.n})")
     value = qh_distance(space, domain, args.x, args.y)
     _emit(args, "qh", {"x": args.x, "y": args.y, "qh": value})
     return 0

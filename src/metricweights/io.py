@@ -83,9 +83,12 @@ def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
         if not isinstance(edge, list) or len(edge) != 3:
             raise ParseError(f"{path}: edges[{i}] must be a [u, v, length] triple")
         try:
-            edges.append((int(edge[0]), int(edge[1]), float(edge[2])))
+            u, v = int(edge[0]), int(edge[1])
+            edges.append((u, v, float(edge[2])))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{path}: edges[{i}] must hold two ids and a length") from exc
+        if (u, v) != (edge[0], edge[1]):
+            raise ParseError(f"{path}: edges[{i}] ids must be integers: {edge[:2]}")
     for u, v, ln in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"{path}: edge endpoint out of range: {(u, v)}")
@@ -103,12 +106,13 @@ def space_to_dict(space: MetricMeasureSpace) -> dict:
     The matrix variant keeps the edge graph as an optional extra key, so a
     round trip preserves every numeric field of the space.
     """
+    edges = space.edges
     if space.n <= DENSE_CAP:
         metric = {"type": "matrix", "data": _plain(space.dist_matrix())}
-        if space.edges:
-            metric["edges"] = _plain(space.edges)
-    elif space.edges:
-        metric = {"type": "graph", "edges": _plain(space.edges)}
+        if edges:
+            metric["edges"] = _plain(edges)
+    elif edges:
+        metric = {"type": "graph", "edges": _plain(edges)}
     else:
         raise SizeOverflow(
             f"space with {space.n} points needs an edge graph to be saved"

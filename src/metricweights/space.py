@@ -15,8 +15,10 @@ Two storage backends with identical semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+import weakref
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +39,11 @@ DENSE_CAP = 2048
 
 # Hard cap for build_grid_space, protecting against runaway side**dim.
 GRID_POINT_CAP = 4_000_000
+
+# balls_members answers this many coordinate-backed ball queries with one
+# KD-tree call. A block's candidates are its transient memory, so larger
+# blocks save little time and cost memory.
+BALL_QUERY_BLOCK = 256
 
 # Blanket relative tolerance for asserted equalities.
 REL_TOL = 1e-12
@@ -137,7 +144,10 @@ class CanonicalBallSet:
             raise SizeOverflow(
                 f"canonical ball structures need n <= {DENSE_CAP}, got {space.n}"
             )
-        self._space = space
+        # A proxy, so that a space and its cache form no reference cycle and
+        # are freed as soon as the space is dropped, not at the next full
+        # garbage collection.
+        self._space = weakref.proxy(space)
         self._centers: dict[int, _CenterData] = {}
 
     def center(self, c: int) -> _CenterData:
@@ -228,7 +238,8 @@ class MetricMeasureSpace:
     mu : positive mass per point, length n.
     dist : full n x n matrix, or None for coordinate-backed spaces.
     coords : lattice coordinates (n x dim) for Euclidean row computation.
-    edges : optional (u, v, length) triples; lengths must dominate distances.
+    edges : optional (u, v, length) triples, or an (m, 3) array of them;
+        lengths must dominate distances. Kept as three read-only arrays.
     meta : free-form description string, round-tripped by save/load.
     """
 
@@ -258,7 +269,18 @@ class MetricMeasureSpace:
             if coords.ndim != 2 or coords.shape[0] != self.n:
                 raise ValueError("coords shape does not match mu")
             self._coords = coords
-        self.edges = [(int(u), int(v), float(ln)) for u, v, ln in edges] if edges else None
+        self._edges = None
+        if edges is not None and len(edges):
+            triples = np.asarray(edges, dtype=float)
+            if triples.ndim != 2 or triples.shape[1] != 3:
+                raise ValueError("edges must be (u, v, length) triples")
+            self._edges = (
+                triples[:, 0].astype(np.intp),
+                triples[:, 1].astype(np.intp),
+                triples[:, 2].copy(),
+            )
+            for column in self._edges:
+                column.flags.writeable = False
         self.meta = meta
         self._canonical: CanonicalBallSet | None = None
         self._edge_graph = None
@@ -279,6 +301,17 @@ class MetricMeasureSpace:
         delta = self._coords[ids] - self._coords[i]
         return np.sqrt(np.einsum("ij,ij->i", delta, delta))
 
+    def pair_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """d(us[k], vs[k]) for each k, by the formula of dist_row.
+
+        On coordinates that formula can differ from dist's in the last bit
+        when the two points differ in more than one coordinate.
+        """
+        if self._dist is not None:
+            return self._dist[us, vs]
+        delta = self._coords[vs] - self._coords[us]
+        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+
     def dist(self, i: int, j: int) -> float:
         if self._dist is not None:
             return float(self._dist[i, j])
@@ -297,6 +330,19 @@ class MetricMeasureSpace:
     @property
     def coords(self) -> np.ndarray | None:
         return self._coords
+
+    # -- the edge graph ----------------------------------------------------------
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]] | None:
+        """The edge graph as (u, v, length) triples, or None (a new list each time)."""
+        if self._edges is None:
+            return None
+        return list(zip(*(column.tolist() for column in self._edges)))
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The edge graph as read-only arrays (u, v, length), or None."""
+        return self._edges
 
     # -- masses and resolution -------------------------------------------------
 
@@ -332,20 +378,45 @@ class MetricMeasureSpace:
 
     def ball_members(self, center: int, radius: float) -> np.ndarray:
         """Sorted ids y with d(center, y) < radius (strict)."""
-        if radius <= 0:
+        return next(self.balls_members([center], [radius]))
+
+    def balls_members(self, centers, radii) -> Iterator[np.ndarray]:
+        """Yield, for each (center, radius) pair in order, its ball_members.
+
+        The coordinate backend makes one KD-tree query per block of
+        BALL_QUERY_BLOCK centers. The tree only generates candidates, within
+        radius * (1 + 1e-9); membership is decided by the same distance
+        formula as dist_row, so the backends agree exactly.
+        """
+        centers = np.asarray(centers, dtype=np.intp)
+        radii = np.asarray(radii, dtype=float)
+        if centers.shape != radii.shape or centers.ndim != 1:
+            raise ValueError("centers and radii must be 1-d arrays of one length")
+        if (radii <= 0).any():
             raise ValueError("ball radius must be positive")
         if self._dist is not None:
-            return np.flatnonzero(self._dist[center] < radius)
-        # KD-tree only generates candidates; membership is decided by the
-        # same distance formula as dist_row, so backends agree exactly.
-        cands = np.asarray(
-            self._tree().query_ball_point(self._coords[center], radius * (1 + 1e-9)),
-            dtype=np.intp,
+            for c, r in zip(centers.tolist(), radii.tolist()):
+                yield np.flatnonzero(self._dist[c] < r)
+            return
+        for start in range(0, centers.size, BALL_QUERY_BLOCK):
+            block = slice(start, start + BALL_QUERY_BLOCK)
+            kept, ends = self._block_members(centers[block], radii[block])
+            for lo, hi in zip([0] + ends, ends):
+                yield kept[lo:hi]
+
+    def _block_members(self, centers: np.ndarray, radii: np.ndarray):
+        """One block of coordinate-backed balls: their members, concatenated,
+        and the offset where each ball's members end."""
+        lists = self._tree().query_ball_point(
+            self._coords[centers], radii * (1 + 1e-9), return_sorted=True
         )
-        if cands.size == 0:
-            return np.array([center], dtype=np.intp)
-        keep = self.dists_from(center, cands) < radius
-        return np.sort(cands[keep])
+        sizes = np.fromiter(map(len, lists), dtype=np.intp, count=centers.size)
+        cands = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
+        del lists  # a list entry costs more than the arrays below; free it first
+        delta = self._coords[cands]
+        delta -= self._coords[np.repeat(centers, sizes)]
+        keep = np.sqrt(np.einsum("ij,ij->i", delta, delta)) < np.repeat(radii, sizes)
+        return cands[keep], np.cumsum(keep)[np.cumsum(sizes) - 1].tolist()
 
     @property
     def canonical(self) -> CanonicalBallSet:
@@ -356,7 +427,7 @@ class MetricMeasureSpace:
     def edge_graph(self):
         """Symmetric sparse adjacency of the edge graph, weighted by edge length (cached)."""
         if self._edge_graph is None:
-            us, vs, lengths = zip(*self.edges) if self.edges else ((), (), ())
+            us, vs, lengths = self._edges if self._edges is not None else ((), (), ())
             self._edge_graph = _symmetric_csr(self.n, us, vs, lengths)
         return self._edge_graph
 
@@ -438,7 +509,7 @@ def validate_space(
             x, y = map(int, offdiag_zero[0])
             return ValidationReport(False, "ZeroDistanceDistinct", (x, y))
 
-    if space.edges:
+    if space.edge_arrays() is not None:
         for u, v, ln in space.edges:
             if ln + REL_TOL * max(ln, 1.0) < space.dist(u, v):
                 return ValidationReport(False, "EdgeTooShort", (u, v), mode)
@@ -494,13 +565,11 @@ def build_grid_space(
     coords = lattice.astype(float) * spacing
     mu = np.full(n, float(spacing) ** dim)
 
-    edges: list[tuple[int, int, float]] = []
-    strides = [side ** (dim - 1 - a) for a in range(dim)]
-    for a in range(dim):
-        stride = strides[a]
-        keep = lattice[:, a] < side - 1
-        for i in np.flatnonzero(keep):
-            edges.append((int(i), int(i + stride), float(spacing)))
+    # Axis by axis, each point joined to its successor along that axis
+    # (every axis has the same number of such points).
+    us = np.concatenate([np.flatnonzero(lattice[:, a] < side - 1) for a in range(dim)])
+    steps = np.repeat([side ** (dim - 1 - a) for a in range(dim)], us.size // dim)
+    edges = np.column_stack([us, us + steps, np.full(us.size, float(spacing))])
 
     return MetricMeasureSpace(
         mu=mu,

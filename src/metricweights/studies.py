@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionFail
 from .extension import wolff_extend
 from .space import MetricMeasureSpace, build_grid_space
 from .weights import ap_tilde_characteristic, power_weight
@@ -144,7 +145,7 @@ def _sample_resolved(cover, rng, n_sources: int, n_targets: int):
     resolved = np.flatnonzero(cover.resolved)
     pool = resolved if resolved.size >= 2 else np.arange(len(cover))
     if pool.size < 2:
-        raise ValueError("not enough balls to sample pairs")
+        raise PreconditionFail("not enough cover balls to sample pairs")
     sources = rng.choice(pool, size=min(n_sources, pool.size), replace=False)
     targets = rng.choice(pool, size=min(n_targets, pool.size), replace=False)
     return np.sort(sources), np.sort(targets)
@@ -187,7 +188,7 @@ def chain_report(
                 }
             )
     if not pairs:
-        raise ValueError("sampling produced no chain-connected pairs")
+        raise PreconditionFail("sampling produced no chain-connected pairs")
     ratios = np.array([pr["ratio"] for pr in pairs])
     k_tildes = np.array([pr["k_tilde"] for pr in pairs])
     ks = np.array([pr["qh"] for pr in pairs])
@@ -300,9 +301,13 @@ def _whitney_like_band(space, domain, w_on_x, n_like_balls: int) -> dict:
     centers = candidates[order][picks]
 
     w_mu = w_on_x * space.mu * domain.mask
-    cache: dict[int, np.ndarray] = {}
+    radii = domain.boundary_dist[centers][:, None] / np.array(HOLD2_T_RANGE)
+    balls = space.balls_members(np.repeat(centers, radii.shape[1]), radii.ravel())
+    sums = np.array([np.sum(w_mu[m]) for m in balls]).reshape(radii.shape)
+    cache = dict(zip(centers.tolist(), sums))
 
     def ball_integrals(c: int) -> np.ndarray:
+        # Partners turn up one at a time, so their balls are queried singly.
         if c not in cache:
             vals = [
                 np.sum(w_mu[space.ball_members(c, domain.boundary_dist[c] / t)])
@@ -311,11 +316,11 @@ def _whitney_like_band(space, domain, w_on_x, n_like_balls: int) -> dict:
             cache[c] = np.array(vals)
         return cache[c]
 
-    qh = qh_distances(space, domain, centers)
     band = 1.0
     pairs: set[tuple[int, int]] = set()
-    for i, c in enumerate(centers):
-        near = candidates[qh[i, candidates] <= HOLD2_QH_GATE]
+    for c in centers:
+        # One source at a time: all rows at once would hold len(centers) x n floats.
+        near = candidates[qh_distances(space, domain, c)[0, candidates] <= HOLD2_QH_GATE]
         ranked = near[np.lexsort((near, domain.boundary_dist[near]))]
         for partner in (int(c), int(ranked[0]), int(ranked[-1])):
             if partner != c:

@@ -24,11 +24,15 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .errors import (
     Disconnected,
     InclusionFail,
+    InvalidParameter,
     NotProper,
     PreconditionFail,
     Unreachable,
 )
 from .space import Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr
+
+# Rows of the ball-ball overlap product built at once by _intersection_edges.
+OVERLAP_BLOCK = 1024
 
 
 @dataclass
@@ -50,18 +54,15 @@ class DomainSpec:
     def qh_graph(self) -> csr_matrix:
         if self._qh_graph is None:
             space = self.space
-            if not space.edges:
+            if space.edge_arrays() is None:
                 raise PreconditionFail("quasihyperbolic distances need an edge graph")
-            us, vs, ws = [], [], []
-            for u, v, _ in space.edges:
-                if self.mask[u] and self.mask[v]:
-                    weight = space.dist(u, v) * 2.0 / (
-                        self.boundary_dist[u] + self.boundary_dist[v]
-                    )
-                    us.append(u)
-                    vs.append(v)
-                    ws.append(weight)
-            self._qh_graph = _symmetric_csr(space.n, us, vs, ws)
+            us, vs, _ = space.edge_arrays()
+            inside = self.mask[us] & self.mask[vs]
+            us, vs = us[inside], vs[inside]
+            weights = space.pair_dists(us, vs) * 2.0 / (
+                self.boundary_dist[us] + self.boundary_dist[vs]
+            )
+            self._qh_graph = _symmetric_csr(space.n, us, vs, weights)
         return self._qh_graph
 
 
@@ -119,9 +120,18 @@ class WhitneyCover:
         return self.radii >= 2.0 * self.domain.resolution
 
     def adjacency(self) -> csr_matrix:
+        """Symmetric 0/1 intersection matrix of the balls (built on first use).
+
+        The sorted edges are already the rows of its upper triangle.
+        """
         if self._adjacency is None:
-            i, j = self.edges[:, 0], self.edges[:, 1]
-            self._adjacency = _symmetric_csr(len(self), i, j, np.ones(i.shape[0]))
+            b = len(self)
+            indptr = np.zeros(b + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.edges[:, 0], minlength=b), out=indptr[1:])
+            upper = csr_matrix(
+                (np.ones(self.edges.shape[0]), self.edges[:, 1], indptr), shape=(b, b)
+            )
+            self._adjacency = (upper + upper.T).tocsr()
         return self._adjacency
 
     def ball(self, k: int) -> Ball:
@@ -143,19 +153,18 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
 
     covered = np.zeros(space.n, dtype=bool)
     chosen: list[int] = []
-    for idx in order:
-        x = int(ids[idx])
-        quarter = space.ball_members(x, radii_all[idx] / 4.0)
+    quarters = space.balls_members(ids[order], radii_all[order] / 4.0)
+    for x, quarter in zip(ids[order].tolist(), quarters):
         if not covered[quarter].any():
             chosen.append(x)
             covered[quarter] = True
 
     centers = np.array(chosen, dtype=np.intp)
     radii = domain.boundary_dist[centers] / 4.0
-    members = [space.ball_members(int(c), float(r)) for c, r in zip(centers, radii)]
+    members = list(space.balls_members(centers, radii))
     mu_balls = np.array([float(np.sum(space.mu[m])) for m in members])
 
-    edges = _intersection_edges(space, centers, radii, members)
+    edges = _intersection_edges(space.n, members)
     if edges.size:
         degree = np.bincount(edges.ravel(), minlength=centers.size)
     else:
@@ -173,33 +182,47 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
     )
 
 
-def _intersection_edges(
-    space: MetricMeasureSpace,
-    centers: np.ndarray,
-    radii: np.ndarray,
-    members: list[np.ndarray],
-) -> np.ndarray:
+def _intersection_edges(n: int, members: list[np.ndarray]) -> np.ndarray:
     """Pairs (i, j), i < j, whose member sets share at least one point.
 
-    Computed from the ball-point incidence matrix: (A A^T)_{ij} > 0 exactly
-    when balls i and j share a member.
+    Rows come in order and each row's columns sorted, so the pairs are in
+    lexicographic order.
     """
-    b = centers.size
-    if b == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    sizes = np.array([m.size for m in members])
-    rows = np.repeat(np.arange(b, dtype=np.intp), sizes)
-    cols = np.concatenate(members) if sizes.sum() else np.empty(0, dtype=np.intp)
+    blocks = list(_upper_overlaps(n, members))
+    pairs = np.empty((sum(i.size for i, _ in blocks), 2), dtype=np.intp)
+    at = 0
+    for i, j in blocks:
+        pairs[at:at + i.size, 0] = i
+        pairs[at:at + i.size, 1] = j
+        at += i.size
+    return pairs
+
+
+def _upper_overlaps(n: int, members: list[np.ndarray]):
+    """Yield (rows, columns) of the upper triangle of A A^T, OVERLAP_BLOCK rows at a time.
+
+    A is the boolean ball-point incidence matrix, so (A A^T)_{ij} is true
+    exactly when balls i and j share a member; a boolean product cannot wrap
+    around, as small integer counts of shared members do.
+    """
+    b = len(members)
+    indptr = np.zeros(b + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, members), dtype=np.intp, count=b), out=indptr[1:])
     incidence = csr_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(b, space.n)
+        (np.ones(indptr[-1], dtype=bool),
+         np.concatenate(members) if b else np.empty(0, dtype=np.intp), indptr),
+        shape=(b, n),
     )
-    overlap = (incidence @ incidence.T).tocoo()
-    keep = overlap.row < overlap.col
-    pairs = np.column_stack([overlap.row[keep], overlap.col[keep]]).astype(np.intp)
-    if pairs.size == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    incidence_t = incidence.T.tocsr()
+    for start in range(0, b, OVERLAP_BLOCK):
+        overlap = incidence[start:start + OVERLAP_BLOCK] @ incidence_t
+        overlap.sort_indices()
+        rows = np.repeat(
+            np.arange(start, start + overlap.shape[0], dtype=overlap.indices.dtype),
+            np.diff(overlap.indptr),
+        )
+        upper = overlap.indices > rows
+        yield rows[upper], overlap.indices[upper]
 
 
 def check_cover_invariants(cover: WhitneyCover) -> dict:
@@ -221,12 +244,12 @@ def check_cover_invariants(cover: WhitneyCover) -> dict:
     sandwich_ok = True
     sandwich_lo = np.inf
     sandwich_hi = -np.inf
-    for c, r, mem in zip(cover.centers, cover.radii, cover.members):
-        quarter = space.ball_members(int(c), float(r) / 4.0)
+    quarters = space.balls_members(cover.centers, cover.radii / 4.0)
+    doubles = space.balls_members(cover.centers, 2.0 * cover.radii)
+    for r, mem, quarter, double in zip(cover.radii, cover.members, quarters, doubles):
         quarter_sizes += quarter.size
         quarter_marks[quarter] = True
         union[mem] = True
-        double = space.ball_members(int(c), 2.0 * float(r))
         if not domain.mask[double].all():
             doubles_inside = False
         delta = domain.boundary_dist[double]
@@ -240,16 +263,8 @@ def check_cover_invariants(cover: WhitneyCover) -> dict:
     quarter_disjoint = quarter_sizes == int(quarter_marks.sum())
     covers_domain = bool(np.array_equal(np.flatnonzero(union), domain.ids))
 
-    if cover.edges.size:
-        ri = cover.radii[cover.edges[:, 0]]
-        rj = cover.radii[cover.edges[:, 1]]
-        ratios = ri / rj
-        ratio_min = float(np.minimum(ratios, 1.0 / ratios).min())
-        ratio_max = float(np.maximum(ratios, 1.0 / ratios).max())
-        mu_ratio = cover.mu_balls[cover.edges[:, 0]] / cover.mu_balls[cover.edges[:, 1]]
-        mu_ratio_max = float(np.maximum(mu_ratio, 1.0 / mu_ratio).max())
-    else:
-        ratio_min, ratio_max, mu_ratio_max = 1.0, 1.0, 1.0
+    ratio_max = _max_edge_ratio(cover.radii, cover.edges)
+    mu_ratio_max = _max_edge_ratio(cover.mu_balls, cover.edges)
 
     return {
         "quarter_disjoint": quarter_disjoint,
@@ -264,6 +279,20 @@ def check_cover_invariants(cover: WhitneyCover) -> dict:
         "overlap_n": cover.overlap_n,
         "n_balls": len(cover),
     }
+
+
+def _max_edge_ratio(values: np.ndarray, edges: np.ndarray) -> float:
+    """max of max(a, 1/a), a = values[i] / values[j], over the edges (i, j); 1 without edges.
+
+    Two edge-length arrays at a time, however many edges there are.
+    """
+    if edges.size == 0:
+        return 1.0
+    ratios = values[edges[:, 0]]
+    ratios /= values[edges[:, 1]]
+    top = ratios.max()
+    np.divide(1.0, ratios, out=ratios)
+    return float(max(top, ratios.max()))
 
 
 # -- chains ---------------------------------------------------------------------
@@ -302,18 +331,24 @@ def chain_path(cover: WhitneyCover, i: int, j: int) -> list[int]:
 
 # -- quasihyperbolic distance -----------------------------------------------------
 
+def _check_domain_points(domain: DomainSpec, ids: np.ndarray, what: str) -> None:
+    n = domain.mask.size
+    if ((ids < 0) | (ids >= n)).any():
+        raise InvalidParameter(f"{what} must be point ids in [0, {n})")
+    if not domain.mask[ids].all():
+        raise InvalidParameter(f"{what} must lie in the domain")
+
+
 def qh_distances(space: MetricMeasureSpace, domain: DomainSpec, sources) -> np.ndarray:
     """Rows of quasihyperbolic distances from each source point (inf off D)."""
     sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
-    if not domain.mask[sources].all():
-        raise ValueError("sources must lie in the domain")
+    _check_domain_points(domain, sources, "sources")
     return dijkstra(domain.qh_graph(), indices=sources)
 
 
 def qh_distance(space: MetricMeasureSpace, domain: DomainSpec, x: int, y: int) -> float:
     """Quasihyperbolic distance between two domain points."""
-    if not (domain.mask[x] and domain.mask[y]):
-        raise ValueError("both endpoints must lie in the domain")
+    _check_domain_points(domain, np.array([x, y], dtype=np.intp), "both endpoints")
     row = qh_distances(space, domain, [x])[0]
     d = float(row[y])
     if not np.isfinite(d):
@@ -387,7 +422,7 @@ class WitnessBallReport:
 
 def _edge_path(space: MetricMeasureSpace, start: int, goal: int) -> list[int]:
     """One shortest path along the edge graph, by edge lengths."""
-    if not space.edges:
+    if space.edge_arrays() is None:
         raise PreconditionFail("construction needs the edge graph")
     _, pred = dijkstra(space.edge_graph(), indices=start, return_predecessors=True)
     if pred[goal] < 0 and goal != start:

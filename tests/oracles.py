@@ -152,3 +152,66 @@ def random_metric_space(rng, n, connect_scale=(0.5, 3.0)):
 
 def random_weight(rng, size, sigma=1.0):
     return rng.lognormal(mean=0.0, sigma=sigma, size=size)
+
+
+def naive_whitney_cover(space, domain):
+    """Greedy Whitney cover from the dense distance matrix.
+
+    Points of D by decreasing quarter boundary distance r (ties by id), each
+    kept when its ball of radius r/4 misses every kept one; balls are strict
+    rows of the matrix, and two balls are joined when they share a point,
+    counted in int64. Returns centers, radii, members, edges (i < j,
+    lexicographic) and the dense 0/1 adjacency.
+    """
+    dist = space.dist_matrix()
+    delta = domain.boundary_dist
+    ids = sorted(np.flatnonzero(domain.mask).tolist(), key=lambda x: (-delta[x] / 4.0, x))
+    covered = np.zeros(space.n, dtype=bool)
+    centers = []
+    for x in ids:
+        quarter = dist[x] < delta[x] / 4.0 / 4.0
+        if not (covered & quarter).any():
+            centers.append(x)
+            covered |= quarter
+    centers = np.array(centers, dtype=np.intp)
+    radii = delta[centers] / 4.0
+    inside = dist[centers] < radii[:, None]
+    members = [np.flatnonzero(row) for row in inside]
+    shared = inside.astype(np.int64) @ inside.T.astype(np.int64)
+    adjacency = ((shared > 0) & ~np.eye(centers.size, dtype=bool)).astype(float)
+    edges = np.argwhere(np.triu(adjacency, k=1) > 0)
+    return centers, radii, members, edges, adjacency
+
+
+def naive_cover_invariants(space, domain, centers, radii, members, edges):
+    """check_cover_invariants of a cover, recomputed ball by ball from the matrix."""
+    dist = space.dist_matrix()
+    delta = domain.boundary_dist
+    quarters = [np.flatnonzero(dist[c] < r / 4.0) for c, r in zip(centers, radii)]
+    doubles = [np.flatnonzero(dist[c] < 2.0 * r) for c, r in zip(centers, radii)]
+    lo = [float(delta[d].min() / r) for d, r in zip(doubles, radii)]
+    hi = [float(delta[d].max() / r) for d, r in zip(doubles, radii)]
+    mu_balls = np.array([float(np.sum(space.mu[m])) for m in members])
+    if len(edges):
+        i, j = edges[:, 0], edges[:, 1]
+        ratio = radii[i] / radii[j]
+        mu_ratio = mu_balls[i] / mu_balls[j]
+        ratio_max = float(np.maximum(ratio, 1.0 / ratio).max())
+        mu_ratio_max = float(np.maximum(mu_ratio, 1.0 / mu_ratio).max())
+        degree = np.bincount(edges.ravel(), minlength=len(centers))
+    else:
+        ratio_max, mu_ratio_max, degree = 1.0, 1.0, np.zeros(len(centers), dtype=int)
+    union = np.unique(np.concatenate(members))
+    return {
+        "quarter_disjoint": len(np.concatenate(quarters)) == len(np.unique(np.concatenate(quarters))),
+        "covers_domain": bool(np.array_equal(union, np.flatnonzero(domain.mask))),
+        "doubles_inside": all(domain.mask[d].all() for d in doubles),
+        "sandwich_ok": all(a >= 2.0 * (1 - 1e-12) and b <= 6.0 * (1 + 1e-12) for a, b in zip(lo, hi)),
+        "sandwich_lo": min(lo),
+        "sandwich_hi": max(hi),
+        "radius_ratio_ok": bool(ratio_max <= 4.0 * (1 + 1e-12)),
+        "radius_ratio_max": ratio_max,
+        "mu_ratio_max": mu_ratio_max,
+        "overlap_n": int(degree.max()) + 1,
+        "n_balls": len(centers),
+    }

@@ -117,7 +117,8 @@ def test_graph_space_validates_edges(tmp_path):
                 {**base, "metric": {"type": "graph", "edges": [(0, 1, 0.0)]}},
             )
         )
-    for name, bad in [("arity", (1, 2)), ("field", (1, "two", 1.0))]:
+    for name, bad in [("arity", (1, 2)), ("field", (1, "two", 1.0)),
+                      ("fraction", (0.6, 1.9, 1.0))]:
         with pytest.raises(ParseError, match=r"edges\[1\]"):
             io.load_space(
                 _write(
@@ -680,3 +681,42 @@ def test_cli_reports_are_identical_for_any_worker_count(capsys, tmp_path):
         assert rc == 0
         outputs.append((out_dir / "characteristic.json").read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.fixture
+def line7(tmp_path):
+    """A 7-point line with its 5 interior points, one interior point, and a longer line."""
+    paths = {}
+    for name, save in [
+        ("space", lambda p: io.save_space(p, build_grid_space(1, 7, 1.0))),
+        ("interior", lambda p: io.save_subset(p, np.arange(1, 6))),
+        ("point", lambda p: io.save_subset(p, np.array([3]))),
+        ("line11", lambda p: io.save_space(p, build_grid_space(1, 11, 1.0))),
+        ("interior11", lambda p: io.save_subset(p, np.arange(1, 10))),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        save(paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("domain", ["interior", "point"])
+def test_cli_chains_on_a_domain_too_small_to_sample(capsys, line7, domain):
+    valid = ["chains", "--space", line7["line11"], "--domain", line7["interior11"]]
+    assert _run(capsys, valid)[0] == 0
+    rc, out, err = _run(capsys, ["chains", "--space", line7["space"], "--domain", line7[domain]])
+    assert out == ""
+    _assert_error(rc, err, 2, "PreconditionFail")
+
+
+@pytest.mark.parametrize(
+    "x, y, flag",
+    [("40", "2", "--x"), ("2", "40", "--y"), ("-1", "2", "--x"), ("0", "2", None), ("2", "6", None)],
+)
+def test_cli_qh_rejects_bad_endpoints(capsys, line7, x, y, flag):
+    argv = ["qh", "--space", line7["space"], "--domain", line7["interior"]]
+    rc, out, _ = _run(capsys, argv + ["--x", "2", "--y", "4"])
+    assert rc == 0 and json.loads(out)["qh"] > 0
+    rc, out, err = _run(capsys, argv + ["--x", x, "--y", y])
+    assert out == ""
+    message = _assert_error(rc, err, 2, "InvalidParameter")
+    assert (flag or "domain") in message

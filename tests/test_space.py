@@ -19,7 +19,7 @@ from metricweights.errors import (
     TriangleViolation,
     ZeroDistanceDistinct,
 )
-from metricweights.space import DENSE_CAP
+from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP
 
 
 def test_two_point_space_passes_validation(s2):
@@ -65,6 +65,48 @@ def test_representative_radii_cover_each_prefix(s3):
 def test_ball_members_strict_inequality(s3):
     assert set(s3.ball_members(1, 1.0)) == {1}
     assert set(s3.ball_members(1, 1.0 + 1e-9)) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_balls_members_matches_strict_rows_across_query_blocks(dense):
+    space = build_grid_space(2, 24, 0.5)
+    if dense:
+        space = space_from_matrix(space.dist_matrix(), space.mu)
+    rng = np.random.default_rng(7)
+    centers = rng.integers(0, space.n, size=2 * BALL_QUERY_BLOCK + 5)
+    # radii on exact lattice distances test the strict inequality
+    radii = rng.choice([0.5, 0.75, 1.0, np.sqrt(0.5), 2.5, 40.0], size=centers.size)
+    got = list(space.balls_members(centers, radii))
+    assert len(got) == centers.size
+    for c, r, mem in zip(centers, radii, got):
+        np.testing.assert_array_equal(mem, np.flatnonzero(space.dist_row(c) < r))
+        np.testing.assert_array_equal(mem, space.ball_members(int(c), float(r)))
+    assert list(space.balls_members([], [])) == []
+
+
+def test_balls_members_rejects_bad_radii(s3):
+    for radii in ([1.0, 0.0], [1.0, -2.0], [1.0]):
+        with pytest.raises(ValueError):
+            list(s3.balls_members([0, 1], radii))
+    with pytest.raises(ValueError):
+        s3.ball_members(1, 0.0)
+
+
+@pytest.mark.parametrize("dim, side", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3)])
+def test_grid_edges_join_axis_neighbours_in_axis_order(dim, side):
+    space = build_grid_space(dim, side, 0.5)
+    lattice = np.stack(np.unravel_index(np.arange(space.n), (side,) * dim), axis=1)
+    want = [
+        (i, int(np.ravel_multi_index(lattice[i] + np.eye(dim, dtype=int)[a], (side,) * dim)), 0.5)
+        for a in range(dim)
+        for i in range(space.n)
+        if lattice[i, a] < side - 1
+    ]
+    assert space.edges == (want or None)
+    if want:
+        us, vs, lengths = space.edge_arrays()
+        assert not us.flags.writeable and us.dtype == np.intp
+        np.testing.assert_array_equal(lengths, 0.5)
 
 
 def test_ball_dataclass_members(s3):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.spatial
 
 import oracles
 from metricweights import (
@@ -16,12 +17,14 @@ from metricweights import (
 from metricweights.errors import (
     Disconnected,
     InclusionFail,
+    InvalidParameter,
     NotProper,
     PreconditionFail,
     Unreachable,
 )
-from metricweights.studies import interval_space, random_grid_domain
-from metricweights.whitney import chain_path
+from metricweights.space import BALL_QUERY_BLOCK, space_from_matrix
+from metricweights.studies import interval_space, random_grid_domain, square_domain
+from metricweights.whitney import _intersection_edges, chain_path
 
 
 @pytest.fixture
@@ -227,3 +230,78 @@ def test_witness_parameter_validation():
         witness_intersection_ball(space, b, bp, a=1.2)
     with pytest.raises(PreconditionFail):
         witness_intersection_ball(space, Ball(40, 0.6), bp, a=1.0)
+
+
+# -- the cover against its naive oracle ----------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_cover_matches_the_naive_oracle(seed):
+    coords, domain = random_grid_domain(seed)
+    dense = space_from_matrix(coords.dist_matrix(), coords.mu, coords.edges)
+    for space, domain in [(coords, domain), (dense, make_domain(dense, domain.mask))]:
+        centers, radii, members, edges, adjacency = oracles.naive_whitney_cover(space, domain)
+        cover = whitney_cover(space, domain)
+        np.testing.assert_array_equal(cover.centers, centers)
+        np.testing.assert_array_equal(cover.radii, radii)
+        assert len(cover.members) == len(members)
+        for got, want in zip(cover.members, members):
+            np.testing.assert_array_equal(got, want)
+        assert cover.edges.dtype == np.intp and cover.edges.shape == (len(edges), 2)
+        np.testing.assert_array_equal(cover.edges, edges)
+        adj = cover.adjacency()
+        rows = [np.flatnonzero(row) for row in adjacency]
+        np.testing.assert_array_equal(adj.indptr, np.cumsum([0] + [r.size for r in rows]))
+        np.testing.assert_array_equal(adj.indices, np.concatenate(rows))
+        assert adj.data.dtype == float and (adj.data == 1.0).all()
+        assert check_cover_invariants(cover) == oracles.naive_cover_invariants(
+            space, domain, centers, radii, members, edges
+        )
+        delta = domain.boundary_dist
+        want = np.zeros((space.n, space.n))
+        for u, v, _ in space.edges:
+            if domain.mask[u] and domain.mask[v]:
+                want[u, v] = want[v, u] = space.dist(u, v) * 2.0 / (delta[u] + delta[v])
+        np.testing.assert_array_equal(domain.qh_graph().toarray(), want)
+
+
+def test_balls_sharing_a_multiple_of_256_points_intersect():
+    # An 8-bit count of shared members wraps to 0 at 256 and 512.
+    n = 2000
+    members = [np.arange(0, 300), np.arange(44, 400), np.arange(1000, 1600),
+               np.arange(1088, 1700), np.arange(1900, 2000)]
+    edges = _intersection_edges(n, members)
+    np.testing.assert_array_equal(edges, [[0, 1], [2, 3]])
+    assert [np.intersect1d(members[i], members[j]).size for i, j in edges] == [256, 512]
+
+
+def test_cover_makes_one_tree_query_per_block_of_balls(monkeypatch):
+    queries = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            queries.append(len(args[0]))
+            return super().query_ball_point(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    space, domain = square_domain(64)
+    cover = whitney_cover(space, domain)
+    blocks = -(-domain.ids.size // BALL_QUERY_BLOCK) + -(-len(cover) // BALL_QUERY_BLOCK)
+    assert len(queries) == blocks
+    assert sum(queries) == domain.ids.size + len(cover)
+    assert len(queries) < 50 < domain.ids.size
+
+
+# -- typed endpoint errors -----------------------------------------------------------
+
+
+def test_qh_rejects_ids_outside_the_space(line11, line_domain):
+    for x, y in [(40, 5), (5, 40), (-1, 5)]:
+        with pytest.raises(InvalidParameter, match="point ids"):
+            qh_distance(line11, line_domain, x, y)
+    with pytest.raises(InvalidParameter, match="point ids"):
+        qh_distances(line11, line_domain, [2, 11])
+    with pytest.raises(InvalidParameter, match="in the domain"):
+        qh_distances(line11, line_domain, [2, 10])
+    with pytest.raises(InvalidParameter, match="in the domain"):
+        qh_distance(line11, line_domain, 5, 0)
