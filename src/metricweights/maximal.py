@@ -85,7 +85,7 @@ def maximal_fn(
         data = cb.center(c)
         avg = data.prefix_sums(fx_mu) / data.mu_prefix
         if radius_cap is not None:
-            avg[data.reps > radius_cap] = 0.0
+            avg[data.reps() > radius_cap] = 0.0
         suffix = np.maximum.accumulate(avg[::-1])[::-1]
         np.maximum(out, suffix[data.point_prefix], out=out)
     return out

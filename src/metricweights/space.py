@@ -87,19 +87,15 @@ class _CenterData:
     """Distance-sorted prefix machinery for one ball center.
 
     order        point ids sorted by (distance to center, id)
-    sorted_d     distances in that order
     ends         index of the last point of each distinct-distance prefix
     counts       prefix sizes, counts[k] = ends[k] + 1
     values       the distinct distances (values[0] == 0.0)
-    reps         representative radius of each prefix: midpoint to the next
-                 distinct distance, last one is max distance + 1
     mu_prefix    mu-mass of each prefix
     point_prefix for each point y, the smallest k with y in prefix k
     """
 
     __slots__ = (
-        "center", "order", "sorted_d", "ends", "counts",
-        "values", "reps", "mu_prefix", "point_prefix",
+        "center", "order", "ends", "counts", "values", "mu_prefix", "point_prefix",
     )
 
     def __init__(self, space: "MetricMeasureSpace", center: int) -> None:
@@ -112,20 +108,22 @@ class _CenterData:
         if n > 1:
             change[:-1] = sorted_d[1:] != sorted_d[:-1]
         ends = np.flatnonzero(change)
-        values = sorted_d[ends]
-        reps = np.empty_like(values)
-        if values.shape[0] > 1:
-            reps[:-1] = 0.5 * (values[:-1] + values[1:])
-        reps[-1] = values[-1] + 1.0
         self.center = center
         self.order = order
-        self.sorted_d = sorted_d
         self.ends = ends
         self.counts = ends + 1
-        self.values = values
-        self.reps = reps
+        self.values = sorted_d[ends]
         self.mu_prefix = np.cumsum(space.mu[order])[ends]
-        self.point_prefix = np.searchsorted(values, drow)
+        self.point_prefix = np.searchsorted(self.values, drow)
+
+    def reps(self) -> np.ndarray:
+        """Representative radius of each prefix: the midpoint to the next
+        distinct distance, and max distance + 1 for the last one."""
+        values = self.values
+        reps = np.empty_like(values)
+        reps[:-1] = 0.5 * (values[:-1] + values[1:])
+        reps[-1] = values[-1] + 1.0
+        return reps
 
     def prefix_sums(self, point_values: np.ndarray) -> np.ndarray:
         """Sum of point_values over each prefix (accumulated in canonical order)."""
@@ -210,7 +208,7 @@ class CenterBalls:
 
     @property
     def representative_radii(self) -> np.ndarray:
-        return self._data.reps.copy()
+        return self._data.reps()
 
     @property
     def distinct_distances(self) -> np.ndarray:
@@ -302,20 +300,17 @@ class MetricMeasureSpace:
         return np.sqrt(np.einsum("ij,ij->i", delta, delta))
 
     def pair_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """d(us[k], vs[k]) for each k, by the formula of dist_row.
-
-        On coordinates that formula can differ from dist's in the last bit
-        when the two points differ in more than one coordinate.
-        """
+        """d(us[k], vs[k]) for each k, by the formula of dist_row."""
         if self._dist is not None:
             return self._dist[us, vs]
         delta = self._coords[vs] - self._coords[us]
         return np.sqrt(np.einsum("ij,ij->i", delta, delta))
 
     def dist(self, i: int, j: int) -> float:
+        """d(i, j), by the formula of dist_row."""
         if self._dist is not None:
             return float(self._dist[i, j])
-        return float(np.linalg.norm(self._coords[j] - self._coords[i]))
+        return float(self.pair_dists(np.array([i]), np.array([j]))[0])
 
     def dist_matrix(self) -> np.ndarray:
         """Materialize the full matrix; guarded by the dense size cap."""
@@ -469,6 +464,30 @@ def _validate_triangle_dense(dist: np.ndarray) -> tuple[int, int, int] | None:
     return None
 
 
+def _closure_certifies(dist: np.ndarray) -> bool:
+    """True when no triple can fail _validate_triangle_dense.
+
+    False proves nothing; the exact loop must then decide. Floyd-Warshall
+    gives a closure C <= D in which C(x,z) <= fl(C(x,y) + C(y,z)) for all y,
+    and rounding is monotone, so C(x,z) <= t = fl(D(x,y) + D(y,z)) for every
+    y. The exact loop flags D(x,z) > t + REL_TOL * max(D(x,z), t). A matrix
+    with D <= C * (1 + REL_TOL/2) stays below that by about REL_TOL/2 * t,
+    far more than the rounding of either side, so no triple is flagged.
+
+    Valid only after the pair axioms passed: scipy reads a dense zero as a
+    missing edge, so no zero may sit off the diagonal, and a negative entry
+    would be a negative edge. NaN has failed the symmetry or self-distance
+    check by then. An inf entry is a missing edge: it certifies only where
+    the closure is inf too, and there every t is inf and the loop flags
+    nothing either.
+    """
+    from scipy.sparse.csgraph import floyd_warshall
+
+    closure = floyd_warshall(dist, directed=True)
+    closure *= 1.0 + REL_TOL / 2
+    return bool(np.all(dist <= closure))
+
+
 def validate_space(
     space: MetricMeasureSpace,
     sample_triples: int = 20000,
@@ -478,10 +497,18 @@ def validate_space(
 
     Scan order: masses by point id; pair axioms in lexicographic order
     (negativity, self-distance, symmetry, distinct points at distance zero);
-    edge invariants when an edge graph is declared; the triangle inequality
-    last. Dense spaces are checked over all triples. Coordinate-backed spaces
-    satisfy the metric axioms by construction, so only a seeded sample of
-    triples is re-verified and the report says mode="sampled".
+    edge invariants when an edge graph is declared (the first edge, in edge
+    order, shorter than its distance); the triangle inequality last.
+
+    Dense spaces are checked over all triples. A Floyd-Warshall closure C of
+    the matrix certifies the whole inequality at once when D <= C * (1 +
+    REL_TOL/2) everywhere; only when it does not does the exact loop over
+    middle points y run, and that loop alone decides the verdict and the
+    witness (the first bad (x, y, z), lexicographic in y, then x, then z).
+    Coordinate-backed spaces beyond DENSE_CAP satisfy the metric axioms by
+    construction, so only a seeded sample of triples is re-verified, the
+    first bad one in sample order is reported, and the report says
+    mode="sampled".
     """
     bad_mass = np.flatnonzero(space.mu <= 0)
     if bad_mass.size:
@@ -509,30 +536,39 @@ def validate_space(
             x, y = map(int, offdiag_zero[0])
             return ValidationReport(False, "ZeroDistanceDistinct", (x, y))
 
-    if space.edge_arrays() is not None:
-        for u, v, ln in space.edges:
-            if ln + REL_TOL * max(ln, 1.0) < space.dist(u, v):
-                return ValidationReport(False, "EdgeTooShort", (u, v), mode)
+    edges = space.edge_arrays()
+    if edges is not None:
+        us, vs, lengths = edges
+        short = np.flatnonzero(
+            lengths + REL_TOL * np.maximum(lengths, 1.0) < space.pair_dists(us, vs)
+        )
+        if short.size:
+            k = short[0]
+            return ValidationReport(False, "EdgeTooShort", (int(us[k]), int(vs[k])), mode)
         from scipy.sparse.csgraph import connected_components
 
         if connected_components(space.edge_graph(), directed=False)[0] != 1:
             return ValidationReport(False, "GraphDisconnected", None, mode)
 
     if dense:
-        witness = _validate_triangle_dense(space.dist_matrix())
-        if witness is not None:
-            return ValidationReport(False, "TriangleViolation", witness)
+        if not _closure_certifies(dist):
+            witness = _validate_triangle_dense(dist)
+            if witness is not None:
+                return ValidationReport(False, "TriangleViolation", witness)
         return ValidationReport(True)
 
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, space.n, size=sample_triples)
     ys = rng.integers(0, space.n, size=sample_triples)
     zs = rng.integers(0, space.n, size=sample_triples)
-    for x, y, z in zip(xs, ys, zs):
-        dxz = space.dist(int(x), int(z))
-        through = space.dist(int(x), int(y)) + space.dist(int(y), int(z))
-        if dxz > through + REL_TOL * max(dxz, through):
-            return ValidationReport(False, "TriangleViolation", (int(x), int(y), int(z)), mode)
+    dxz = space.pair_dists(xs, zs)
+    through = space.pair_dists(xs, ys) + space.pair_dists(ys, zs)
+    bad = np.flatnonzero(dxz > through + REL_TOL * np.maximum(dxz, through))
+    if bad.size:
+        k = bad[0]
+        return ValidationReport(
+            False, "TriangleViolation", (int(xs[k]), int(ys[k]), int(zs[k])), mode
+        )
     return ValidationReport(True, mode=mode)
 
 
@@ -611,11 +647,10 @@ def doubling_constant(space: MetricMeasureSpace, workers: int = 1) -> float:
             0.5 * (b[:-1] + b[1:]),
             [b[-1] + 1.0],
         ))
-        cnt_r = np.searchsorted(data.sorted_d, reps, side="left")
-        cnt_2r = np.searchsorted(data.sorted_d, 2.0 * reps, side="left")
-        return data.mu_prefix[
-            np.searchsorted(data.ends, cnt_2r - 1)
-        ] / data.mu_prefix[np.searchsorted(data.ends, cnt_r - 1)]
+        # B(x, r) is the prefix of the largest distinct distance below r.
+        k_r = np.searchsorted(data.values, reps, side="left") - 1
+        k_2r = np.searchsorted(data.values, 2.0 * reps, side="left") - 1
+        return data.mu_prefix[k_2r] / data.mu_prefix[k_r]
 
     value, _ = space.canonical.sup(ratios)
     return value

@@ -108,20 +108,87 @@ def naive_holder_margin(space, e_mask, v_on_x, q, g_on_x):
 
 
 def naive_doubling(space):
-    """Doubling constant by direct probing of every breakpoint interval."""
+    """Doubling constant by direct probing of every breakpoint interval.
+
+    Each ball's mass is added up point by point in (distance, id) order, the
+    order in which the library accumulates its prefix masses, so the two
+    agree bitwise.
+    """
+    mu = space.mu.tolist()
     best = 0.0
     for c in range(space.n):
         row = space.dist_row(c)
+        canonical = sorted(range(space.n), key=lambda y: (row[y], y))
+
+        def mass(r):
+            total = 0.0
+            for y in canonical:
+                if row[y] < r:
+                    total += mu[y]
+            return total
+
         vals = np.unique(row)
         crit = np.unique(np.concatenate([vals[vals > 0], vals[vals > 0] / 2.0]))
         probes = [crit[0] / 2.0]
         probes += [(crit[k] + crit[k + 1]) / 2.0 for k in range(len(crit) - 1)]
         probes.append(float(crit[-1]) + 1.0)
         for r in probes:
-            small = float(np.sum(space.mu[row < r]))
-            big = float(np.sum(space.mu[row < 2.0 * r]))
-            best = max(best, big / small)
+            best = max(best, mass(2.0 * r) / mass(r))
     return best
+
+
+# The blanket relative tolerance of metricweights.space.
+REL_TOL = 1e-12
+
+
+def naive_validation(space):
+    """validate_space(space).to_dict() of a space checked in full, by plain loops.
+
+    Masses by id; then each pair axiom in turn over (x, y) in lexicographic
+    order; each declared edge in order, and connectivity; last every triple
+    (x, y, z) with y outermost, then x, then z.
+    """
+
+    def failed(kind, witness):
+        return {"ok": False, "kind": kind, "witness": witness, "mode": "full"}
+
+    for i, m in enumerate(space.mu.tolist()):
+        if m <= 0:
+            return failed("NonpositiveMass", [i])
+    n = space.n
+    d = space.dist_matrix().tolist()
+    pair_axioms = [
+        ("NegativeDistance", lambda x, y: d[x][y] < 0),
+        ("NonzeroSelfDistance", lambda x, y: x == y and d[x][y] != 0),
+        ("AsymmetricDistance", lambda x, y: d[x][y] != d[y][x]),
+        ("ZeroDistanceDistinct", lambda x, y: x != y and d[x][y] == 0),
+    ]
+    for kind, broken in pair_axioms:
+        for x in range(n):
+            for y in range(n):
+                if broken(x, y):
+                    return failed(kind, [x, y])
+    if space.edges is not None:
+        for u, v, ln in space.edges:
+            if ln + REL_TOL * max(ln, 1.0) < d[u][v]:
+                return failed("EdgeTooShort", [u, v])
+        reached, stack = {0}, [0]
+        while stack:
+            x = stack.pop()
+            for u, v, _ in space.edges:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reached:
+                        reached.add(b)
+                        stack.append(b)
+        if len(reached) != n:
+            return failed("GraphDisconnected", None)
+    for y in range(n):
+        for x in range(n):
+            for z in range(n):
+                through = d[x][y] + d[y][z]
+                if d[x][z] > through + REL_TOL * max(d[x][z], through):
+                    return failed("TriangleViolation", [x, y, z])
+    return {"ok": True, "kind": None, "witness": None, "mode": "full"}
 
 
 def floyd_shortest_paths(n, edges):

@@ -19,7 +19,9 @@ from metricweights.errors import (
     TriangleViolation,
     ZeroDistanceDistinct,
 )
-from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP
+from metricweights import space as space_mod
+from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP, REL_TOL
+from metricweights.studies import interval_space
 
 
 def test_two_point_space_passes_validation(s2):
@@ -36,6 +38,15 @@ def test_grid_builder_two_and_three_points(s2, s3):
     for i in range(3):
         for j in range(3):
             assert s3.dist(i, j) == abs(i - j)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_dist_uses_the_dist_row_formula(dim):
+    rng = np.random.default_rng(dim)
+    space = MetricMeasureSpace(mu=np.ones(300), coords=rng.normal(size=(300, dim)))
+    for i in range(0, space.n, 7):
+        row = space.dist_row(i)
+        assert all(space.dist(i, j) == row[j] for j in range(space.n))
 
 
 def test_canonical_prefixes_two_points(s2):
@@ -124,9 +135,18 @@ def test_doubling_frozen_values(s2, s3):
 def test_doubling_matches_probing_oracle_on_random_spaces(rng):
     for _ in range(10):
         space = oracles.random_metric_space(rng, int(rng.integers(3, 14)))
-        fast = doubling_constant(space)
-        slow = oracles.naive_doubling(space)
-        assert fast == pytest.approx(slow, rel=1e-12)
+        assert doubling_constant(space) == oracles.naive_doubling(space)
+
+
+@pytest.mark.parametrize("space", [
+    build_grid_space(1, 9, 1.0),
+    build_grid_space(2, 7, 1.0 / 22.0),
+    build_grid_space(2, 9, 1.0 / 3.0),
+    build_grid_space(3, 4, 0.3),
+    interval_space(8),
+], ids=lambda space: space.meta)
+def test_doubling_bitwise_equals_probing_oracle_on_lattices(space):
+    assert doubling_constant(space) == oracles.naive_doubling(space)
 
 
 def test_doubling_worker_count_does_not_change_value(rng):
@@ -219,3 +239,119 @@ def test_canonical_structures_refuse_oversized_spaces():
 def test_canonical_ball_count_small_fixture(s3):
     # center 0: 3 distinct balls, center 1: 2, center 2: 3
     assert s3.canonical.ball_count() == 8
+
+
+# -- validate_space against the triple-loop oracle ------------------------------------
+
+PLANT_STEPS = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
+
+
+def _planted(seed, n, entry):
+    """A random metric with d(x, z) = d(z, x) replaced by entry(through), where
+    through is the shortest two-step detour from x to z."""
+    rng = np.random.default_rng(seed)
+    base = oracles.random_metric_space(rng, n)
+    d = base.dist_matrix().copy()
+    x, z = sorted(rng.choice(n, size=2, replace=False).tolist())
+    through = min(d[x, y] + d[y, z] for y in range(n) if y not in (x, z))
+    d[x, z] = d[z, x] = entry(through)
+    return MetricMeasureSpace(mu=base.mu, dist=d)
+
+
+@pytest.mark.parametrize("k", PLANT_STEPS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_validation_matches_oracle_near_the_tolerance(seed, k):
+    space = _planted(seed, 12 + seed, lambda t: t * (1 + k * REL_TOL))
+    report = validate_space(space).to_dict()
+    assert report == oracles.naive_validation(space)
+    if k < 1:
+        assert report["ok"]
+    if k > 1:
+        assert report["kind"] == "TriangleViolation"
+
+
+@pytest.mark.parametrize("entry", [lambda t: 10.0 * t, lambda t: t + 1.0])
+@pytest.mark.parametrize("seed", [4, 5])
+def test_validation_matches_oracle_on_gross_violations(seed, entry):
+    space = _planted(seed, 15, entry)
+    report = validate_space(space).to_dict()
+    assert report["kind"] == "TriangleViolation"
+    assert report == oracles.naive_validation(space)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_validation_matches_oracle_on_an_infinite_entry(seed):
+    # The certificate cannot pass d(x, z) = inf over a finite detour, so the
+    # exact loop decides; its slack REL_TOL * max(inf, t) is inf, so it passes.
+    space = _planted(seed, 15, lambda t: np.inf)
+    assert validate_space(space).to_dict() == oracles.naive_validation(space)
+
+
+def test_closure_certificate_decides_alone_only_with_half_the_tolerance(monkeypatch):
+    calls = []
+    exact = space_mod._validate_triangle_dense
+    monkeypatch.setattr(space_mod, "_validate_triangle_dense",
+                        lambda d: calls.append(1) or exact(d))
+    assert validate_space(_planted(1, 13, lambda t: t * (1 + 0.25 * REL_TOL))).ok
+    assert calls == []
+    assert validate_space(_planted(1, 13, lambda t: t * (1 + 0.75 * REL_TOL))).ok
+    assert calls == [1]
+
+
+def test_point_at_infinite_distance_certifies_like_the_oracle():
+    base = oracles.random_metric_space(np.random.default_rng(6), 10)
+    d = base.dist_matrix().copy()
+    d[3, :] = d[:, 3] = np.inf
+    d[3, 3] = 0.0
+    space = MetricMeasureSpace(mu=base.mu, dist=d)
+    report = validate_space(space).to_dict()
+    assert report["ok"]
+    assert report == oracles.naive_validation(space)
+
+
+@pytest.mark.parametrize("cells, value", [
+    ([(2, 5)], np.nan),
+    ([(4, 4)], np.nan),
+    ([(1, 1)], 0.5),
+    ([(3, 6), (6, 3)], -1.0),
+    ([(2, 7), (7, 2)], 0.0),
+])
+def test_validation_matches_oracle_on_pair_axioms(cells, value):
+    base = oracles.random_metric_space(np.random.default_rng(7), 9)
+    d = base.dist_matrix().copy()
+    for cell in cells:
+        d[cell] = value
+    space = MetricMeasureSpace(mu=base.mu, dist=d)
+    report = validate_space(space).to_dict()
+    assert not report["ok"]
+    assert report == oracles.naive_validation(space)
+
+
+def test_validation_reports_the_first_short_edge_like_the_oracle():
+    grid = build_grid_space(2, 4, 1.0)
+    edges = grid.edges
+    edges[5] = (edges[5][0], edges[5][1], 0.5)
+    edges[2] = (edges[2][0], edges[2][1], 0.25)
+    space = MetricMeasureSpace(mu=grid.mu, coords=grid.coords, edges=edges)
+    report = validate_space(space).to_dict()
+    assert report["kind"] == "EdgeTooShort"
+    assert report["witness"] == list(edges[2][:2])
+    assert report == oracles.naive_validation(space)
+    assert validate_space(grid).to_dict() == oracles.naive_validation(grid)
+
+
+def test_sampled_validation_reports_the_first_bad_triple_in_sample_order(monkeypatch):
+    # A coordinate space is a metric up to rounding, so a negative tolerance
+    # stands in for a violation: it makes many sampled triples bad.
+    monkeypatch.setattr(space_mod, "REL_TOL", -0.5)
+    coords = np.random.default_rng(8).uniform(size=(DENSE_CAP + 100, 2))
+    space = MetricMeasureSpace(mu=np.ones(coords.shape[0]), coords=coords)
+    report = validate_space(space, sample_triples=500, seed=3)
+    rng = np.random.default_rng(3)
+    samples = zip(*(rng.integers(0, space.n, size=500).tolist() for _ in range(3)))
+    first = next(
+        (x, y, z) for x, y, z in samples
+        if space.dist(x, z) > (space.dist(x, y) + space.dist(y, z))
+        - 0.5 * max(space.dist(x, z), space.dist(x, y) + space.dist(y, z))
+    )
+    assert (report.kind, report.witness, report.mode) == ("TriangleViolation", first, "sampled")
