@@ -37,8 +37,8 @@ print(f"matrix space: n={s3.n}, total mass={s3.total_mass()}, valid={report.ok}"
 
 balls = canonical_balls(s3, center=0)
 print(f"center 0 has {len(balls)} canonical balls:")
-for radius, members in zip(balls.representative_radii, balls.prefix_sets()):
-    print(f"  radius {radius:4.1f} -> members {sorted(members)}")
+for radius, members in balls:
+    print(f"  radius {radius:4.1f} -> members {members.tolist()}")
 
 # -- grids and the doubling constant ------------------------------------------
 

@@ -27,8 +27,8 @@ from .errors import (
     ParseError,
 )
 from .extension import check_extension_condition, restrict_weight_report, wolff_extend
-from .factorization import DEFAULT_TRUNCATION_TOL, jones_factorize
-from .maximal import as_subset, maximal_fn
+from .factorization import jones_factorize
+from .maximal import maximal_fn
 from .space import build_grid_space, doubling_constant, validate_space
 from .weights import (
     _eps_table,
@@ -100,7 +100,7 @@ def _cmd_space_build(args) -> int:
 
 def _cmd_space_validate(args) -> int:
     space = io.load_space(args.space)
-    report = validate_space(space, seed=args.seed)
+    report = validate_space(space)
     _emit(args, "validate", report.to_dict())
     return 0
 
@@ -114,9 +114,7 @@ def _cmd_ball_doubling(args) -> int:
 
 def _cmd_maximal(args) -> int:
     space = io.load_space(args.space)
-    ids, f = io.load_function(args.function)
-    if ids is not None:
-        raise FormatError("maximal expects a function on X")
+    f = _load_weight_on(space, args.function)
     subset = _subset_arg(space, args)
     if subset is not None:
         f = f[subset]
@@ -166,7 +164,7 @@ def _cmd_factorize(args) -> int:
     e_ids = _subset_arg(space, args)
     expect = e_ids if e_ids is not None else np.arange(space.n)
     v = _load_weight_on(space, args.weight, expect_ids=expect)
-    fact = jones_factorize(space, e_ids, v, args.p, tol=args.tol)
+    fact = jones_factorize(space, e_ids, v, args.p)
     k1, k2 = fact.bounds()
     payload = {
         "p": fact.p,
@@ -194,7 +192,7 @@ def _cmd_extend(args) -> int:
     e_ids = _subset_arg(space, args)
     expect = e_ids if e_ids is not None else np.arange(space.n)
     w = _load_weight_on(space, args.weight, expect_ids=expect)
-    report = wolff_extend(space, e_ids, w, args.p, args.eps, tol=args.tol)
+    report = wolff_extend(space, e_ids, w, args.p, args.eps)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -301,18 +299,6 @@ def _cmd_study_refine(args) -> int:
 def _add_common(sp, out_help: str = "directory for report files") -> None:
     sp.add_argument("--out", help=out_help)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-
-
-def _add_tol(sp) -> None:
-    sp.add_argument(
-        "--tol",
-        type=float,
-        default=DEFAULT_TRUNCATION_TOL,
-        help="upper limit on the factorization series: it stops at the first "
-        "partial sum (8, 16, 32, ... terms) whose certificates verify, and "
-        "never runs past the first term whose tail is below TOL times the sum",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--subset")
     f.add_argument("--p", type=float, required=True)
     _add_common(f)
-    _add_tol(f)
     f.set_defaults(func=_cmd_factorize)
 
     e = sub.add_parser("extend", help="extend a weight from a subset")
@@ -384,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--p", type=float, required=True)
     e.add_argument("--eps", type=float, required=True)
     _add_common(e)
-    _add_tol(e)
     e.set_defaults(func=_cmd_extend)
 
     co = sub.add_parser("condition", help="epsilon table for the extension condition")
@@ -415,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch = sub.add_parser("chains", help="chain statistics over sampled ball pairs")
     ch.add_argument("--space", required=True)
     ch.add_argument("--domain", required=True)
+    ch.add_argument("--seed", type=int, default=0)
     _add_common(ch)
     ch.set_defaults(func=_cmd_chains)
 
@@ -434,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--exponent", type=float, default=0.5)
     sr.add_argument("--p", type=float, default=2.0)
     sr.add_argument("--eps", type=float, default=0.5)
+    sr.add_argument("--seed", type=int, default=0)
     _add_common(sr)
     sr.set_defaults(func=_cmd_study_refine)
 

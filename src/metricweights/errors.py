@@ -32,42 +32,6 @@ class SizeOverflow(DomainError):
     """Requested structure exceeds the configured size cap."""
 
 
-class TriangleViolation(DomainError):
-    def __init__(self, x: int, y: int, z: int) -> None:
-        super().__init__(f"triangle inequality fails: d({x},{z}) > d({x},{y}) + d({y},{z})")
-        self.witness = (x, y, z)
-
-
-class NonpositiveMass(DomainError):
-    def __init__(self, x: int) -> None:
-        super().__init__(f"mu({x}) <= 0")
-        self.witness = (x,)
-
-
-class AsymmetricDistance(DomainError):
-    def __init__(self, x: int, y: int) -> None:
-        super().__init__(f"d({x},{y}) != d({y},{x})")
-        self.witness = (x, y)
-
-
-class ZeroDistanceDistinct(DomainError):
-    def __init__(self, x: int, y: int) -> None:
-        super().__init__(f"d({x},{y}) = 0 for distinct points")
-        self.witness = (x, y)
-
-
-class NegativeDistance(DomainError):
-    def __init__(self, x: int, y: int) -> None:
-        super().__init__(f"d({x},{y}) < 0")
-        self.witness = (x, y)
-
-
-class EdgeTooShort(DomainError):
-    def __init__(self, u: int, v: int) -> None:
-        super().__init__(f"edge ({u},{v}) shorter than the distance of its endpoints")
-        self.witness = (u, v)
-
-
 class GraphDisconnected(DomainError):
     def __init__(self, detail: str = "edge graph is not connected") -> None:
         super().__init__(detail)

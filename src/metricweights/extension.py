@@ -72,7 +72,6 @@ def wolff_extend(
     w: np.ndarray,
     p: float,
     eps: float,
-    tol: float = 1e-12,
     workers: int = 1,
 ) -> ExtensionReport:
     """Extend w (on E, exponent p >= 1, margin eps > 0) to a global weight."""
@@ -88,7 +87,7 @@ def wolff_extend(
         raise NonpositiveWeight("w must be strictly positive")
 
     v = w ** (1.0 + eps / 2.0)
-    fact = jones_factorize(space, E, v, p, tol=tol)
+    fact = jones_factorize(space, E, v, p)
     delta = 1.0 / (1.0 + eps / 2.0)
 
     # the factorization hands over the maximal functions it verified with

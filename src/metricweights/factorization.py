@@ -21,12 +21,12 @@ The series is not summed to convergence, since only the certificates are
 needed: by subadditivity T eta_K <= 2c eta_K holds for a partial sum as soon
 as (2c)^{-K} T^{K+1} 1 stays below T 1, which a short sum already gives. The
 partial sums at K = 8, 16, 32, ... are checked and the first one whose
-certificates verify is accepted. The tail tolerance is an upper limit: the
-series never runs past the first term whose tail falls below tol relative to
-the partial sum, and it is checked there too. If that check fails, c doubles
-(at most 10 times). Every bound is verified pointwise, a posteriori, in the
-arithmetic the caller re-checks. eta is returned scaled to maximum 1; T is
-positively homogeneous, so the scale changes neither the certificates nor
+certificates verify is accepted. The series never runs past the first term
+whose tail falls below _TAIL_TOL relative to the partial sum, and it is
+checked there too. If that check fails, c doubles (at most 10 times).
+Every bound is verified pointwise, a posteriori, in the arithmetic the
+caller re-checks. eta is returned scaled to maximum 1; T is positively
+homogeneous, so the scale changes neither the certificates nor
 v1 * v2^{1-p}.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentRange, InvalidParameter, NoConvergence, NonpositiveWeight
+from .errors import ExponentRange, NoConvergence, NonpositiveWeight
 from .maximal import as_subset, maximal_fn
 from .space import MetricMeasureSpace
 from .weights import ap_tilde_characteristic, conjugate_exponent
@@ -45,8 +45,9 @@ from .weights import ap_tilde_characteristic, conjugate_exponent
 _WARMUP_ITERS = 8
 _MAX_DOUBLINGS = 10
 _MAX_TERMS = 400
-
-DEFAULT_TRUNCATION_TOL = 1e-12
+# Relative tail at which the series stops even if no earlier partial sum
+# verified. Every measured input verifies at K = 8, long before such a tail.
+_TAIL_TOL = 1e-12
 
 
 def a1_bounds(c: float, p: float) -> tuple[float, float]:
@@ -142,19 +143,17 @@ def jones_factorize(
     E,
     v: np.ndarray,
     p: float,
-    tol: float = DEFAULT_TRUNCATION_TOL,
     workers: int = 1,
 ) -> FactorizationResult:
     """Split v (exponent p >= 1, on E) into verified A1-class factors.
 
     The series stops at the first partial sum, K = 8, 16, 32, ... terms,
     whose certificates verify, and never later than the first term whose
-    tail is below tol times the partial sum; k_max records the K accepted.
+    tail is below _TAIL_TOL times the partial sum; k_max records the K
+    accepted.
     """
     if p < 1:
         raise ExponentRange("p must be >= 1")
-    if not (np.isfinite(tol) and tol > 0):
-        raise InvalidParameter(f"tol must be positive and finite, got {tol!r}")
     ids, _ = as_subset(space, E)
     v = np.asarray(v, dtype=float)
     if v.shape != ids.shape:
@@ -272,7 +271,7 @@ def jones_factorize(
             if len(terms) == k + 1:
                 extend()
             tail = np.exp(logscale[k + 1] - (k + 1) * log2c)
-            if tail < tol * float(eta.max()):
+            if tail < _TAIL_TOL * float(eta.max()):
                 if not candidate and (fact := certify(eta, c, k)) is not None:
                     return fact
                 break

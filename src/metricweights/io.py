@@ -4,9 +4,12 @@ Three JSON artifact kinds, all schema-versioned:
 
 * space files: {"version": 1, "n", "metric": {"type": "matrix"|"graph", ...},
   "mu", "meta"}; graph metrics resolve to all-pairs shortest-path distances
-  at load time;
+  at load time, and save_space writes the matrix form;
 * function files: {"version": 1, "domain": "X"|"E", "E": [ids]?, "values"};
 * subset files: {"version": 1, "ids": [...]}.
+
+Loaders accept only finite numbers and integer ids; anything else is a
+ParseError.
 
 Reports are written as two files: <name>.json holds only deterministic
 content (sorted keys, stable float repr), <name>.meta.json holds timestamps
@@ -73,6 +76,30 @@ def _field(doc: dict, key: str, path) -> object:
     return doc[key]
 
 
+def _finite(doc: dict, key: str, path) -> np.ndarray:
+    """A field as a float array, every entry a finite number."""
+    try:
+        values = np.asarray(_field(doc, key, path), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: field {key!r} must hold numbers") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = np.argwhere(~finite)[0].tolist()
+        raise ParseError(f"{path}: field {key!r} holds {values[tuple(at)]} at {at}")
+    return values
+
+
+def _ids(doc: dict, key: str, path) -> np.ndarray:
+    """A field as a 1-d array of distinct whole-number point ids, in file order."""
+    ids = np.asarray(_field(doc, key, path))
+    whole = ids.dtype.kind in "iuf" and np.isfinite(ids).all() and not (ids % 1).any()
+    if ids.ndim != 1 or not whole:
+        raise ParseError(f"{path}: field {key!r} must be a list of integer ids")
+    if np.unique(ids).size != ids.size:
+        raise ParseError(f"{path}: {key!r} contains repeated ids")
+    return ids.astype(np.intp)
+
+
 def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
     if raw is None:
         return None
@@ -92,8 +119,8 @@ def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
     for u, v, ln in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"{path}: edge endpoint out of range: {(u, v)}")
-        if ln <= 0:
-            raise ParseError(f"{path}: edge length must be positive: {(u, v, ln)}")
+        if not 0 < ln < np.inf:
+            raise ParseError(f"{path}: edge length must be positive and finite: {(u, v, ln)}")
     return edges
 
 
@@ -101,22 +128,21 @@ def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
 
 
 def space_to_dict(space: MetricMeasureSpace) -> dict:
-    """Space file content: dense matrix when small, else the edge graph.
+    """Space file content: the distance matrix, and the edge graph if any.
 
-    The matrix variant keeps the edge graph as an optional extra key, so a
-    round trip preserves every numeric field of the space.
+    Keeping the edge graph as an extra key makes a round trip preserve every
+    numeric field of the space. A space of more than DENSE_CAP points has
+    no file form, since load_space could not read it back.
     """
-    edges = space.edges
-    if space.n <= DENSE_CAP:
-        metric = {"type": "matrix", "data": _plain(space.dist_matrix())}
-        if edges:
-            metric["edges"] = _plain(edges)
-    elif edges:
-        metric = {"type": "graph", "edges": _plain(edges)}
-    else:
+    if space.n > DENSE_CAP:
         raise SizeOverflow(
-            f"space with {space.n} points needs an edge graph to be saved"
+            f"space files hold a distance matrix of at most {DENSE_CAP} points, "
+            f"got {space.n}"
         )
+    metric = {"type": "matrix", "data": _plain(space.dist_matrix())}
+    edges = space.edges
+    if edges:
+        metric["edges"] = _plain(edges)
     return {
         "version": FORMAT_VERSION,
         "n": space.n,
@@ -136,7 +162,7 @@ def load_space(path) -> MetricMeasureSpace:
     n = _field(doc, "n", path)
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"{path}: field 'n' must be a positive integer")
-    mu = np.asarray(_field(doc, "mu", path), dtype=float)
+    mu = _finite(doc, "mu", path)
     if mu.shape != (n,):
         raise ParseError(f"{path}: field 'mu' must have length {n}")
     metric = _field(doc, "metric", path)
@@ -145,7 +171,7 @@ def load_space(path) -> MetricMeasureSpace:
     meta = doc.get("meta", "")
 
     if metric["type"] == "matrix":
-        data = np.asarray(_field(metric, "data", path), dtype=float)
+        data = _finite(metric, "data", path)
         if data.shape != (n, n):
             raise ParseError(f"{path}: metric data must be an {n}x{n} matrix")
         edges = _parse_edges(metric.get("edges"), n, path)
@@ -187,16 +213,14 @@ def load_function(path) -> tuple[np.ndarray | None, np.ndarray]:
     """Returns (ids or None for domain X, values aligned to ascending ids)."""
     doc = _load_json(path)
     _check_version(doc, path)
-    values = np.asarray(_field(doc, "values", path), dtype=float)
+    values = _finite(doc, "values", path)
     domain = _field(doc, "domain", path)
     if domain == "X":
         return None, values
     if domain == "E":
-        ids = np.asarray(_field(doc, "E", path), dtype=np.intp)
+        ids = _ids(doc, "E", path)
         if ids.shape != values.shape:
             raise ParseError(f"{path}: 'E' and 'values' lengths differ")
-        if np.unique(ids).size != ids.size:
-            raise ParseError(f"{path}: 'E' contains repeated ids")
         order = np.argsort(ids)
         return ids[order], values[order]
     raise ParseError(f"{path}: field 'domain' must be 'X' or 'E'")
@@ -210,10 +234,7 @@ def save_subset(path, ids) -> None:
 def load_subset(path) -> np.ndarray:
     doc = _load_json(path)
     _check_version(doc, path)
-    ids = np.asarray(_field(doc, "ids", path), dtype=np.intp)
-    if np.unique(ids).size != ids.size:
-        raise ParseError(f"{path}: 'ids' contains repeated ids")
-    return np.sort(ids)
+    return np.sort(_ids(doc, "ids", path))
 
 
 # -- reports ---------------------------------------------------------------------------

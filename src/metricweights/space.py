@@ -22,16 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    AsymmetricDistance,
-    EdgeTooShort,
-    GraphDisconnected,
-    NegativeDistance,
-    NonpositiveMass,
-    SizeOverflow,
-    TriangleViolation,
-    ZeroDistanceDistinct,
-)
+from .errors import SizeOverflow
 
 # Dense structures (distance matrix, cached ball prefixes) refuse to build
 # beyond this many points; coordinate-backed row queries have no such limit.
@@ -39,6 +30,9 @@ DENSE_CAP = 2048
 
 # Hard cap for build_grid_space, protecting against runaway side**dim.
 GRID_POINT_CAP = 4_000_000
+
+# Triples re-verified by validate_space on a space too large to check in full.
+SAMPLE_TRIPLES = 20000
 
 # balls_members answers this many coordinate-backed ball queries with one
 # KD-tree call. A block's candidates are its transient memory, so larger
@@ -198,36 +192,6 @@ class CanonicalBallSet:
         return best, witness
 
 
-class CenterBalls:
-    """Public view of one center's canonical balls (for inspection and tests)."""
-
-    def __init__(self, space: "MetricMeasureSpace", center: int) -> None:
-        self._space = space
-        self._data = space.canonical.center(center)
-        self.center = center
-
-    @property
-    def representative_radii(self) -> np.ndarray:
-        return self._data.reps()
-
-    @property
-    def distinct_distances(self) -> np.ndarray:
-        return self._data.values.copy()
-
-    def prefix_members(self, k: int) -> np.ndarray:
-        """Sorted point ids of the k-th distinct ball around this center."""
-        return np.sort(self._data.order[: self._data.counts[k]])
-
-    def prefix_sets(self) -> list[frozenset[int]]:
-        return [
-            frozenset(int(i) for i in self.prefix_members(k))
-            for k in range(self._data.counts.shape[0])
-        ]
-
-    def __len__(self) -> int:
-        return int(self._data.counts.shape[0])
-
-
 class MetricMeasureSpace:
     """Finite metric measure space with optional geodesic-surrogate edge graph.
 
@@ -313,14 +277,16 @@ class MetricMeasureSpace:
         return float(self.pair_dists(np.array([i]), np.array([j]))[0])
 
     def dist_matrix(self) -> np.ndarray:
-        """Materialize the full matrix; guarded by the dense size cap."""
-        if self._dist is None:
-            if self.n > DENSE_CAP:
-                raise SizeOverflow(
-                    f"refusing to materialize a {self.n}x{self.n} distance matrix"
-                )
-            self._dist = np.vstack([self.dist_row(i) for i in range(self.n)])
-        return self._dist
+        """The full matrix; guarded by the dense size cap.
+
+        A coordinate space builds a new matrix on each call and does not keep
+        it, so it stays on the coordinate backend.
+        """
+        if self._dist is not None:
+            return self._dist
+        if self.n > DENSE_CAP:
+            raise SizeOverflow(f"refusing to materialize a {self.n}x{self.n} distance matrix")
+        return np.vstack([self.dist_row(i) for i in range(self.n)])
 
     @property
     def coords(self) -> np.ndarray | None:
@@ -441,11 +407,20 @@ def _symmetric_csr(n: int, us, vs, weights):
     return csr_matrix((np.concatenate([weights, weights]), (rows, cols)), shape=(n, n))
 
 
-def canonical_balls(space: MetricMeasureSpace, center: int) -> CenterBalls:
-    """The nested family of distinct balls around one center."""
+def canonical_balls(space: MetricMeasureSpace, center: int) -> list[tuple[float, np.ndarray]]:
+    """The nested family of distinct balls around one center, smallest first.
+
+    One (representative radius, sorted member ids) pair per ball: the radius
+    is the midpoint to the next distinct distance (the largest distance + 1
+    for the whole space), and B(center, radius) is exactly that member set.
+    """
     if not 0 <= center < space.n:
         raise ValueError("center out of range")
-    return CenterBalls(space, center)
+    data = space.canonical.center(center)
+    return [
+        (float(r), np.sort(data.order[: end + 1]))
+        for r, end in zip(data.reps(), data.ends)
+    ]
 
 
 # -- validation ---------------------------------------------------------------
@@ -488,11 +463,7 @@ def _closure_certifies(dist: np.ndarray) -> bool:
     return bool(np.all(dist <= closure))
 
 
-def validate_space(
-    space: MetricMeasureSpace,
-    sample_triples: int = 20000,
-    seed: int = 0,
-) -> ValidationReport:
+def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport:
     """Check the metric measure axioms; report the first violation found.
 
     Scan order: masses by point id; pair axioms in lexicographic order
@@ -506,9 +477,9 @@ def validate_space(
     middle points y run, and that loop alone decides the verdict and the
     witness (the first bad (x, y, z), lexicographic in y, then x, then z).
     Coordinate-backed spaces beyond DENSE_CAP satisfy the metric axioms by
-    construction, so only a seeded sample of triples is re-verified, the
-    first bad one in sample order is reported, and the report says
-    mode="sampled".
+    construction, so only a seeded sample of SAMPLE_TRIPLES triples is
+    re-verified, the first bad one in sample order is reported, and the
+    report says mode="sampled".
     """
     bad_mass = np.flatnonzero(space.mu <= 0)
     if bad_mass.size:
@@ -558,9 +529,9 @@ def validate_space(
         return ValidationReport(True)
 
     rng = np.random.default_rng(seed)
-    xs = rng.integers(0, space.n, size=sample_triples)
-    ys = rng.integers(0, space.n, size=sample_triples)
-    zs = rng.integers(0, space.n, size=sample_triples)
+    xs = rng.integers(0, space.n, size=SAMPLE_TRIPLES)
+    ys = rng.integers(0, space.n, size=SAMPLE_TRIPLES)
+    zs = rng.integers(0, space.n, size=SAMPLE_TRIPLES)
     dxz = space.pair_dists(xs, zs)
     through = space.pair_dists(xs, ys) + space.pair_dists(ys, zs)
     bad = np.flatnonzero(dxz > through + REL_TOL * np.maximum(dxz, through))
@@ -574,12 +545,7 @@ def validate_space(
 
 # -- builders -------------------------------------------------------------------
 
-def build_grid_space(
-    dim: int,
-    side: int,
-    spacing: float,
-    max_points: int = GRID_POINT_CAP,
-) -> MetricMeasureSpace:
+def build_grid_space(dim: int, side: int, spacing: float) -> MetricMeasureSpace:
     """Regular lattice of side**dim points with Euclidean metric.
 
     Point id is the C-order index of the integer lattice coordinate (the last
@@ -593,8 +559,8 @@ def build_grid_space(
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     n = side**dim
-    if n > max_points:
-        raise SizeOverflow(f"grid of {n} points exceeds cap {max_points}")
+    if n > GRID_POINT_CAP:
+        raise SizeOverflow(f"grid of {n} points exceeds cap {GRID_POINT_CAP}")
 
     axes = [np.arange(side)] * dim
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)

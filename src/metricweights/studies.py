@@ -31,6 +31,14 @@ HOLD2_T_RANGE = (1.5, 5.0)  # dist(B, boundary)/rad(B) in [1/2, 4]
 # e^1.0; larger gates keep the measured band growing with domain depth long
 # after the per-side estimate has converged.
 HOLD2_QH_GATE = 1.0
+# Whitney-like ball centers sampled by the growth study's integral band.
+HOLD2_BALLS = 40
+
+# Cover balls sampled as sources and targets of the chain statistics.
+CHAIN_SOURCES, CHAIN_TARGETS = 12, 60
+GROWTH_SOURCES, GROWTH_TARGETS = 10, 40
+# Exponent of the growth study's weight w = (boundary distance)^exponent.
+GROWTH_W_EXPONENT = 0.3
 
 
 def interval_space(side: int, lo: float = -1.0, hi: float = 1.0) -> MetricMeasureSpace:
@@ -151,13 +159,7 @@ def _sample_resolved(cover, rng, n_sources: int, n_targets: int):
     return np.sort(sources), np.sort(targets)
 
 
-def chain_report(
-    space: MetricMeasureSpace,
-    domain: DomainSpec,
-    seed: int = 0,
-    n_sources: int = 12,
-    n_targets: int = 60,
-) -> dict:
+def chain_report(space: MetricMeasureSpace, domain: DomainSpec, seed: int = 0) -> dict:
     """Chain length versus quasihyperbolic distance over sampled ball pairs.
 
     Records k_tilde, k, and their ratio k_tilde / max(k, 1) per pair, the
@@ -166,7 +168,7 @@ def chain_report(
     """
     cover = whitney_cover(space, domain)
     rng = np.random.default_rng(seed)
-    sources, targets = _sample_resolved(cover, rng, n_sources, n_targets)
+    sources, targets = _sample_resolved(cover, rng, CHAIN_SOURCES, CHAIN_TARGETS)
 
     chain = chain_distances(cover, sources)
     qh = qh_distances(space, domain, cover.centers[sources])
@@ -205,27 +207,15 @@ def chain_report(
     }
 
 
-def chain_comparability_study(
-    side: int,
-    seed: int = 0,
-    n_sources: int = 12,
-    n_targets: int = 60,
-) -> dict:
+def chain_comparability_study(side: int, seed: int = 0) -> dict:
     """chain_report on the interior-square domain at one refinement side."""
     space, domain = square_domain(side)
-    report = chain_report(space, domain, seed, n_sources, n_targets)
+    report = chain_report(space, domain, seed)
     return {"side": int(side), **report}
 
 
-def chain_growth_study(
-    side: int,
-    w_exponent: float = 0.3,
-    seed: int = 0,
-    n_sources: int = 10,
-    n_targets: int = 40,
-    n_like_balls: int = 40,
-) -> dict:
-    """Growth of w-averages along chains, w = (boundary distance)^exponent.
+def chain_growth_study(side: int, seed: int = 0) -> dict:
+    """Growth of w-averages along chains, w = (boundary distance)^GROWTH_W_EXPONENT.
 
     Fits alpha as the largest per-edge log average ratio (so the chain bound
     log(avg_i / avg_j) <= alpha * k_tilde telescopes), counts violations on
@@ -234,7 +224,7 @@ def chain_growth_study(
     """
     space, domain = square_domain(side)
     cover = whitney_cover(space, domain)
-    w_on_x = np.where(domain.mask, domain.boundary_dist, 1.0) ** w_exponent
+    w_on_x = np.where(domain.mask, domain.boundary_dist, 1.0) ** GROWTH_W_EXPONENT
     averages = cover.ball_averages(np.where(domain.mask, w_on_x, 0.0))
 
     if cover.edges.size:
@@ -247,7 +237,7 @@ def chain_growth_study(
     beta = 0.0
 
     rng = np.random.default_rng(seed)
-    sources, targets = _sample_resolved(cover, rng, n_sources, n_targets)
+    sources, targets = _sample_resolved(cover, rng, GROWTH_SOURCES, GROWTH_TARGETS)
     chain = chain_distances(cover, sources)
     violations = 0
     n_holdout = 0
@@ -260,10 +250,10 @@ def chain_growth_study(
             if lhs > alpha * chain[si, t] + beta + 1e-9:
                 violations += 1
 
-    like = _whitney_like_band(space, domain, w_on_x, n_like_balls)
+    like = _whitney_like_band(space, domain, w_on_x)
     return {
         "side": int(side),
-        "w_exponent": float(w_exponent),
+        "w_exponent": GROWTH_W_EXPONENT,
         "n_balls": len(cover),
         "n_edges": int(cover.edges.shape[0]),
         "alpha": alpha,
@@ -279,7 +269,7 @@ def chain_growth_study(
     }
 
 
-def _whitney_like_band(space, domain, w_on_x, n_like_balls: int) -> dict:
+def _whitney_like_band(space, domain, w_on_x) -> dict:
     """Integral ratio band over Whitney-like balls at small qh distance.
 
     Deterministic sampler: centers are a stratified sample of the candidate
@@ -296,7 +286,7 @@ def _whitney_like_band(space, domain, w_on_x, n_like_balls: int) -> dict:
     if candidates.size == 0:
         return {"band": 1.0, "n_pairs": 0, "n_samples": 0}
     order = np.lexsort((candidates, domain.boundary_dist[candidates]))
-    take = min(n_like_balls, candidates.size)
+    take = min(HOLD2_BALLS, candidates.size)
     picks = np.unique(np.linspace(0, candidates.size - 1, take).round().astype(int))
     centers = candidates[order][picks]
 

@@ -19,16 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     Disconnected,
+    EmptySubset,
     InclusionFail,
     InvalidParameter,
     NotProper,
     PreconditionFail,
     Unreachable,
 )
+from .maximal import as_subset
 from .space import Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr
 
 # Rows of the ball-ball overlap product built at once by _intersection_edges.
@@ -67,15 +69,13 @@ class DomainSpec:
 
 
 def make_domain(space: MetricMeasureSpace, members) -> DomainSpec:
-    """Build a DomainSpec; raises NotProper unless 0 < |D| < n."""
-    members = np.asarray(members)
-    if members.dtype == bool:
-        mask = members.copy()
-    else:
-        mask = np.zeros(space.n, dtype=bool)
-        mask[members.astype(np.intp)] = True
-    ids = np.flatnonzero(mask)
-    if ids.size == 0 or ids.size == space.n:
+    """Build a DomainSpec from a bool mask or ids, checked by as_subset;
+    raises NotProper unless 0 < |D| < n."""
+    try:
+        ids, mask = as_subset(space, members)
+    except EmptySubset:
+        ids = ()
+    if len(ids) in (0, space.n):
         raise NotProper("domain must be nonempty with nonempty complement")
 
     comp = np.flatnonzero(~mask)

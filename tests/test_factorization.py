@@ -10,7 +10,8 @@ from metricweights import (
     maximal_fn,
     rdf_apply_T,
 )
-from metricweights.errors import ExponentRange, InvalidParameter, NonpositiveWeight
+from metricweights import factorization
+from metricweights.errors import ExponentRange, NonpositiveWeight
 from metricweights.maximal import as_subset
 
 
@@ -143,14 +144,16 @@ def test_factorization_on_a_strict_subset(line11, rng):
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_series_stops_at_the_first_verified_partial_sum(line11, rng, p):
+def test_series_stops_at_the_first_verified_partial_sum(line11, rng, p, monkeypatch):
     v = oracles.random_weight(rng, line11.n)
     fact = jones_factorize(line11, None, v, p)
     # K = 8 reuses the warm-up iterates, and its certificates already verify
     assert fact.k_max == 8
     _check_certificates(line11, None, v, fact)
-    # tol stays an upper limit: a tail below 1e-2 comes before the eighth term
-    capped = jones_factorize(line11, None, v, p, tol=1e-2)
+    # the tail limit stays an upper limit: a tail below 1e-2 comes before
+    # the eighth term
+    monkeypatch.setattr(factorization, "_TAIL_TOL", 1e-2)
+    capped = jones_factorize(line11, None, v, p)
     assert capped.k_max < 8
     assert capped.c == fact.c
     _check_certificates(line11, None, v, capped)
@@ -188,10 +191,5 @@ def test_factorize_rejects_bad_inputs(line11):
         jones_factorize(line11, None, ones, 0.9)
     with pytest.raises(NonpositiveWeight):
         jones_factorize(line11, None, 0.0 * ones, 2.0)
-    with pytest.raises(ValueError):
-        jones_factorize(line11, None, ones, 2.0, tol=0.0)
-    for tol in (0.0, -1e-3, np.nan, np.inf):
-        with pytest.raises(InvalidParameter):
-            jones_factorize(line11, None, ones, 2.0, tol=tol)
     with pytest.raises(ValueError):
         jones_factorize(line11, None, ones[:-1], 2.0)

@@ -1,0 +1,63 @@
+"""Every name a library module imports is used in that module.
+
+__init__.py is exempt: it imports names to re-export them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "metricweights"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside annotations written as strings, e.g. "MetricMeasureSpace"."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                parsed = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        if isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_the_checker_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "from .errors import ParseError, SizeOverflow\n"
+        "from .space import MetricMeasureSpace\n"
+        "def f(space: 'MetricMeasureSpace'):\n"
+        "    raise SizeOverflow(np.pi)\n"
+    )
+    assert unused_imports(source) == ["ParseError (line 3)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports(module.read_text()) == []

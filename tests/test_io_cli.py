@@ -65,6 +65,11 @@ def test_parse_error_carries_line_diagnostics(tmp_path):
         lambda d: d.update(mu=[1.0]),
         lambda d: d.update(metric={"type": "wedge"}),
         lambda d: d["metric"].update(data=[[0.0]]),
+        lambda d: d["mu"].__setitem__(1, float("nan")),
+        lambda d: d["metric"]["data"][0].__setitem__(1, float("inf")),
+        lambda d: d["metric"]["data"][1].__setitem__(0, float("nan")),
+        lambda d: d["metric"]["edges"][0].__setitem__(2, float("nan")),
+        lambda d: d["metric"]["edges"][0].__setitem__(2, float("inf")),
     ],
 )
 def test_malformed_space_documents_fail_to_parse(tmp_path, s2, mangle):
@@ -140,6 +145,18 @@ def test_oversized_graph_space_is_rejected(tmp_path):
         io.load_space(_write(tmp_path / "huge.json", doc))
 
 
+def test_space_with_more_points_than_a_file_holds_is_not_saved(tmp_path, capsys):
+    big = build_grid_space(2, 64, 1.0)
+    with pytest.raises(SizeOverflow):
+        io.space_to_dict(big)
+    target = tmp_path / "big.json"
+    rc, out, err = _run(capsys, ["space", "build", "--dim", "2", "--side", "64",
+                                 "--out", str(target)])
+    assert out == ""
+    _assert_error(rc, err, 2, "SizeOverflow")
+    assert not target.exists()
+
+
 # -- function and subset files ------------------------------------------------------
 
 
@@ -178,14 +195,30 @@ def test_function_documents_are_validated(tmp_path):
         io.load_function(
             _write(tmp_path / "dom.json", {"version": 1, "domain": "Y", "values": [1.0]})
         )
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParseError, match="values"):
+            io.load_function(
+                _write(tmp_path / "nan.json", {"version": 1, "domain": "X", "values": [1.0, bad]})
+            )
 
 
 def test_subset_round_trip_sorts_and_rejects_duplicates(tmp_path):
     target = tmp_path / "e.json"
     io.save_subset(target, np.array([4, 0, 2]))
     np.testing.assert_array_equal(io.load_subset(target), [0, 2, 4])
+    whole = io.load_subset(_write(tmp_path / "whole.json", {"version": 1, "ids": [3.0, 1]}))
+    assert whole.dtype == np.intp and whole.tolist() == [1, 3]
     with pytest.raises(ParseError):
         io.load_subset(_write(tmp_path / "dup.json", {"version": 1, "ids": [1, 1]}))
+
+
+@pytest.mark.parametrize("ids", [[2.7, 3], [[1, 2]], 3, ["1"], [1, None]])
+def test_id_lists_in_files_must_be_integers(tmp_path, ids):
+    with pytest.raises(ParseError, match="integer ids"):
+        io.load_subset(_write(tmp_path / "e.json", {"version": 1, "ids": ids}))
+    doc = {"version": 1, "domain": "E", "E": ids, "values": [1.0, 2.0]}
+    with pytest.raises(ParseError, match="integer ids"):
+        io.load_function(_write(tmp_path / "f.json", doc))
 
 
 # -- reports ---------------------------------------------------------------------------
@@ -371,6 +404,20 @@ def test_cli_maximal_rejects_subset_functions(capsys, tmp_path, artifacts):
     )
     assert rc == 4
     assert json.loads(err)["error"]["type"] == "FormatError"
+
+
+@pytest.mark.parametrize("subset", [False, True])
+def test_cli_maximal_rejects_a_function_of_the_wrong_length(capsys, tmp_path, line12, subset):
+    argv = ["maximal", "--space", line12["space"]]
+    if subset:
+        argv += ["--subset", line12["subset"]]
+    argv.append("--function")
+    assert _run(capsys, argv + [line12["w"]])[0] == 0
+    short = tmp_path / "short.json"
+    io.save_function(short, np.ones(11))
+    rc, out, err = _run(capsys, argv + [str(short)])
+    assert out == ""
+    assert "length" in _assert_error(rc, err, 4, "FormatError")
 
 
 def test_cli_extend_constant_weight(capsys, tmp_path, artifacts):
@@ -579,22 +626,36 @@ def _assert_error(rc, err, code, kind):
     return doc["message"]
 
 
-@pytest.mark.parametrize("command", ["factorize", "extend"])
-@pytest.mark.parametrize("tol", ["0", "-1e-3", "nan", "inf"])
-def test_cli_rejects_a_bad_tolerance(capsys, line12, command, tol):
-    argv = [command, "--space", line12["space"], "--weight", line12["w"], "--p", "2",
-            f"--tol={tol}"]
-    if command == "extend":
-        argv += ["--eps", "0.5"]
-    rc, out, err = _run(capsys, argv)
+def test_tol_is_a_usage_error_on_factorize_and_extend(capsys, line12):
+    for command, extra in (("factorize", []), ("extend", ["--eps", "0.5"])):
+        argv = [command, "--space", line12["space"], "--weight", line12["w"], "--p", "2"]
+        argv += extra
+        assert _run(capsys, argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+def test_cli_maximal_rejects_a_nan_in_the_function_file(capsys, tmp_path, line12):
+    argv = ["maximal", "--space", line12["space"], "--function"]
+    rc, out, _ = _run(capsys, argv + [line12["w"]])
+    assert rc == 0 and len(json.loads(out)["values"]) == 12
+    values = np.linspace(1.0, 2.0, 12).tolist()
+    values[4] = float("nan")
+    nan_file = _write(tmp_path / "nan.json", {"version": 1, "domain": "X", "values": values})
+    rc, out, err = _run(capsys, argv + [nan_file])
     assert out == ""
-    _assert_error(rc, err, 2, "InvalidParameter")
+    assert nan_file in _assert_error(rc, err, 4, "ParseError")
 
 
-def test_tol_is_declared_only_where_it_is_read(capsys, line12):
-    with pytest.raises(SystemExit):
-        cli.main(["ball", "doubling", "--space", line12["space"], "--tol", "1e-3"])
-    assert "--tol" in capsys.readouterr().err
+def test_seed_is_a_usage_error_on_maximal(capsys, line12):
+    argv = ["maximal", "--space", line12["space"], "--function", line12["w"]]
+    assert _run(capsys, argv)[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["characteristic", "condition"])

@@ -5,10 +5,18 @@ from hypothesis import given, strategies as st
 import oracles
 from metricweights import (
     ap_tilde_characteristic,
+    build_grid_space,
     coifman_rochberg_weight,
     maximal_fn,
 )
-from metricweights.errors import EmptySubset, ExponentRange, NonpositiveG, ZeroFunction
+from metricweights.errors import (
+    EmptySubset,
+    ExponentRange,
+    InvalidParameter,
+    NonpositiveG,
+    ZeroFunction,
+)
+from metricweights.maximal import as_subset
 from metricweights.studies import interval_space, unit_band_subset
 from metricweights.weights import holder_average_bound_margin, power_weight
 
@@ -66,6 +74,23 @@ def test_maximal_matches_naive_enumeration(seed):
 def test_empty_subset_rejected(s3):
     with pytest.raises(EmptySubset):
         maximal_fn(s3, np.ones(3), E=np.zeros(3, dtype=bool))
+
+
+def test_subset_ids_must_be_whole_numbers():
+    line = build_grid_space(1, 8, 1.0)
+    np.testing.assert_array_equal(as_subset(line, [2.0, 3.0])[0], [2, 3])
+    for ids in ([2.7, 3.0], [np.nan, 3.0], [np.inf], ["2"]):
+        with pytest.raises(InvalidParameter):
+            as_subset(line, ids)
+
+
+def test_subset_ids_out_of_range_are_an_invalid_parameter():
+    line = build_grid_space(1, 8, 1.0)
+    for ids in ([-1, 3], [3, 8]):
+        with pytest.raises(InvalidParameter):
+            as_subset(line, ids)
+        with pytest.raises(ValueError):  # InvalidParameter is also a ValueError
+            maximal_fn(line, np.ones(2), E=ids)
 
 
 def test_power_of_maximal_frozen_three_point_weight(s3):

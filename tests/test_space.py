@@ -11,16 +11,10 @@ from metricweights import (
     space_from_matrix,
     validate_space,
 )
-from metricweights.errors import (
-    AsymmetricDistance,
-    EdgeTooShort,
-    NonpositiveMass,
-    SizeOverflow,
-    TriangleViolation,
-    ZeroDistanceDistinct,
-)
+from metricweights.errors import SizeOverflow
+from metricweights import io
 from metricweights import space as space_mod
-from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP, REL_TOL
+from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP, REL_TOL, ValidationReport
 from metricweights.studies import interval_space
 
 
@@ -51,26 +45,24 @@ def test_dist_uses_the_dist_row_formula(dim):
 
 def test_canonical_prefixes_two_points(s2):
     balls = canonical_balls(s2, 0)
-    assert [set(balls.prefix_members(k)) for k in range(len(balls))] == [{0}, {0, 1}]
+    assert [members.tolist() for _, members in balls] == [[0], [0, 1]]
 
 
 def test_canonical_prefixes_middle_and_end_center(s3):
     mid = canonical_balls(s3, 1)
-    assert [set(mid.prefix_members(k)) for k in range(len(mid))] == [{1}, {0, 1, 2}]
+    assert [members.tolist() for _, members in mid] == [[1], [0, 1, 2]]
     end = canonical_balls(s3, 2)
-    assert [set(end.prefix_members(k)) for k in range(len(end))] == [
-        {2},
-        {1, 2},
-        {0, 1, 2},
-    ]
+    assert [members.tolist() for _, members in end] == [[2], [1, 2], [0, 1, 2]]
+    with pytest.raises(ValueError):
+        canonical_balls(s3, 3)
 
 
 def test_representative_radii_cover_each_prefix(s3):
     balls = canonical_balls(s3, 2)
-    reps = balls.representative_radii
+    assert [r for r, _ in balls] == [0.5, 1.5, 3.0]
     # each representative radius reproduces its prefix as a strict ball
-    for k, r in enumerate(reps):
-        assert set(s3.ball_members(2, float(r))) == set(balls.prefix_members(k))
+    for r, members in balls:
+        np.testing.assert_array_equal(s3.ball_members(2, r), members)
 
 
 def test_ball_members_strict_inequality(s3):
@@ -236,6 +228,19 @@ def test_canonical_structures_refuse_oversized_spaces():
         big.canonical.ensure_all()
 
 
+def test_dist_matrix_leaves_a_coordinate_space_on_coordinates():
+    space = build_grid_space(2, 24, 1.0)
+    dense = space_from_matrix(space.dist_matrix(), space.mu, space.edges)
+    assert space._dist is None
+    report = validate_space(space)
+    assert report == validate_space(dense) == ValidationReport(True)
+    assert space._dist is None
+    io.space_to_dict(space)
+    assert space._dist is None
+    assert space.dist_matrix() is not space.dist_matrix()
+    assert dense.dist_matrix() is dense.dist_matrix()
+
+
 def test_canonical_ball_count_small_fixture(s3):
     # center 0: 3 distinct balls, center 1: 2, center 2: 3
     assert s3.canonical.ball_count() == 8
@@ -346,9 +351,11 @@ def test_sampled_validation_reports_the_first_bad_triple_in_sample_order(monkeyp
     monkeypatch.setattr(space_mod, "REL_TOL", -0.5)
     coords = np.random.default_rng(8).uniform(size=(DENSE_CAP + 100, 2))
     space = MetricMeasureSpace(mu=np.ones(coords.shape[0]), coords=coords)
-    report = validate_space(space, sample_triples=500, seed=3)
+    report = validate_space(space, seed=3)
     rng = np.random.default_rng(3)
-    samples = zip(*(rng.integers(0, space.n, size=500).tolist() for _ in range(3)))
+    samples = zip(*(
+        rng.integers(0, space.n, size=space_mod.SAMPLE_TRIPLES).tolist() for _ in range(3)
+    ))
     first = next(
         (x, y, z) for x, y, z in samples
         if space.dist(x, z) > (space.dist(x, y) + space.dist(y, z))

@@ -5,6 +5,7 @@ import scipy.spatial
 import oracles
 from metricweights import (
     Ball,
+    build_grid_space,
     chain_weight_ratio,
     check_cover_invariants,
     make_domain,
@@ -58,7 +59,27 @@ def test_domain_must_be_proper(line11):
     with pytest.raises(NotProper):
         make_domain(line11, np.array([], dtype=np.intp))
     with pytest.raises(NotProper):
+        make_domain(line11, [])
+    with pytest.raises(NotProper):
+        make_domain(line11, np.zeros(11, dtype=bool))
+    with pytest.raises(NotProper):
         make_domain(line11, np.arange(11))
+
+
+def test_domain_rejects_a_negative_id():
+    line = build_grid_space(1, 8, 1.0)
+    np.testing.assert_array_equal(make_domain(line, [1, 3]).ids, [1, 3])
+    with pytest.raises(InvalidParameter):
+        make_domain(line, [-1, 3])
+    with pytest.raises(ValueError):
+        make_domain(line, [3, 8])
+
+
+def test_domain_rejects_a_fractional_id():
+    line = build_grid_space(1, 8, 1.0)
+    np.testing.assert_array_equal(make_domain(line, [2.0, 3.0]).ids, [2, 3])
+    with pytest.raises(InvalidParameter):
+        make_domain(line, [2.7, 3])
 
 
 # -- cover construction ---------------------------------------------------------------
