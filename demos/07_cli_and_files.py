@@ -2,7 +2,8 @@
 File formats and the command line, end to end
 =============================================
 
-Spaces, functions, and subsets persist as versioned JSON; reports are emitted
+Spaces, functions, and subsets persist as versioned JSON (a space with
+coordinates is saved as them, any other as its distance matrix); reports are emitted
 with sorted keys and a fixed layout so identical computations give identical
 bytes. The CLI wraps every operation; this script drives it in-process
 (each `metricweights <argv>` call is `cli.main(argv)`) and shows that the
@@ -27,8 +28,10 @@ print(f"working under {root}\n")
 space = interval_space(32)
 space_path = root / "interval.json"
 io.save_space(space_path, space)
+metric_type = json.loads(space_path.read_text())["metric"]["type"]
 reloaded = io.load_space(space_path)
-print(f"space round trip: n = {reloaded.n}, "
+print(f"space round trip: n = {reloaded.n}, saved as {metric_type!r} "
+      f"({space_path.stat().st_size} bytes), "
       f"matrices equal = {np.array_equal(reloaded.dist_matrix(), space.dist_matrix())}")
 
 band = unit_band_subset(space)

@@ -47,6 +47,15 @@ def _ints(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+def _check_finite(args) -> None:
+    """Reject a NaN or infinite number in any float flag; no operation takes one."""
+    for name, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not np.isfinite(v):
+                flag = "--" + name.replace("_", "-")
+                raise InvalidParameter(f"{flag} must be a finite number, got {v}")
+
+
 def _emit(args, name: str, payload: dict) -> None:
     if args.out:
         meta = {"argv": sys.argv[1:], "workers": getattr(args, "workers", 1)}
@@ -438,6 +447,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except MetricWeightsError as exc:
         code = _exit_code(exc)

@@ -32,6 +32,10 @@ class SizeOverflow(DomainError):
     """Requested structure exceeds the configured size cap."""
 
 
+class NonpositiveMass(DomainError):
+    """A point of a space file carries zero or negative mass."""
+
+
 class GraphDisconnected(DomainError):
     def __init__(self, detail: str = "edge graph is not connected") -> None:
         super().__init__(detail)

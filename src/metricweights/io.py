@@ -2,14 +2,19 @@
 
 Three JSON artifact kinds, all schema-versioned:
 
-* space files: {"version": 1, "n", "metric": {"type": "matrix"|"graph", ...},
-  "mu", "meta"}; graph metrics resolve to all-pairs shortest-path distances
-  at load time, and save_space writes the matrix form;
+* space files: {"version": 1, "n", "metric": {"type": "coords"|"matrix"|"graph",
+  ...}, "mu", "meta"}. A "coords" metric holds the n x dim coordinates of a
+  Euclidean space and loads on the coordinate backend, at any size; a
+  "matrix" metric holds the n x n distance matrix; a "graph" metric holds
+  only edges and resolves to all-pairs shortest-path distances at load
+  time. Every metric may carry "edges". save_space writes "coords" when the
+  space has coordinates and "matrix" otherwise;
 * function files: {"version": 1, "domain": "X"|"E", "E": [ids]?, "values"};
 * subset files: {"version": 1, "ids": [...]}.
 
 Loaders accept only finite numbers and integer ids; anything else is a
-ParseError.
+ParseError. A space file whose masses are not all positive fails with
+NonpositiveMass.
 
 Reports are written as two files: <name>.json holds only deterministic
 content (sorted keys, stable float repr), <name>.meta.json holds timestamps
@@ -28,7 +33,14 @@ from pathlib import Path
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from .errors import GraphDisconnected, ParseError, SizeOverflow, VersionMismatch
+from .errors import (
+    FormatError,
+    GraphDisconnected,
+    NonpositiveMass,
+    ParseError,
+    SizeOverflow,
+    VersionMismatch,
+)
 from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr
 
 FORMAT_VERSION = 1
@@ -49,6 +61,14 @@ def _plain(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+def _dumps(doc, **kwargs) -> str:
+    """json.dumps that refuses NaN and inf, which strict JSON cannot hold."""
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise FormatError(f"refusing to write a non-finite number: {exc}") from exc
 
 
 def _check_version(doc: dict, path: str) -> None:
@@ -128,18 +148,26 @@ def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
 
 
 def space_to_dict(space: MetricMeasureSpace) -> dict:
-    """Space file content: the distance matrix, and the edge graph if any.
+    """Space file content: the coordinates or the distance matrix, and the
+    edge graph if any.
 
-    Keeping the edge graph as an extra key makes a round trip preserve every
-    numeric field of the space. A space of more than DENSE_CAP points has
-    no file form, since load_space could not read it back.
+    A space with coordinates is written as them, so the file stays small
+    and loads on the coordinate backend; both backends decide balls with
+    the dist_row formula, so the loaded space answers every query as the
+    original does. Other spaces are written as their matrix, which
+    load_space reads only up to DENSE_CAP points, so a larger one has no
+    file form. Keeping the edge graph as an extra key makes a round trip
+    preserve every numeric field of the space.
     """
-    if space.n > DENSE_CAP:
+    if space.coords is not None:
+        metric = {"type": "coords", "data": _plain(space.coords)}
+    elif space.n > DENSE_CAP:
         raise SizeOverflow(
             f"space files hold a distance matrix of at most {DENSE_CAP} points, "
             f"got {space.n}"
         )
-    metric = {"type": "matrix", "data": _plain(space.dist_matrix())}
+    else:
+        metric = {"type": "matrix", "data": _plain(space.dist_matrix())}
     edges = space.edges
     if edges:
         metric["edges"] = _plain(edges)
@@ -153,7 +181,7 @@ def space_to_dict(space: MetricMeasureSpace) -> dict:
 
 
 def save_space(path, space: MetricMeasureSpace) -> None:
-    Path(path).write_text(json.dumps(space_to_dict(space), sort_keys=True) + "\n")
+    Path(path).write_text(_dumps(space_to_dict(space), sort_keys=True) + "\n")
 
 
 def load_space(path) -> MetricMeasureSpace:
@@ -170,25 +198,35 @@ def load_space(path) -> MetricMeasureSpace:
         raise ParseError(f"{path}: field 'metric' must be an object with a type")
     meta = doc.get("meta", "")
 
-    if metric["type"] == "matrix":
+    edges = _parse_edges(metric.get("edges"), n, path)
+    if metric["type"] == "coords":
+        data = _finite(metric, "data", path)
+        if data.ndim != 2 or data.shape[0] != n or data.shape[1] == 0:
+            raise ParseError(f"{path}: metric data must be {n} rows of coordinates")
+        backend = {"coords": data}
+    elif metric["type"] == "matrix":
         data = _finite(metric, "data", path)
         if data.shape != (n, n):
             raise ParseError(f"{path}: metric data must be an {n}x{n} matrix")
-        edges = _parse_edges(metric.get("edges"), n, path)
-        return MetricMeasureSpace(mu=mu, dist=data, edges=edges, meta=meta)
-    if metric["type"] == "graph":
+        backend = {"dist": data}
+    elif metric["type"] == "graph":
         if n > DENSE_CAP:
             raise SizeOverflow(
                 f"graph space with {n} points exceeds the dense materialization cap"
             )
-        edges = _parse_edges(_field(metric, "edges", path), n, path)
         if not edges:
             raise ParseError(f"{path}: graph metric needs a nonempty edge list")
         dist = shortest_path(_symmetric_csr(n, *zip(*edges)), method="D")
         if not np.isfinite(dist).all():
             raise GraphDisconnected("graph metric requires a connected edge graph")
-        return MetricMeasureSpace(mu=mu, dist=dist, edges=edges, meta=meta)
-    raise ParseError(f"{path}: unknown metric type {metric['type']!r}")
+        backend = {"dist": dist}
+    else:
+        raise ParseError(f"{path}: unknown metric type {metric['type']!r}")
+    bad_mass = np.flatnonzero(mu <= 0)
+    if bad_mass.size:
+        i = int(bad_mass[0])
+        raise NonpositiveMass(f"{path}: point {i} has mass {mu[i]}, masses must be positive")
+    return MetricMeasureSpace(mu=mu, edges=edges, meta=meta, **backend)
 
 
 # -- function and subset files --------------------------------------------------------
@@ -206,7 +244,7 @@ def function_to_dict(values: np.ndarray, e_ids: np.ndarray | None = None) -> dic
 
 
 def save_function(path, values: np.ndarray, e_ids: np.ndarray | None = None) -> None:
-    Path(path).write_text(json.dumps(function_to_dict(values, e_ids), sort_keys=True) + "\n")
+    Path(path).write_text(_dumps(function_to_dict(values, e_ids), sort_keys=True) + "\n")
 
 
 def load_function(path) -> tuple[np.ndarray | None, np.ndarray]:
@@ -228,7 +266,7 @@ def load_function(path) -> tuple[np.ndarray | None, np.ndarray]:
 
 def save_subset(path, ids) -> None:
     doc = {"version": FORMAT_VERSION, "ids": _plain(np.asarray(ids, dtype=np.intp))}
-    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    Path(path).write_text(_dumps(doc, sort_keys=True) + "\n")
 
 
 def load_subset(path) -> np.ndarray:
@@ -242,7 +280,7 @@ def load_subset(path) -> np.ndarray:
 
 def report_bytes(payload: dict) -> bytes:
     """Deterministic JSON encoding used for golden-file comparison."""
-    return (json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n").encode()
+    return (_dumps(_plain(payload), sort_keys=True, indent=2) + "\n").encode()
 
 
 def write_report(out_dir, name: str, payload: dict, meta: dict | None = None) -> Path:

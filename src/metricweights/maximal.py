@@ -81,8 +81,8 @@ def maximal_fn(
     """
     ids, _ = as_subset(space, E)
     fx_mu = scatter(space, ids, np.abs(np.asarray(f, dtype=float))) * space.mu
-    if radius_cap is not None and radius_cap <= 0:
-        raise ValueError("radius_cap must be positive")
+    if radius_cap is not None and not radius_cap > 0:
+        raise InvalidParameter("radius_cap must be positive")
 
     cb = space.canonical
     cb.ensure_all()

@@ -9,8 +9,9 @@ characteristics, covers) enumerates balls through that chain.
 Two storage backends with identical semantics:
 
 * dense: the full n x n distance matrix, capped at ``DENSE_CAP`` points;
-* coords: lattice coordinates with exact Euclidean distances computed on
-  demand, used by ``build_grid_space`` so that large grids stay cheap.
+* coords: coordinates with exact Euclidean distances computed on demand,
+  used by ``build_grid_space``, ``studies.interval_space`` and coordinate
+  space files, so that large grids stay cheap.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import SizeOverflow
+from .errors import InvalidParameter, SizeOverflow
 
 # Dense structures (distance matrix, cached ball prefixes) refuse to build
 # beyond this many points; coordinate-backed row queries have no such limit.
@@ -553,11 +554,11 @@ def build_grid_space(dim: int, side: int, spacing: float) -> MetricMeasureSpace:
     graph joins axis neighbours with length spacing.
     """
     if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2 or 3")
+        raise InvalidParameter("dim must be 1, 2 or 3")
     if side < 1:
-        raise ValueError("side must be >= 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+        raise InvalidParameter("side must be >= 1")
+    if not 0 < spacing < np.inf:
+        raise InvalidParameter("spacing must be positive and finite")
     n = side**dim
     if n > GRID_POINT_CAP:
         raise SizeOverflow(f"grid of {n} points exceeds cap {GRID_POINT_CAP}")

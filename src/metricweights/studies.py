@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import PreconditionFail
+from .errors import InvalidParameter, PreconditionFail
 from .extension import wolff_extend
 from .space import MetricMeasureSpace, build_grid_space
 from .weights import ap_tilde_characteristic, power_weight
@@ -44,11 +44,11 @@ GROWTH_W_EXPONENT = 0.3
 def interval_space(side: int, lo: float = -1.0, hi: float = 1.0) -> MetricMeasureSpace:
     """Uniform 1-D grid on [lo, hi] with `side` cells per unit length."""
     if side < 1:
-        raise ValueError("side must be >= 1")
+        raise InvalidParameter("side must be >= 1")
     length = hi - lo
     n_cells = int(round(length * side))
     if abs(n_cells - length * side) > 1e-9:
-        raise ValueError("side must divide the interval length into whole cells")
+        raise InvalidParameter("side must divide the interval length into whole cells")
     spacing = 1.0 / side
     coords = lo + np.arange(n_cells + 1)[:, None] * spacing
     mu = np.full(n_cells + 1, spacing)

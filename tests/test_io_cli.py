@@ -11,8 +11,10 @@ from metricweights import (
     io,
     maximal_fn,
     reverse_holder_constant,
+    space_from_matrix,
 )
 from metricweights.errors import (
+    FormatError,
     GraphDisconnected,
     NoConvergence,
     ParseError,
@@ -20,7 +22,8 @@ from metricweights.errors import (
     VersionMismatch,
 )
 from metricweights.space import DENSE_CAP
-from metricweights.studies import interval_space
+from metricweights.studies import interval_space, unit_band_subset
+from metricweights.whitney import check_cover_invariants, make_domain, whitney_cover
 
 
 def _write(path, doc):
@@ -33,13 +36,17 @@ def _write(path, doc):
 
 def test_matrix_space_round_trip(tmp_path, s2):
     target = tmp_path / "space.json"
-    io.save_space(target, s2)
-    loaded = io.load_space(target)
-    assert loaded.n == s2.n
-    np.testing.assert_array_equal(loaded.mu, s2.mu)
-    np.testing.assert_array_equal(loaded.dist_matrix(), s2.dist_matrix())
-    assert loaded.meta == s2.meta
-    assert loaded.edges == s2.edges  # grid edges survive the matrix format
+    dense = space_from_matrix(s2.dist_matrix(), s2.mu, s2.edges, s2.meta)
+    for space, kind in [(dense, "matrix"), (s2, "coords")]:
+        io.save_space(target, space)
+        assert json.loads(target.read_text())["metric"]["type"] == kind
+        loaded = io.load_space(target)
+        assert loaded.n == s2.n
+        assert (loaded.coords is None) == (kind == "matrix")
+        np.testing.assert_array_equal(loaded.mu, s2.mu)
+        np.testing.assert_array_equal(loaded.dist_matrix(), s2.dist_matrix())
+        assert loaded.meta == s2.meta
+        assert loaded.edges == s2.edges  # grid edges survive either format
 
 
 def test_version_mismatch_is_reported(tmp_path, s2):
@@ -70,10 +77,20 @@ def test_parse_error_carries_line_diagnostics(tmp_path):
         lambda d: d["metric"]["data"][1].__setitem__(0, float("nan")),
         lambda d: d["metric"]["edges"][0].__setitem__(2, float("nan")),
         lambda d: d["metric"]["edges"][0].__setitem__(2, float("inf")),
+        lambda d: d["metric"].update(type="coords", data=[[0.0], [float("nan")]]),
+        lambda d: d["metric"].update(type="coords", data=[[0.0], [float("inf")]]),
+        lambda d: d["metric"].update(type="coords", data=[[0.0]]),
+        lambda d: d["metric"].update(type="coords", data=[0.0, 1.0]),
+        lambda d: d["metric"].update(type="coords", data=[[], []]),
+        lambda d: d["metric"].update(type="coords", data=[[0.0], ["one"]]),
+        lambda d: d["metric"].pop("data"),
     ],
 )
 def test_malformed_space_documents_fail_to_parse(tmp_path, s2, mangle):
-    doc = io.space_to_dict(s2)
+    # A dense space, so the document holds a matrix for the matrix mangles;
+    # the coords mangles replace it with bad coordinates.
+    doc = io.space_to_dict(space_from_matrix(s2.dist_matrix(), s2.mu, s2.edges))
+    assert doc["metric"]["type"] == "matrix"
     mangle(doc)
     with pytest.raises(ParseError):
         io.load_space(_write(tmp_path / "mangled.json", doc))
@@ -145,16 +162,120 @@ def test_oversized_graph_space_is_rejected(tmp_path):
         io.load_space(_write(tmp_path / "huge.json", doc))
 
 
-def test_space_with_more_points_than_a_file_holds_is_not_saved(tmp_path, capsys):
-    big = build_grid_space(2, 64, 1.0)
+def test_space_with_more_points_than_a_file_holds_is_not_saved(tmp_path):
+    n = DENSE_CAP + 1
+    dense = space_from_matrix(np.zeros((n, n)), np.ones(n))
+    target = tmp_path / "dense.json"
     with pytest.raises(SizeOverflow):
-        io.space_to_dict(big)
-    target = tmp_path / "big.json"
-    rc, out, err = _run(capsys, ["space", "build", "--dim", "2", "--side", "64",
-                                 "--out", str(target)])
-    assert out == ""
-    _assert_error(rc, err, 2, "SizeOverflow")
+        io.save_space(target, dense)
     assert not target.exists()
+    # A space with coordinates is saved as them, at any size.
+    grid = build_grid_space(2, 64, 1.0)
+    io.save_space(target, grid)
+    loaded = io.load_space(target)
+    assert loaded.n == grid.n > DENSE_CAP
+    np.testing.assert_array_equal(loaded.coords, grid.coords)
+    np.testing.assert_array_equal(loaded.mu, grid.mu)
+    assert loaded.edges == grid.edges
+
+
+def _space_inputs(space, e_ids, d_ids, tmp_path):
+    """The space as a coords file and as a matrix file, plus a weight on X, a
+    weight on E, E itself and a domain D."""
+    paths = {"coords": tmp_path / "coords.json", "matrix": tmp_path / "matrix.json"}
+    io.save_space(paths["coords"], space)
+    io.save_space(paths["matrix"], space_from_matrix(
+        space.dist_matrix(), space.mu, space.edges, space.meta))
+    for kind, path in list(paths.items()):
+        assert json.loads(path.read_text())["metric"]["type"] == kind
+    w = np.exp(np.random.default_rng(space.n).normal(0.0, 0.5, space.n))
+    for name, save in [
+        ("W_X", lambda p: io.save_function(p, w)),
+        ("W_E", lambda p: io.save_function(p, w[e_ids], e_ids)),
+        ("E", lambda p: io.save_subset(p, e_ids)),
+        ("D", lambda p: io.save_subset(p, d_ids)),
+    ]:
+        paths[name] = tmp_path / f"{name}.json"
+        save(paths[name])
+    paths["x"], paths["y"] = str(d_ids[0]), str(d_ids[-1])
+    return {k: str(v) for k, v in paths.items()}
+
+
+def _grid_inputs(tmp_path):
+    # Spacing 1/22 is not dyadic, so KD-tree distances could differ from the
+    # dist_row formula in the last bit: make_domain and
+    # min_positive_distance must not let that show.
+    side = 12
+    space = build_grid_space(2, side, 1.0 / 22.0)
+    i, j = np.divmod(np.arange(space.n), side)
+    e_ids = np.flatnonzero(i < side // 2)
+    d_ids = np.flatnonzero((i > 0) & (i < side - 1) & (j > 0) & (j < side - 1))
+    return _space_inputs(space, e_ids, d_ids, tmp_path)
+
+
+def _interval_inputs(tmp_path):
+    space = interval_space(16)
+    return _space_inputs(space, unit_band_subset(space), np.arange(1, space.n - 1), tmp_path)
+
+
+# Every subcommand that reads a space file; keys of the inputs stand for paths.
+_DATA_COMMANDS = [
+    ["space", "validate"],
+    ["ball", "doubling"],
+    ["maximal", "--function", "W_X"],
+    ["maximal", "--function", "W_X", "--subset", "E", "--radius-cap", "0.2"],
+    ["characteristic", "--weight", "W_E", "--subset", "E", "--p", "2", "--eps-grid", "0,0.5"],
+    ["characteristic", "--weight", "W_X", "--domain", "D", "--p", "1.5"],
+    ["rhi", "--weight", "W_X", "--domain", "D", "--delta", "0.5"],
+    ["factorize", "--weight", "W_E", "--subset", "E", "--p", "2"],
+    ["extend", "--weight", "W_E", "--subset", "E", "--p", "1.5", "--eps", "0.5"],
+    ["condition", "--weight", "W_E", "--subset", "E", "--p", "2", "--eps-grid", "0,0.5",
+     "--budget", "30"],
+    ["restrict", "--weight", "W_X", "--subset", "E", "--p", "2", "--eps", "0.25"],
+    ["whitney", "--domain", "D"],
+    ["chains", "--domain", "D"],
+    ["qh", "--domain", "D", "--x", "x", "--y", "y"],
+]
+
+
+@pytest.mark.parametrize("make_inputs", [_grid_inputs, _interval_inputs],
+                         ids=["grid", "interval"])
+def test_coords_and_matrix_files_give_identical_reports(capsys, tmp_path, make_inputs):
+    inputs = make_inputs(tmp_path)
+    for command in _DATA_COMMANDS:
+        argv = [inputs.get(a, a) for a in command]
+        reports = []
+        for kind in ("coords", "matrix"):
+            rc, out, err = _run(capsys, argv + ["--space", inputs[kind]])
+            assert (rc, err) == (0, ""), (command, kind)
+            reports.append(out)
+        assert reports[0] == reports[1], command
+        json.loads(reports[0])
+
+
+def test_a_grid_too_large_for_a_matrix_round_trips_to_whitney(capsys, tmp_path):
+    target = tmp_path / "grid64.json"
+    argv = ["space", "build", "--dim", "2", "--side", "64", "--out", str(target)]
+    assert _run(capsys, argv) == (0, "", "")
+    grid = build_grid_space(2, 64, 1.0)
+    assert grid.n > DENSE_CAP
+    xy = grid.coords
+    d_ids = np.flatnonzero(np.hypot(xy[:, 0] - 31.5, xy[:, 1] - 31.5) < 24.0)
+    domain_path = tmp_path / "disk.json"
+    io.save_subset(domain_path, d_ids)
+    rc, out, err = _run(capsys, ["whitney", "--space", str(target), "--domain", str(domain_path)])
+    assert (rc, err) == (0, "")
+    cover = whitney_cover(grid, make_domain(grid, d_ids))
+    want = {
+        "balls": [
+            {"center": int(c), "radius": float(r), "members_count": int(m.size)}
+            for c, r, m in zip(cover.centers, cover.radii, cover.members)
+        ],
+        "overlap_n": cover.overlap_n,
+        "n_edges": int(cover.edges.shape[0]),
+        "invariants": check_cover_invariants(cover),
+    }
+    assert out == io.report_bytes(want).decode()
 
 
 # -- function and subset files ------------------------------------------------------
@@ -369,7 +490,7 @@ def test_cli_space_build_stdout(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["n"] == 9
-    assert doc["metric"]["type"] == "matrix"
+    assert doc["metric"]["type"] == "coords"
 
 
 def test_cli_maximal_restricts_to_the_subset(capsys, tmp_path, line11, artifacts):
@@ -781,3 +902,107 @@ def test_cli_qh_rejects_bad_endpoints(capsys, line7, x, y, flag):
     assert out == ""
     message = _assert_error(rc, err, 2, "InvalidParameter")
     assert (flag or "domain") in message
+
+
+@pytest.fixture
+def line8(tmp_path):
+    """An 8-point line from `space build`, saved as coords, as a matrix and as
+    a graph, and a weight on it."""
+    space = build_grid_space(1, 8, 1.0)
+    docs = {
+        "coords": io.space_to_dict(space),
+        "matrix": io.space_to_dict(space_from_matrix(space.dist_matrix(), space.mu, space.edges)),
+        "graph": {"version": 1, "n": 8, "mu": space.mu.tolist(),
+                  "metric": {"type": "graph", "edges": space.edges}},
+    }
+    paths = {kind: _write(tmp_path / f"{kind}.json", doc) for kind, doc in docs.items()}
+    paths["docs"] = docs
+    paths["w"] = str(tmp_path / "w.json")
+    io.save_function(paths["w"], np.linspace(1.0, 2.0, 8))
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["coords", "matrix", "graph"])
+@pytest.mark.parametrize("mass", [-1.0, 0.0])
+def test_cli_rejects_a_space_file_with_a_nonpositive_mass(capsys, tmp_path, line8, kind, mass):
+    argv = ["ball", "doubling", "--space"]
+    rc, out, _ = _run(capsys, argv + [line8[kind]])
+    assert rc == 0 and json.loads(out)["doubling_constant"] == pytest.approx(3.0)
+    doc = line8["docs"][kind]
+    doc["mu"][2] = mass
+    doc["mu"][5] = -2.0
+    rc, out, err = _run(capsys, argv + [_write(tmp_path / "bad.json", doc)])
+    assert out == ""
+    assert "point 2 " in _assert_error(rc, err, 2, "NonpositiveMass")
+
+
+@pytest.mark.parametrize("data", [[[0.0]] * 7 + [[float("nan")]], [[0.0]] * 7, list(range(8))])
+def test_cli_rejects_a_coords_file_with_bad_coordinates(capsys, tmp_path, line8, data):
+    argv = ["ball", "doubling", "--space"]
+    assert _run(capsys, argv + [line8["coords"]])[0] == 0
+    doc = line8["docs"]["coords"]
+    doc["metric"]["data"] = data
+    bad = _write(tmp_path / "bad.json", doc)
+    rc, out, err = _run(capsys, argv + [bad])
+    assert out == ""
+    assert bad in _assert_error(rc, err, 4, "ParseError")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["condition", "--p", "2", "--eps-grid", "0", "--budget", "{}"], "--budget"),
+        (["condition", "--p", "2", "--eps-grid", "0,{}", "--budget", "10"], "--eps-grid"),
+        (["characteristic", "--p", "{}"], "--p"),
+        (["factorize", "--p", "{}"], "--p"),
+        (["extend", "--p", "2", "--eps", "{}"], "--eps"),
+        (["restrict", "--p", "2", "--eps", "{}"], "--eps"),
+        (["rhi", "--delta", "{}"], "--delta"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cli_rejects_non_finite_parameters(capsys, line8, argv, flag, bad):
+    base = ["--space", line8["coords"], "--weight", line8["w"]]
+    good = [a.format("1.5") for a in argv] + base
+    rc, out, _ = _run(capsys, good)
+    assert rc == 0 and json.loads(out)
+    rc, out, err = _run(capsys, [a.format(bad) for a in argv] + base)
+    assert out == ""
+    assert flag in _assert_error(rc, err, 2, "InvalidParameter")
+
+
+@pytest.mark.parametrize("cap", ["-1", "0", "nan"])
+def test_cli_maximal_rejects_a_nonpositive_radius_cap(capsys, line8, cap):
+    argv = ["maximal", "--space", line8["coords"], "--function", line8["w"], "--radius-cap"]
+    rc, out, _ = _run(capsys, argv + ["2.5"])
+    assert rc == 0 and json.loads(out)["radius_cap"] == 2.5
+    rc, out, err = _run(capsys, argv + [cap])
+    assert out == ""
+    assert "radius" in _assert_error(rc, err, 2, "InvalidParameter")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "refine", "--scenario", "extension", "--sides", "{}"],
+        ["study", "refine", "--scenario", "whitney", "--sides", "{}"],
+        ["space", "build", "--dim", "1", "--side", "{}"],
+    ],
+    ids=["extension", "whitney", "build"],
+)
+def test_cli_rejects_a_side_of_zero(capsys, argv):
+    rc, out, _ = _run(capsys, [a.format("4") for a in argv])
+    assert rc == 0 and json.loads(out)
+    rc, out, err = _run(capsys, [a.format("0") for a in argv])
+    assert out == ""
+    assert "side" in _assert_error(rc, err, 2, "InvalidParameter")
+
+
+def test_writers_refuse_non_finite_numbers(tmp_path):
+    with pytest.raises(FormatError, match="non-finite"):
+        io.report_bytes({"value": float("nan")})
+    target = tmp_path / "f.json"
+    with pytest.raises(FormatError, match="non-finite"):
+        io.save_function(target, np.array([1.0, np.inf]))
+    assert not target.exists()
