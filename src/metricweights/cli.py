@@ -58,7 +58,7 @@ def _check_finite(args) -> None:
 
 def _emit(args, name: str, payload: dict) -> None:
     if args.out:
-        meta = {"argv": sys.argv[1:], "workers": getattr(args, "workers", 1)}
+        meta = {"argv": sys.argv[1:], "workers": args.workers}
         io.write_report(args.out, name, payload, meta)
     else:
         sys.stdout.write(io.report_bytes(payload).decode())
@@ -67,16 +67,12 @@ def _emit(args, name: str, payload: dict) -> None:
 def _load_weight_on(space, path, expect_ids=None):
     """Load a function file and check its domain matches the expectation."""
     ids, values = io.load_function(path)
-    if expect_ids is None:
-        if ids is not None:
-            raise FormatError("expected a function on X, got one on a subset")
-        if values.shape != (space.n,):
-            raise FormatError("function length does not match the space")
-        return values
     if ids is None:
         if values.shape != (space.n,):
             raise FormatError("function length does not match the space")
-        return values[expect_ids]
+        return values if expect_ids is None else values[expect_ids]
+    if expect_ids is None:
+        raise FormatError("expected a function on X, got one on a subset")
     if not np.array_equal(ids, expect_ids):
         raise FormatError("function subset does not match the requested subset")
     return values
@@ -93,86 +89,80 @@ def _subset_arg(space, args, flag: str = "subset"):
     return ids
 
 
-# -- handlers ------------------------------------------------------------------
+def _scoped_weight(args, flag: str):
+    """The space, the ids of the --subset or --domain file (None without one),
+    the ids the weight is aligned to (every point without one), and the
+    --weight values on those ids."""
+    space = io.load_space(args.space)
+    if args.subset and getattr(args, "domain", None):
+        raise FormatError("pass either --subset or --domain, not both")
+    ids = _subset_arg(space, args, flag)
+    expect = ids if ids is not None else np.arange(space.n)
+    return space, ids, expect, _load_weight_on(space, args.weight, expect_ids=expect)
 
 
-def _cmd_space_build(args) -> int:
+def _out_dir(args) -> Path | None:
+    """The --out directory, created, for files written beside the report."""
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return Path(args.out)
+
+
+# -- handlers: each returns (report name, payload) -----------------------------
+
+
+def _cmd_space_build(args) -> None:
     space = build_grid_space(args.dim, args.side, args.spacing)
-    doc = io.space_to_dict(space)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        io.save_space(args.out, space)
     else:
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
-    return 0
+        sys.stdout.write(io._dumps(io.space_to_dict(space), sort_keys=True) + "\n")
 
 
-def _cmd_space_validate(args) -> int:
+def _cmd_space_validate(args):
+    return "validate", validate_space(io.load_space(args.space)).to_dict()
+
+
+def _cmd_ball_doubling(args):
     space = io.load_space(args.space)
-    report = validate_space(space)
-    _emit(args, "validate", report.to_dict())
-    return 0
+    return "doubling", {"doubling_constant": doubling_constant(space), "n": space.n}
 
 
-def _cmd_ball_doubling(args) -> int:
-    space = io.load_space(args.space)
-    value = doubling_constant(space)
-    _emit(args, "doubling", {"doubling_constant": value, "n": space.n})
-    return 0
-
-
-def _cmd_maximal(args) -> int:
+def _cmd_maximal(args):
     space = io.load_space(args.space)
     f = _load_weight_on(space, args.function)
     subset = _subset_arg(space, args)
     if subset is not None:
         f = f[subset]
     values = maximal_fn(space, f, E=subset, radius_cap=args.radius_cap)
-    payload = io.function_to_dict(values)
-    payload["radius_cap"] = args.radius_cap
-    _emit(args, "maximal", payload)
-    return 0
+    return "maximal", {**io.function_to_dict(values), "radius_cap": args.radius_cap}
 
 
-def _cmd_characteristic(args) -> int:
-    space = io.load_space(args.space)
-    if args.domain and args.subset:
-        raise FormatError("pass either --subset or --domain, not both")
-    if args.domain:
-        scope, ids = "domain", _subset_arg(space, args, "domain")
-        characteristic = ap_domain_characteristic
-    else:
-        scope, ids = "subset", _subset_arg(space, args)
-        characteristic = ap_tilde_characteristic
-    expect = ids if ids is not None else np.arange(space.n)
-    w = _load_weight_on(space, args.weight, expect_ids=expect)
-    if args.eps_grid:
-        report = _eps_table(
-            lambda v: characteristic(space, ids, v, args.p).value,
-            w, args.p, args.eps_grid, np.inf,
-        )
-        table = [{"eps": e, "value": c} for e, c in report.table]
-        payload = {"p": args.p, "scope": scope, "table": table}
-    else:
-        payload = characteristic(space, ids, w, args.p).to_dict()
-    _emit(args, "characteristic", payload)
-    return 0
+def _cmd_characteristic(args):
+    scope = "domain" if args.domain else "subset"
+    space, ids, _, w = _scoped_weight(args, scope)
+    characteristic = ap_domain_characteristic if args.domain else ap_tilde_characteristic
+    if not args.eps_grid:
+        return "characteristic", characteristic(space, ids, w, args.p).to_dict()
+    report = _eps_table(
+        lambda v: characteristic(space, ids, v, args.p).value,
+        w, args.p, args.eps_grid, np.inf,
+    )
+    table = [{"eps": e, "value": c} for e, c in report.table]
+    return "characteristic", {"p": args.p, "scope": scope, "table": table}
 
 
-def _cmd_rhi(args) -> int:
+def _cmd_rhi(args):
     space = io.load_space(args.space)
     domain = _subset_arg(space, args, "domain")
     w = _load_weight_on(space, args.weight, expect_ids=domain)
     value = reverse_holder_constant(space, w, args.delta, domain=domain)
-    _emit(args, "rhi", {"delta": args.delta, "value": value})
-    return 0
+    return "rhi", {"delta": args.delta, "value": value}
 
 
-def _cmd_factorize(args) -> int:
-    space = io.load_space(args.space)
-    e_ids = _subset_arg(space, args)
-    expect = e_ids if e_ids is not None else np.arange(space.n)
-    v = _load_weight_on(space, args.weight, expect_ids=expect)
+def _cmd_factorize(args):
+    space, e_ids, expect, v = _scoped_weight(args, "subset")
     fact = jones_factorize(space, e_ids, v, args.p)
     k1, k2 = fact.bounds()
     payload = {
@@ -186,58 +176,44 @@ def _cmd_factorize(args) -> int:
         "bound_v1": k1,
         "bound_v2": k2,
     }
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out := _out_dir(args):
         io.save_function(out / "v1.json", fact.v1, expect)
         io.save_function(out / "v2.json", fact.v2, expect)
         io.save_function(out / "eta.json", fact.eta, expect)
-    _emit(args, "factorize", payload)
-    return 0
+    return "factorize", payload
 
 
-def _cmd_extend(args) -> int:
-    space = io.load_space(args.space)
-    e_ids = _subset_arg(space, args)
-    expect = e_ids if e_ids is not None else np.arange(space.n)
-    w = _load_weight_on(space, args.weight, expect_ids=expect)
+def _cmd_extend(args):
+    space, e_ids, expect, w = _scoped_weight(args, "subset")
     report = wolff_extend(space, e_ids, w, args.p, args.eps)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out := _out_dir(args):
         io.save_function(out / "W.json", report.W)
         io.save_function(out / "g.json", report.g)
         io.save_function(out / "v1.json", report.factorization.v1, expect)
         io.save_function(out / "v2.json", report.factorization.v2, expect)
-    _emit(args, "extend", report.to_dict())
-    return 0
+    return "extend", report.to_dict()
 
 
-def _cmd_condition(args) -> int:
-    space = io.load_space(args.space)
-    e_ids = _subset_arg(space, args)
-    expect = e_ids if e_ids is not None else np.arange(space.n)
-    w = _load_weight_on(space, args.weight, expect_ids=expect)
-    report = check_extension_condition(
-        space, e_ids, w, args.p, args.eps_grid, args.budget
-    )
-    _emit(args, "condition", report.to_dict())
-    return 0
+def _cmd_condition(args):
+    space, e_ids, _, w = _scoped_weight(args, "subset")
+    report = check_extension_condition(space, e_ids, w, args.p, args.eps_grid, args.budget)
+    return "condition", report.to_dict()
 
 
-def _cmd_restrict(args) -> int:
+def _cmd_restrict(args):
     space = io.load_space(args.space)
     e_ids = _subset_arg(space, args)
     w = _load_weight_on(space, args.weight, expect_ids=None)
-    report = restrict_weight_report(space, e_ids, w, args.p, eps=args.eps)
-    _emit(args, "restrict", report.to_dict())
-    return 0
+    return "restrict", restrict_weight_report(space, e_ids, w, args.p, eps=args.eps).to_dict()
 
 
-def _cmd_whitney(args) -> int:
+def _space_and_domain(args):
     space = io.load_space(args.space)
-    domain = make_domain(space, _subset_arg(space, args, "domain"))
-    cover = whitney_cover(space, domain)
+    return space, make_domain(space, _subset_arg(space, args, "domain"))
+
+
+def _cmd_whitney(args):
+    cover = whitney_cover(*_space_and_domain(args))
     checks = check_cover_invariants(cover)
     payload = {
         "balls": [
@@ -248,27 +224,19 @@ def _cmd_whitney(args) -> int:
         "n_edges": int(cover.edges.shape[0]),
         "invariants": checks,
     }
-    _emit(args, "whitney", payload)
-    return 0
+    return "whitney", payload
 
 
-def _cmd_chains(args) -> int:
-    space = io.load_space(args.space)
-    domain = make_domain(space, _subset_arg(space, args, "domain"))
-    payload = studies.chain_report(space, domain, seed=args.seed)
-    _emit(args, "chains", payload)
-    return 0
+def _cmd_chains(args):
+    return "chains", studies.chain_report(*_space_and_domain(args), seed=args.seed)
 
 
-def _cmd_qh(args) -> int:
-    space = io.load_space(args.space)
-    domain = make_domain(space, _subset_arg(space, args, "domain"))
+def _cmd_qh(args):
+    space, domain = _space_and_domain(args)
     for flag in ("x", "y"):
         if not 0 <= getattr(args, flag) < space.n:
             raise InvalidParameter(f"--{flag} must be a point id in [0, {space.n})")
-    value = qh_distance(space, domain, args.x, args.y)
-    _emit(args, "qh", {"x": args.x, "y": args.y, "qh": value})
-    return 0
+    return "qh", {"x": args.x, "y": args.y, "qh": qh_distance(space, domain, args.x, args.y)}
 
 
 _SCENARIOS = {
@@ -293,21 +261,103 @@ _SCENARIOS = {
 }
 
 
-def _cmd_study_refine(args) -> int:
+def _cmd_study_refine(args):
     rows = _SCENARIOS[args.scenario](args)
-    payload = {"scenario": args.scenario, "rows": rows, "seed": args.seed}
-    _emit(args, "study", payload)
-    if args.out:
-        io.write_csv(Path(args.out) / "study.csv", rows)
-    return 0
+    if out := _out_dir(args):
+        io.write_csv(out / "study.csv", rows)
+    return "study", {"scenario": args.scenario, "rows": rows, "seed": args.seed}
 
 
 # -- parser ---------------------------------------------------------------------
 
+# argparse settings of every flag but --out and --workers, written once.
+_FLAGS = {
+    "space": dict(required=True),
+    "weight": dict(required=True),
+    "function": dict(required=True),
+    "subset": dict(),
+    "domain": dict(),
+    "p": dict(type=float, required=True),
+    "eps": dict(type=float, required=True),
+    "eps-grid": dict(type=_floats, required=True),
+    "budget": dict(type=float, required=True),
+    "delta": dict(type=float, required=True),
+    "radius-cap": dict(type=float, default=None),
+    "seed": dict(type=int, default=0),
+    "x": dict(type=int, required=True),
+    "y": dict(type=int, required=True),
+    "scenario": dict(required=True, choices=sorted(_SCENARIOS)),
+    "sides": dict(type=_ints, required=True),
+    "exponent": dict(type=float, default=0.5),
+    "dim": dict(type=int, required=True, choices=(1, 2, 3)),
+    "side": dict(type=int, required=True),
+    "spacing": dict(type=float, default=1.0),
+}
 
-def _add_common(sp, out_help: str = "directory for report files") -> None:
-    sp.add_argument("--out", help=out_help)
-    sp.add_argument("--workers", type=int, default=1)
+# (name, help, handler, flags) of every subcommand but `space build`, in help
+# order. A flag is a name of _FLAGS, or (name, settings) where the settings
+# override those of _FLAGS for this subcommand.
+_COMMANDS = [
+    ("space validate", "check the metric axioms", _cmd_space_validate, ["space"]),
+    ("ball doubling", "doubling constant of the measure", _cmd_ball_doubling, ["space"]),
+    ("maximal", "restricted maximal function", _cmd_maximal,
+     ["space", "function", "subset", "radius-cap"]),
+    ("characteristic", "weight class characteristics", _cmd_characteristic,
+     ["space", "weight", "subset", "domain", "p", ("eps-grid", dict(required=False))]),
+    ("rhi", "reverse Holder constant", _cmd_rhi, ["space", "weight", "domain", "delta"]),
+    ("factorize", "two-factor decomposition of a weight", _cmd_factorize,
+     ["space", "weight", "subset", "p"]),
+    ("extend", "extend a weight from a subset", _cmd_extend,
+     ["space", "weight", "subset", "p", "eps"]),
+    ("condition", "epsilon table for the extension condition", _cmd_condition,
+     ["space", "weight", "subset", "p", "eps-grid", "budget"]),
+    ("restrict", "compare a global weight with its restriction", _cmd_restrict,
+     ["space", "weight", "subset", "p", ("eps", dict(required=False, default=0.0))]),
+    ("whitney", "cover a proper domain", _cmd_whitney, ["space", ("domain", dict(required=True))]),
+    ("chains", "chain statistics over sampled ball pairs", _cmd_chains,
+     ["space", ("domain", dict(required=True)), "seed"]),
+    ("qh", "quasihyperbolic distance between two points", _cmd_qh,
+     ["space", ("domain", dict(required=True)), "x", "y"]),
+    ("study refine", "run a scenario over a side list", _cmd_study_refine,
+     ["scenario", "sides", "exponent", ("p", dict(required=False, default=2.0)),
+      ("eps", dict(required=False, default=0.5)), "seed"]),
+]
+
+# help of the commands that group subcommands
+_GROUPS = {
+    "space": "build or validate space files",
+    "ball": "ball-family statistics",
+    "study": "refinement studies",
+}
+
+# Flags that take a number, or a comma-separated list of numbers.
+_NUMBER_FLAGS = {"--workers"} | {
+    "--" + name for name, settings in _FLAGS.items()
+    if settings.get("type") in (int, float, _floats, _ints)
+}
+
+
+def _negative_numbers(token: str) -> bool:
+    """True for a value like -1, -inf, -1e-3 or -0.5,0."""
+    try:
+        return token.startswith("-") and bool(_floats(token))
+    except ValueError:
+        return False
+
+
+def _number_values(argv: list[str]) -> list[str]:
+    """Join a number flag and a negative value after it into `--flag=value`.
+
+    argparse takes a token that starts with '-' for a flag unless it is a
+    plain negative number, so `--delta -inf` or `--exponent -1e-3` would fail.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMBER_FLAGS and _negative_numbers(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,122 +366,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weights, maximal operators, and Whitney geometry on finite metric measure spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}
 
-    space_p = sub.add_parser("space", help="build or validate space files")
-    space_sub = space_p.add_subparsers(dest="action", required=True)
-    b = space_sub.add_parser("build", help="uniform grid space")
-    b.add_argument("--dim", type=int, required=True, choices=(1, 2, 3))
-    b.add_argument("--side", type=int, required=True)
-    b.add_argument("--spacing", type=float, default=1.0)
+    def add_parser(name: str, text: str) -> argparse.ArgumentParser:
+        *group, leaf = name.split()
+        if not group:
+            return sub.add_parser(leaf, help=text)
+        if group[0] not in groups:
+            parent = sub.add_parser(group[0], help=_GROUPS[group[0]])
+            groups[group[0]] = parent.add_subparsers(dest="action", required=True)
+        return groups[group[0]].add_parser(leaf, help=text)
+
+    b = add_parser("space build", "uniform grid space")
+    for flag in ("dim", "side", "spacing"):
+        b.add_argument("--" + flag, **_FLAGS[flag])
     b.add_argument("--out", help="target space file (stdout when omitted)")
     b.set_defaults(func=_cmd_space_build)
-    v = space_sub.add_parser("validate", help="check the metric axioms")
-    v.add_argument("--space", required=True)
-    _add_common(v)
-    v.set_defaults(func=_cmd_space_validate)
-
-    ball_p = sub.add_parser("ball", help="ball-family statistics")
-    ball_sub = ball_p.add_subparsers(dest="action", required=True)
-    d = ball_sub.add_parser("doubling", help="doubling constant of the measure")
-    d.add_argument("--space", required=True)
-    _add_common(d)
-    d.set_defaults(func=_cmd_ball_doubling)
-
-    m = sub.add_parser("maximal", help="restricted maximal function")
-    m.add_argument("--space", required=True)
-    m.add_argument("--function", required=True)
-    m.add_argument("--subset")
-    m.add_argument("--radius-cap", type=float, default=None)
-    _add_common(m)
-    m.set_defaults(func=_cmd_maximal)
-
-    c = sub.add_parser("characteristic", help="weight class characteristics")
-    c.add_argument("--space", required=True)
-    c.add_argument("--weight", required=True)
-    c.add_argument("--subset")
-    c.add_argument("--domain")
-    c.add_argument("--p", type=float, required=True)
-    c.add_argument("--eps-grid", type=_floats, default=None)
-    _add_common(c)
-    c.set_defaults(func=_cmd_characteristic)
-
-    r = sub.add_parser("rhi", help="reverse Holder constant")
-    r.add_argument("--space", required=True)
-    r.add_argument("--weight", required=True)
-    r.add_argument("--domain")
-    r.add_argument("--delta", type=float, required=True)
-    _add_common(r)
-    r.set_defaults(func=_cmd_rhi)
-
-    f = sub.add_parser("factorize", help="two-factor decomposition of a weight")
-    f.add_argument("--space", required=True)
-    f.add_argument("--weight", required=True)
-    f.add_argument("--subset")
-    f.add_argument("--p", type=float, required=True)
-    _add_common(f)
-    f.set_defaults(func=_cmd_factorize)
-
-    e = sub.add_parser("extend", help="extend a weight from a subset")
-    e.add_argument("--space", required=True)
-    e.add_argument("--weight", required=True)
-    e.add_argument("--subset")
-    e.add_argument("--p", type=float, required=True)
-    e.add_argument("--eps", type=float, required=True)
-    _add_common(e)
-    e.set_defaults(func=_cmd_extend)
-
-    co = sub.add_parser("condition", help="epsilon table for the extension condition")
-    co.add_argument("--space", required=True)
-    co.add_argument("--weight", required=True)
-    co.add_argument("--subset")
-    co.add_argument("--p", type=float, required=True)
-    co.add_argument("--eps-grid", type=_floats, required=True)
-    co.add_argument("--budget", type=float, required=True)
-    _add_common(co)
-    co.set_defaults(func=_cmd_condition)
-
-    re = sub.add_parser("restrict", help="compare a global weight with its restriction")
-    re.add_argument("--space", required=True)
-    re.add_argument("--weight", required=True)
-    re.add_argument("--subset")
-    re.add_argument("--p", type=float, required=True)
-    re.add_argument("--eps", type=float, default=0.0)
-    _add_common(re)
-    re.set_defaults(func=_cmd_restrict)
-
-    w = sub.add_parser("whitney", help="cover a proper domain")
-    w.add_argument("--space", required=True)
-    w.add_argument("--domain", required=True)
-    _add_common(w)
-    w.set_defaults(func=_cmd_whitney)
-
-    ch = sub.add_parser("chains", help="chain statistics over sampled ball pairs")
-    ch.add_argument("--space", required=True)
-    ch.add_argument("--domain", required=True)
-    ch.add_argument("--seed", type=int, default=0)
-    _add_common(ch)
-    ch.set_defaults(func=_cmd_chains)
-
-    q = sub.add_parser("qh", help="quasihyperbolic distance between two points")
-    q.add_argument("--space", required=True)
-    q.add_argument("--domain", required=True)
-    q.add_argument("--x", type=int, required=True)
-    q.add_argument("--y", type=int, required=True)
-    _add_common(q)
-    q.set_defaults(func=_cmd_qh)
-
-    st = sub.add_parser("study", help="refinement studies")
-    st_sub = st.add_subparsers(dest="action", required=True)
-    sr = st_sub.add_parser("refine", help="run a scenario over a side list")
-    sr.add_argument("--scenario", required=True, choices=sorted(_SCENARIOS))
-    sr.add_argument("--sides", type=_ints, required=True)
-    sr.add_argument("--exponent", type=float, default=0.5)
-    sr.add_argument("--p", type=float, default=2.0)
-    sr.add_argument("--eps", type=float, default=0.5)
-    sr.add_argument("--seed", type=int, default=0)
-    _add_common(sr)
-    sr.set_defaults(func=_cmd_study_refine)
-
+    for name, text, handler, flags in _COMMANDS:
+        sp = add_parser(name, text)
+        for flag in flags:
+            key, override = (flag, {}) if isinstance(flag, str) else flag
+            sp.add_argument("--" + key, **{**_FLAGS[key], **override})
+        sp.add_argument("--out", help="directory for report files")
+        sp.add_argument("--workers", type=int, default=1)
+        sp.set_defaults(func=handler)
     return parser
 
 
@@ -444,11 +402,13 @@ def _exit_code(exc: MetricWeightsError) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(_number_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_finite(args)
-        return args.func(args)
+        report = args.func(args)
+        if report is not None:
+            _emit(args, *report)
+        return 0
     except MetricWeightsError as exc:
         code = _exit_code(exc)
         error = {

@@ -72,7 +72,6 @@ def wolff_extend(
     w: np.ndarray,
     p: float,
     eps: float,
-    workers: int = 1,
 ) -> ExtensionReport:
     """Extend w (on E, exponent p >= 1, margin eps > 0) to a global weight."""
     if p < 1:

@@ -113,7 +113,6 @@ def rdf_apply_T(
     v: np.ndarray,
     p: float,
     f: np.ndarray,
-    workers: int = 1,
 ) -> np.ndarray:
     """One application of the iteration operator at exponent p >= 2.
 
@@ -143,7 +142,6 @@ def jones_factorize(
     E,
     v: np.ndarray,
     p: float,
-    workers: int = 1,
 ) -> FactorizationResult:
     """Split v (exponent p >= 1, on E) into verified A1-class factors.
 

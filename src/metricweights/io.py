@@ -12,9 +12,9 @@ Three JSON artifact kinds, all schema-versioned:
 * function files: {"version": 1, "domain": "X"|"E", "E": [ids]?, "values"};
 * subset files: {"version": 1, "ids": [...]}.
 
-Loaders accept only finite numbers and integer ids; anything else is a
-ParseError. A space file whose masses are not all positive fails with
-NonpositiveMass.
+Loaders accept only finite numbers, coordinates whose distances are finite
+too, and integer ids; anything else is a ParseError. A space file whose
+masses are not all positive fails with NonpositiveMass.
 
 Reports are written as two files: <name>.json holds only deterministic
 content (sorted keys, stable float repr), <name>.meta.json holds timestamps
@@ -111,10 +111,14 @@ def _finite(doc: dict, key: str, path) -> np.ndarray:
 
 def _ids(doc: dict, key: str, path) -> np.ndarray:
     """A field as a 1-d array of distinct whole-number point ids, in file order."""
-    ids = np.asarray(_field(doc, key, path))
+    bad = ParseError(f"{path}: field {key!r} must be a list of integer ids")
+    try:
+        ids = np.asarray(_field(doc, key, path))
+    except ValueError as exc:  # a ragged list, such as [2, [3], 4]
+        raise bad from exc
     whole = ids.dtype.kind in "iuf" and np.isfinite(ids).all() and not (ids % 1).any()
     if ids.ndim != 1 or not whole:
-        raise ParseError(f"{path}: field {key!r} must be a list of integer ids")
+        raise bad
     if np.unique(ids).size != ids.size:
         raise ParseError(f"{path}: {key!r} contains repeated ids")
     return ids.astype(np.intp)
@@ -203,6 +207,9 @@ def load_space(path) -> MetricMeasureSpace:
         data = _finite(metric, "data", path)
         if data.ndim != 2 or data.shape[0] != n or data.shape[1] == 0:
             raise ParseError(f"{path}: metric data must be {n} rows of coordinates")
+        # Below this bound every squared distance sum stays finite.
+        if np.abs(data).max() > np.sqrt(np.finfo(float).max / data.shape[1]) / 4:
+            raise ParseError(f"{path}: coordinates too large for finite distances")
         backend = {"coords": data}
     elif metric["type"] == "matrix":
         data = _finite(metric, "data", path)

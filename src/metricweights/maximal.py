@@ -62,7 +62,6 @@ def maximal_fn(
     f: np.ndarray,
     E=None,
     radius_cap: float | None = None,
-    workers: int = 1,
 ) -> np.ndarray:
     """Subset-relative maximal function of f, evaluated at every point of X.
 
@@ -73,7 +72,6 @@ def maximal_fn(
     E : optional subset (bool mask or id array); None means all of X.
     radius_cap : optional R > 0; only balls whose representative radius is
         <= R participate. Points contained in no such ball get 0.
-    workers : accepted for compatibility; has no effect.
 
     Averages are nonnegative, so a ball past the cap takes part with
     average 0 instead of being dropped, and one suffix-maximum sweep per

@@ -72,7 +72,6 @@ def extension_refinement_study(
     exponent: float = 0.5,
     p: float = 2.0,
     eps: float = 0.5,
-    workers: int = 1,
 ) -> list[dict]:
     """Extend w = |x|^exponent from [0, 1] at each side; report the constants."""
     rows = []
@@ -100,7 +99,6 @@ def condition_refinement_study(
     exponent: float,
     p: float = 2.0,
     eps: float = 0.5,
-    workers: int = 1,
 ) -> list[dict]:
     """Characteristic of w^{1+eps} on the unit band at each refinement side."""
     rows = []

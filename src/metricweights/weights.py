@@ -108,7 +108,6 @@ def ap_tilde_characteristic(
     E,
     w: np.ndarray,
     p: float,
-    workers: int = 1,
 ) -> CharacteristicReport:
     """Characteristic of w in the subset-induced class of exponent p.
 

@@ -117,15 +117,6 @@ def test_extension_takes_at_most_twenty_maximal_sweeps(monkeypatch, p):
     np.testing.assert_array_equal(rep.W, expected)
 
 
-def test_extension_is_worker_invariant(line11, rng):
-    w = oracles.random_weight(rng, 7)
-    e_ids = np.arange(2, 9)
-    one = wolff_extend(line11, e_ids, w, 2.0, eps=1.0, workers=1)
-    many = wolff_extend(line11, e_ids, w, 2.0, eps=1.0, workers=4)
-    np.testing.assert_array_equal(one.W, many.W)
-    assert one.ap_constant_W == many.ap_constant_W
-
-
 def test_extend_rejects_bad_inputs(s3):
     w = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ExponentRange):

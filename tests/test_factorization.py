@@ -167,16 +167,6 @@ def test_swapped_branch_bookkeeping(line11, rng):
     np.testing.assert_allclose(fact.base_weight, v ** (1.0 - fact.base_p), rtol=1e-12)
 
 
-def test_factorization_is_worker_invariant(line11, rng):
-    v = oracles.random_weight(rng, line11.n)
-    one = jones_factorize(line11, None, v, 2.0, workers=1)
-    many = jones_factorize(line11, None, v, 2.0, workers=4)
-    np.testing.assert_array_equal(one.v1, many.v1)
-    np.testing.assert_array_equal(one.v2, many.v2)
-    assert one.c == many.c
-    assert one.k_max == many.k_max
-
-
 def test_a1_bounds_shape():
     k1, k2 = a1_bounds(3.0, 2.0)
     assert k2 == 6.0

@@ -61,3 +61,30 @@ def test_the_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+WORKLOADS = PACKAGE.parents[1] / "perfbench" / "workloads.py"
+
+
+def _called_with_workers(source: str) -> set[str]:
+    """Names of the functions a module calls with a workers= keyword."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and any(k.arg == "workers" for k in node.keywords):
+            func = node.func
+            names.add(func.attr if isinstance(func, ast.Attribute) else func.id)
+    return names
+
+
+def test_only_functions_the_benchmark_calls_with_workers_take_it():
+    # The keyword has no effect; it stays only where the benchmark passes it.
+    allowed = _called_with_workers(WORKLOADS.read_text())
+    taking = [
+        f"{module.name}:{node.name}"
+        for module in MODULES
+        for node in ast.walk(ast.parse(module.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "workers" in [a.arg for a in node.args.args + node.args.kwonlyargs]
+        and node.name not in allowed
+    ]
+    assert taking == []

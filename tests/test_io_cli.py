@@ -1,7 +1,13 @@
+import copy
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import oracles
 from metricweights import (
@@ -333,7 +339,7 @@ def test_subset_round_trip_sorts_and_rejects_duplicates(tmp_path):
         io.load_subset(_write(tmp_path / "dup.json", {"version": 1, "ids": [1, 1]}))
 
 
-@pytest.mark.parametrize("ids", [[2.7, 3], [[1, 2]], 3, ["1"], [1, None]])
+@pytest.mark.parametrize("ids", [[2.7, 3], [[1, 2]], 3, ["1"], [1, None], [2, [3], 4]])
 def test_id_lists_in_files_must_be_integers(tmp_path, ids):
     with pytest.raises(ParseError, match="integer ids"):
         io.load_subset(_write(tmp_path / "e.json", {"version": 1, "ids": ids}))
@@ -936,7 +942,11 @@ def test_cli_rejects_a_space_file_with_a_nonpositive_mass(capsys, tmp_path, line
     assert "point 2 " in _assert_error(rc, err, 2, "NonpositiveMass")
 
 
-@pytest.mark.parametrize("data", [[[0.0]] * 7 + [[float("nan")]], [[0.0]] * 7, list(range(8))])
+@pytest.mark.parametrize(
+    "data",
+    # the last one overflowed the KD-tree of `whitney` and `chains`
+    [[[0.0]] * 7 + [[float("nan")]], [[0.0]] * 7, list(range(8)), [[0.0]] * 7 + [[1e308]]],
+)
 def test_cli_rejects_a_coords_file_with_bad_coordinates(capsys, tmp_path, line8, data):
     argv = ["ball", "doubling", "--space"]
     assert _run(capsys, argv + [line8["coords"]])[0] == 0
@@ -961,7 +971,7 @@ def test_cli_rejects_a_coords_file_with_bad_coordinates(capsys, tmp_path, line8,
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_cli_rejects_non_finite_parameters(capsys, line8, argv, flag, bad):
     base = ["--space", line8["coords"], "--weight", line8["w"]]
     good = [a.format("1.5") for a in argv] + base
@@ -999,6 +1009,20 @@ def test_cli_rejects_a_side_of_zero(capsys, argv):
     assert "side" in _assert_error(rc, err, 2, "InvalidParameter")
 
 
+def test_cli_takes_a_negative_number_after_its_flag(capsys, line12):
+    # argparse alone reads "-1e-3" or "-0.5,0" after a flag as another flag
+    argv = ["study", "refine", "--scenario", "condition", "--sides", "4"]
+    rc, joined, _ = _run(capsys, argv + ["--exponent=-1e-3"])
+    assert rc == 0 and json.loads(joined)["rows"]
+    assert _run(capsys, argv + ["--exponent", "-1e-3"]) == (0, joined, "")
+    argv = ["characteristic", "--space", line12["space"], "--weight", line12["w"], "--p", "2"]
+    rc, out, _ = _run(capsys, argv + ["--eps-grid", "0,0.5"])
+    assert rc == 0 and json.loads(out)
+    rc, out, err = _run(capsys, argv + ["--eps-grid", "-0.5,0"])
+    assert out == ""
+    _assert_error(rc, err, 2, "InvalidParameter")
+
+
 def test_writers_refuse_non_finite_numbers(tmp_path):
     with pytest.raises(FormatError, match="non-finite"):
         io.report_bytes({"value": float("nan")})
@@ -1006,3 +1030,68 @@ def test_writers_refuse_non_finite_numbers(tmp_path):
     with pytest.raises(FormatError, match="non-finite"):
         io.save_function(target, np.array([1.0, np.inf]))
     assert not target.exists()
+
+
+# -- fuzzing -----------------------------------------------------------------------------
+
+_NESTED = [[0], [1, 2]]
+_DELETE = "<delete>"
+_FILE_KEYS = ("W_X", "W_E", "E", "D")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    inputs = _space_inputs(build_grid_space(1, 12, 1.0), np.arange(6), np.arange(1, 11), tmp)
+    inputs["mutated"] = str(tmp / "mutated.json")
+    return inputs
+
+
+def _nodes(doc, path=()):
+    """The path of every value inside a JSON document, depth first."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _nodes(value, path + (key,))
+
+
+def _refuse(constant):
+    raise AssertionError(f"{constant} in the JSON output")
+
+
+@given(
+    command=st.sampled_from(_DATA_COMMANDS),
+    kind=st.sampled_from(["coords", "matrix"]),
+    target=st.integers(0, 3),
+    node=st.integers(0, 10**4),
+    value=st.sampled_from([None, True, "x", [], {}, _NESTED, 1e308, -1, 2**63, _DELETE]),
+)
+@example(command=["whitney", "--domain", "D"], kind="coords", target=1, node=2, value=_NESTED)
+def test_cli_fails_cleanly_on_a_mutated_input_file(fuzz_inputs, command, kind, target, node,
+                                                   value):
+    # Replace or delete one node of one file the command reads: the space
+    # file or one of its function and subset files.
+    files = [kind] + [a for a in command if a in _FILE_KEYS]
+    key = files[target % len(files)]
+    doc = json.loads(Path(fuzz_inputs[key]).read_text())
+    paths = list(_nodes(doc))
+    *parent, last = paths[node % len(paths)]
+    holder = reduce(lambda d, k: d[k], parent, doc)
+    if value == _DELETE:
+        del holder[last]
+    else:
+        holder[last] = copy.deepcopy(value)
+    _write(Path(fuzz_inputs["mutated"]), doc)
+    inputs = {**fuzz_inputs, key: fuzz_inputs["mutated"]}
+    argv = [inputs.get(a, a) for a in command] + ["--space", inputs[kind]]
+
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3, 4), argv
+    if rc:
+        assert out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"]["exit_code"] == rc
+    else:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_refuse)

@@ -138,19 +138,6 @@ def test_holder_margin_matches_naive_enumeration(seed):
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_characteristics_are_worker_invariant(rng):
-    space = oracles.random_metric_space(rng, 17)
-    w = oracles.random_weight(rng, 17)
-    for p in (1.0, 2.0):
-        one = ap_tilde_characteristic(space, None, w, p, workers=1)
-        many = ap_tilde_characteristic(space, None, w, p, workers=3)
-        assert one.value == many.value
-        assert (one.witness_center, one.witness_prefix) == (
-            many.witness_center,
-            many.witness_prefix,
-        )
-
-
 # -- structural inequalities -------------------------------------------------------
 
 
