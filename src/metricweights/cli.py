@@ -404,10 +404,12 @@ def _exit_code(exc: MetricWeightsError) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_number_values(sys.argv[1:] if argv is None else argv))
     try:
-        _check_finite(args)
-        report = args.func(args)
-        if report is not None:
-            _emit(args, *report)
+        # stderr holds only the error; the strict writers still refuse inf and NaN.
+        with np.errstate(all="ignore"):
+            _check_finite(args)
+            report = args.func(args)
+            if report is not None:
+                _emit(args, *report)
         return 0
     except MetricWeightsError as exc:
         code = _exit_code(exc)

@@ -117,8 +117,9 @@ def _ids(doc: dict, key: str, path) -> np.ndarray:
     except ValueError as exc:  # a ragged list, such as [2, [3], 4]
         raise bad from exc
     whole = ids.dtype.kind in "iuf" and np.isfinite(ids).all() and not (ids % 1).any()
-    if ids.ndim != 1 or not whole:
-        raise bad
+    with np.errstate(invalid="ignore"):  # an id beyond intp must not wrap around
+        if ids.ndim != 1 or not whole or (ids.astype(np.intp) != ids).any():
+            raise bad
     if np.unique(ids).size != ids.size:
         raise ParseError(f"{path}: {key!r} contains repeated ids")
     return ids.astype(np.intp)

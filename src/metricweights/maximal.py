@@ -82,16 +82,20 @@ def maximal_fn(
     if radius_cap is not None and not radius_cap > 0:
         raise InvalidParameter("radius_cap must be positive")
 
-    cb = space.canonical
-    cb.ensure_all()
     out = np.zeros(space.n)
-    for c in range(space.n):
-        data = cb.center(c)
-        avg = data.prefix_sums(fx_mu) / data.mu_prefix
+    for block in space.canonical:
+        avg = block.prefix_sums(fx_mu) / block.mu_prefix
         if radius_cap is not None:
-            avg[data.reps() > radius_cap] = 0.0
-        suffix = np.maximum.accumulate(avg[::-1])[::-1]
-        np.maximum(out, suffix[data.point_prefix], out=out)
+            avg[block.reps() > radius_cap] = 0.0
+        # Row i of table holds center i's averages, last prefix first, after
+        # zeros that no average (all >= 0) loses to; its running maximum at
+        # flat index last[i] - k is the largest average of a ball holding prefix k.
+        counts = np.diff(block.starts)
+        last = np.arange(1, counts.size + 1) * int(counts.max()) - 1
+        table = np.zeros(last[-1] + 1)
+        table[np.repeat(last + block.starts[:-1], counts) - np.arange(avg.size)] = avg
+        table = np.maximum.accumulate(table.reshape(counts.size, -1), axis=1)
+        np.maximum(out, np.take(table, last[:, None] - block.point_prefix).max(axis=0), out=out)
     return out
 
 

@@ -40,6 +40,12 @@ SAMPLE_TRIPLES = 20000
 # blocks save little time and cost memory.
 BALL_QUERY_BLOCK = 256
 
+# The canonical cache is built, stored and scanned in blocks of at most
+# CANONICAL_BLOCK centers, one numpy call per block, whose b x n transients
+# keep to CANONICAL_BLOCK_CELLS entries so that they stay in cache.
+CANONICAL_BLOCK = 64
+CANONICAL_BLOCK_CELLS = 32768
+
 # Blanket relative tolerance for asserted equalities.
 REL_TOL = 1e-12
 
@@ -78,59 +84,84 @@ class ValidationReport:
         }
 
 
-class _CenterData:
-    """Distance-sorted prefix machinery for one ball center.
+@dataclass(slots=True, eq=False)
+class _CenterBlock:
+    """Distance-sorted prefix machinery for the ball centers [c0, c0 + b).
 
-    order        point ids sorted by (distance to center, id)
-    ends         index of the last point of each distinct-distance prefix
-    counts       prefix sizes, counts[k] = ends[k] + 1
-    values       the distinct distances (values[0] == 0.0)
-    mu_prefix    mu-mass of each prefix
-    point_prefix for each point y, the smallest k with y in prefix k
+    order        b x n: point ids sorted by (distance to the center, id)
+    point_prefix b x n: for each point y, the smallest k with y in prefix k
+    ends         per ball: flat index into the b x n tables of its last point
+    values       per ball: its distinct distance (0.0 first for each center)
+    mu_prefix    per ball: its mu-mass
+    starts       each center's first ball in the per-ball arrays, then their size
+
+    Balls run center after center, in prefix order, and every method gives
+    one value per ball. center(i) is the i-th center alone in this layout,
+    with 1-d order and point_prefix, so that its ends index one row.
     """
 
-    __slots__ = (
-        "center", "order", "ends", "counts", "values", "mu_prefix", "point_prefix",
-    )
+    c0: int
+    order: np.ndarray
+    point_prefix: np.ndarray
+    ends: np.ndarray
+    values: np.ndarray
+    mu_prefix: np.ndarray
+    starts: np.ndarray
 
-    def __init__(self, space: "MetricMeasureSpace", center: int) -> None:
-        drow = space.dist_row(center)
-        order = np.argsort(drow, kind="stable")
-        sorted_d = drow[order]
-        n = drow.shape[0]
-        change = np.empty(n, dtype=bool)
-        change[-1] = True
-        if n > 1:
-            change[:-1] = sorted_d[1:] != sorted_d[:-1]
+    @classmethod
+    def build(cls, space: "MetricMeasureSpace", c0: int, c1: int) -> "_CenterBlock":
+        rows = np.vstack([space.dist_row(c) for c in range(c0, c1)])
+        order = np.argsort(rows, axis=1, kind="stable")
+        sorted_d = np.take_along_axis(rows, order, axis=1)
+        change = np.ones(rows.shape, dtype=bool)
+        np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=change[:, :-1])
         ends = np.flatnonzero(change)
-        self.center = center
-        self.order = order
-        self.ends = ends
-        self.counts = ends + 1
-        self.values = sorted_d[ends]
-        self.mu_prefix = np.cumsum(space.mu[order])[ends]
-        self.point_prefix = np.searchsorted(self.values, drow)
+        # The prefix of the point at each sorted position counts the
+        # distance changes before it; scatter it back to the point ids.
+        prefix = np.zeros(rows.shape, dtype=np.intp)
+        np.cumsum(change[:, :-1], axis=1, out=prefix[:, 1:])
+        point_prefix = np.empty_like(order)
+        np.put_along_axis(point_prefix, order, prefix, axis=1)
+        mu_prefix = np.cumsum(space.mu[order], axis=1).ravel()[ends]
+        starts = np.concatenate(([0], np.cumsum(change.sum(axis=1))))
+        return cls(c0, order, point_prefix, ends, sorted_d.ravel()[ends], mu_prefix, starts)
+
+    def center(self, i: int) -> "_CenterBlock":
+        s, e = self.starts[i:i + 2]
+        return _CenterBlock(
+            self.c0 + i, self.order[i], self.point_prefix[i],
+            self.ends[s:e] - i * self.order.shape[1], self.values[s:e],
+            self.mu_prefix[s:e], np.array([0, e - s]),
+        )
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Prefix sizes, counts[k] = (index in its row of the last point) + 1."""
+        return self.ends % self.order.shape[-1] + 1
 
     def reps(self) -> np.ndarray:
         """Representative radius of each prefix: the midpoint to the next
-        distinct distance, and max distance + 1 for the last one."""
+        distinct distance, and max distance + 1 for each center's last one."""
         values = self.values
         reps = np.empty_like(values)
         reps[:-1] = 0.5 * (values[:-1] + values[1:])
-        reps[-1] = values[-1] + 1.0
+        last = self.starts[1:] - 1
+        reps[last] = values[last] + 1.0
         return reps
 
     def prefix_sums(self, point_values: np.ndarray) -> np.ndarray:
         """Sum of point_values over each prefix (accumulated in canonical order)."""
-        return np.cumsum(point_values[self.order])[self.ends]
+        return np.take(np.cumsum(np.take(point_values, self.order), axis=-1), self.ends)
 
     def prefix_mins(self, point_values: np.ndarray) -> np.ndarray:
         """Running minimum of point_values over each prefix."""
-        return np.minimum.accumulate(point_values[self.order])[self.ends]
+        running = np.minimum.accumulate(np.take(point_values, self.order), axis=-1)
+        return np.take(running, self.ends)
 
 
 class CanonicalBallSet:
-    """Lazy per-center cache of the canonical ball enumeration of a space."""
+    """Lazy cache of the canonical ball enumeration of a space, built in
+    blocks of centers (see CANONICAL_BLOCK)."""
 
     def __init__(self, space: "MetricMeasureSpace") -> None:
         if space.n > DENSE_CAP:
@@ -141,55 +172,64 @@ class CanonicalBallSet:
         # are freed as soon as the space is dropped, not at the next full
         # garbage collection.
         self._space = weakref.proxy(space)
-        self._centers: dict[int, _CenterData] = {}
+        self._rows = min(CANONICAL_BLOCK, max(1, CANONICAL_BLOCK_CELLS // space.n))
+        self._blocks: list[_CenterBlock | None] = [None] * -(-space.n // self._rows)
 
-    def center(self, c: int) -> _CenterData:
-        data = self._centers.get(c)
-        if data is None:
-            data = _CenterData(self._space, c)
-            self._centers[c] = data
-        return data
+    def _block(self, k: int) -> _CenterBlock:
+        if self._blocks[k] is None:
+            c0, n = k * self._rows, self._space.n
+            self._blocks[k] = _CenterBlock.build(self._space, c0, min(c0 + self._rows, n))
+        return self._blocks[k]
+
+    def center(self, c: int) -> _CenterBlock:
+        return self._block(c // self._rows).center(c % self._rows)
 
     def ensure_all(self) -> None:
-        for c in range(self._space.n):
-            self.center(c)
+        for k in range(len(self._blocks)):
+            self._block(k)
+
+    def __iter__(self) -> Iterator[_CenterBlock]:
+        """The blocks, in center order, all built first."""
+        self.ensure_all()
+        return iter(self._blocks)
 
     def ball_count(self) -> int:
         """Total number of canonical (center, prefix) pairs."""
-        self.ensure_all()
-        return sum(int(d.counts.shape[0]) for d in self._centers.values())
+        return sum(int(block.ends.size) for block in self)
 
     def sup(
         self,
-        values: Callable[[_CenterData], np.ndarray],
+        values: Callable[[_CenterBlock], np.ndarray],
         domain_mask: np.ndarray | None = None,
     ) -> tuple[float, tuple[int, int]]:
         """Supremum of a ball functional over the canonical balls, with its witness.
 
-        values(data) gives one value per ball of a center, in prefix order
-        (doubling_constant, which needs no domain mask, passes one per
-        radius interval instead); -inf marks a ball out of scope. With a
-        domain mask only centers in D and balls with no point outside D
-        take part. Centers are visited in id order
-        and the first maximum wins. Returns (value, (center, prefix)), or
-        (-inf, (-1, -1)) when no ball is in scope.
+        values(block) gives one value per ball of a block of centers, in center
+        then prefix order; -inf marks a ball out of scope. With a domain mask
+        only balls with no point outside D take part, which leaves out every
+        center outside D. Centers are visited in id order, the first maximum
+        wins, and a center with a NaN ball takes no part. Returns (value,
+        (center, prefix)), or (-inf, (-1, -1)) when no ball is in scope.
         """
-        self.ensure_all()
-        if domain_mask is None:
-            centers = range(self._space.n)
-        else:
-            centers = np.flatnonzero(domain_mask).tolist()
-            outside = (~domain_mask).astype(float)
+        outside = None if domain_mask is None else (~domain_mask).astype(float)
         best = -np.inf
         witness = (-1, -1)
-        for c in centers:
-            data = self._centers[c]
-            vals = values(data)
+        for block in self:
+            starts = block.starts
             if domain_mask is not None:
-                vals = np.where(data.prefix_sums(outside) == 0, vals, -np.inf)
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, witness = float(vals[k]), (c, k)
+                if not domain_mask[block.c0:block.c0 + starts.size - 1].any():
+                    continue
+                # A block's centers outside D may divide 0 by 0; those balls drop out.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    vals = np.where(block.prefix_sums(outside) == 0, values(block), -np.inf)
+            else:
+                vals = values(block)
+            maxima = np.maximum.reduceat(vals, starts[:-1])
+            maxima[np.isnan(maxima)] = -np.inf
+            i = int(np.argmax(maxima))
+            if maxima[i] > best:
+                k = int(np.argmax(vals[starts[i]:starts[i + 1]]))
+                best, witness = float(vals[starts[i] + k]), (block.c0 + i, k)
         return best, witness
 
 
@@ -419,8 +459,8 @@ def canonical_balls(space: MetricMeasureSpace, center: int) -> list[tuple[float,
         raise ValueError("center out of range")
     data = space.canonical.center(center)
     return [
-        (float(r), np.sort(data.order[: end + 1]))
-        for r, end in zip(data.reps(), data.ends)
+        (float(r), np.sort(data.order[:count]))
+        for r, count in zip(data.reps(), data.counts)
     ]
 
 
@@ -597,27 +637,20 @@ def space_from_matrix(
 def doubling_constant(space: MetricMeasureSpace, workers: int = 1) -> float:
     """sup over centers x and radii r of mu(B(x, 2r)) / mu(B(x, r)).
 
-    The ratio is piecewise constant in r with breakpoints at the distinct
-    distances v_k and their halves v_k / 2, so evaluating one representative
-    radius inside each breakpoint interval (midpoints, plus one beyond the
-    last breakpoint) realizes the exact supremum over all real radii.
-    workers is accepted for compatibility and has no effect.
+    B(x, r) is prefix k for r in (v_k, v_{k+1}] (v the distinct distances)
+    and B(x, 2r) only grows with r, so on that interval the ratio is
+    largest at r = v_{k+1}: one ratio per prefix, and 1 for the last prefix,
+    whose radii take in the whole space, realizes the exact supremum over
+    all real radii. workers is accepted for compatibility and has no effect.
     """
 
-    def ratios(data: _CenterData) -> np.ndarray:
-        v = data.values[1:]
-        if v.size == 0:
-            return np.ones(1)
-        b = np.union1d(v, v * 0.5)
-        reps = np.concatenate((
-            [b[0] * 0.5],
-            0.5 * (b[:-1] + b[1:]),
-            [b[-1] + 1.0],
-        ))
-        # B(x, r) is the prefix of the largest distinct distance below r.
-        k_r = np.searchsorted(data.values, reps, side="left") - 1
-        k_2r = np.searchsorted(data.values, 2.0 * reps, side="left") - 1
-        return data.mu_prefix[k_2r] / data.mu_prefix[k_r]
+    def ratios(block: _CenterBlock) -> np.ndarray:
+        out = np.ones(block.values.size)
+        for s, e in zip(block.starts[:-1].tolist(), block.starts[1:].tolist()):
+            v, m = block.values[s:e], block.mu_prefix[s:e]
+            # B(x, 2 v_{k+1}) is the prefix of the largest distance below 2 v_{k+1}.
+            out[s:e - 1] = m[np.searchsorted(v, 2.0 * v[1:], side="left") - 1] / m[:-1]
+        return out
 
     value, _ = space.canonical.sup(ratios)
     return value

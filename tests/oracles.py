@@ -35,25 +35,44 @@ def naive_maximal(space, f, e_mask=None, radius_cap=None):
     return out
 
 
+def _naive_tilde_ball(space, e_mask, w, p, mem):
+    """The tilde functional of the ball with members mem, or None at p = 1
+    when the ball misses E."""
+    sel = mem[e_mask[mem]]
+    mu_b = float(np.sum(space.mu[mem]))
+    if p > 1:
+        a = float(np.sum(w[sel] * space.mu[sel])) / mu_b
+        b = float(np.sum(w[sel] ** (-1.0 / (p - 1.0)) * space.mu[sel])) / mu_b
+        return a * b ** (p - 1.0)
+    if sel.size == 0:
+        return None
+    a = float(np.sum(w[sel] * space.mu[sel])) / mu_b
+    return a / float(np.min(w[sel]))
+
+
 def naive_tilde_char(space, e_mask, w_on_x, p):
     if e_mask is None:
         e_mask = np.ones(space.n, dtype=bool)
     w = np.asarray(w_on_x, dtype=float)
     best = 0.0
     for _, _, mem in ball_system(space):
-        sel = mem[e_mask[mem]]
-        mu_b = float(np.sum(space.mu[mem]))
-        if p > 1:
-            a = float(np.sum(w[sel] * space.mu[sel])) / mu_b
-            b = float(np.sum(w[sel] ** (-1.0 / (p - 1.0)) * space.mu[sel])) / mu_b
-            val = a * b ** (p - 1.0)
-        else:
-            if sel.size == 0:
-                continue
-            a = float(np.sum(w[sel] * space.mu[sel])) / mu_b
-            val = a / float(np.min(w[sel]))
-        best = max(best, val)
+        val = _naive_tilde_ball(space, e_mask, w, p, mem)
+        if val is not None:
+            best = max(best, val)
     return best
+
+
+def naive_restriction_ratio(space, e_mask, u_on_x, p):
+    """Worst ratio, over the balls that meet E, of the tilde functional of
+    u restricted to E against the global one; 0 when there is none."""
+    u = np.asarray(u_on_x, dtype=float)
+    everything = np.ones(space.n, dtype=bool)
+    worst = 0.0
+    for _, _, mem in ball_system(space):
+        restricted = _naive_tilde_ball(space, e_mask, u, p, mem)
+        if restricted is not None:
+            worst = max(worst, restricted / _naive_tilde_ball(space, everything, u, p, mem))
+    return worst
 
 
 def naive_domain_char(space, d_mask, w_on_x, p):
@@ -110,9 +129,14 @@ def naive_holder_margin(space, e_mask, v_on_x, q, g_on_x):
 def naive_doubling(space):
     """Doubling constant by direct probing of every breakpoint interval.
 
-    Each ball's mass is added up point by point in (distance, id) order, the
-    order in which the library accumulates its prefix masses, so the two
-    agree bitwise.
+    mu(B(x, r)) and mu(B(x, 2r)) only change as r passes a distance v or its
+    half v / 2, and both are constant on each interval (a, b] between two
+    consecutive breakpoints. So the ratio is probed at every breakpoint b,
+    which is exact in floating point (as is 2b), and once beyond the last.
+    A midpoint probe would be rounded onto an end of an interval one ulp
+    wide. Each ball's mass is added up point by point in (distance, id)
+    order, the order in which the library accumulates its prefix masses, so
+    the two agree bitwise.
     """
     mu = space.mu.tolist()
     best = 0.0
@@ -129,9 +153,7 @@ def naive_doubling(space):
 
         vals = np.unique(row)
         crit = np.unique(np.concatenate([vals[vals > 0], vals[vals > 0] / 2.0]))
-        probes = [crit[0] / 2.0]
-        probes += [(crit[k] + crit[k + 1]) / 2.0 for k in range(len(crit) - 1)]
-        probes.append(float(crit[-1]) + 1.0)
+        probes = crit.tolist() + [float(vals[-1]) + 1.0]
         for r in probes:
             best = max(best, mass(2.0 * r) / mass(r))
     return best

@@ -1,0 +1,199 @@
+"""The canonical cache in blocks of centers.
+
+Every kernel that walks the cache (maximal_fn, CanonicalBallSet.sup and the
+functionals on top of it, doubling_constant) runs one block at a time. These
+tests pin them against the naive oracles on spaces whose size puts centers on
+both sides of a block boundary, also with blocks shrunk to a few centers.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from metricweights import (
+    ap_domain_characteristic,
+    ap_tilde_characteristic,
+    build_grid_space,
+    doubling_constant,
+    maximal_fn,
+    restrict_weight_report,
+    reverse_holder_constant,
+    space_from_matrix,
+)
+from metricweights.space import MetricMeasureSpace
+from metricweights import space as space_mod
+from metricweights.maximal import scatter
+from metricweights.weights import holder_average_bound_margin
+
+
+def _tied_space(rng, n):
+    """A metric with few distinct distances: shortest paths over integer lengths."""
+    raw = rng.integers(1, 4, size=(n, n)).astype(float)
+    d = np.minimum(raw, raw.T)
+    np.fill_diagonal(d, 0.0)
+    for k in range(n):
+        d = np.minimum(d, d[:, k, None] + d[None, k, :])
+    return space_from_matrix(d, rng.lognormal(sigma=0.5, size=n), meta=f"tied(n={n})")
+
+
+def _spaces():
+    rng = np.random.default_rng(20261018)
+    spaces = [oracles.random_metric_space(rng, n) for n in (1, 2, 63, 64, 65)]
+    lattice = np.stack(np.meshgrid(np.arange(10), np.arange(13), indexing="ij"), -1)
+    spaces.append(MetricMeasureSpace(
+        mu=rng.lognormal(sigma=0.5, size=130), coords=0.5 * lattice.reshape(-1, 2),
+        meta="lattice(10x13)",
+    ))
+    return spaces + [_tied_space(rng, 70)]
+
+
+SPACES = _spaces()
+
+# Blocks as configured, and blocks of 7 centers on a few small spaces, so
+# that those span many blocks, the last one short.
+CASES = [(None, s) for s in SPACES] + [(7, s) for s in SPACES if s.n in (1, 2, 65, 70)]
+
+
+def _case_id(case):
+    return f"{case[1].meta}-blocks-of-{case[0] or 'default'}"
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Rebuilds a space's cache in blocks of the given number of centers."""
+
+    def rebuild(space, size=None):
+        if size is not None:
+            monkeypatch.setattr(space_mod, "CANONICAL_BLOCK", size)
+        space._canonical = None
+        return space
+
+    return rebuild
+
+
+def _subset(space, seed):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(space.n) < 0.6
+    mask[space.n // 2] = True
+    return mask, np.flatnonzero(mask)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_maximal_function_matches_the_oracle_across_blocks(blocks, case):
+    space = blocks(case[1], case[0])
+    rng = np.random.default_rng(space.n)
+    f = oracles.random_weight(rng, space.n)
+    e_mask, ids = _subset(space, 1)
+    cap = float(np.median(space.dist_row(0))) + 0.1
+    for e, fe in ((None, f), (e_mask, f[ids])):
+        for radius_cap in (None, cap):
+            got = maximal_fn(space, fe, E=e, radius_cap=radius_cap)
+            want = oracles.naive_maximal(space, f, e, radius_cap)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_ball_functionals_match_the_oracles_across_blocks(blocks, case):
+    space = blocks(case[1], case[0])
+    rng = np.random.default_rng(space.n + 1)
+    w = oracles.random_weight(rng, space.n)
+    e_mask, ids = _subset(space, 2)
+    for p in (1.0, 2.0):
+        got = ap_tilde_characteristic(space, None, w, p).value
+        assert got == pytest.approx(oracles.naive_tilde_char(space, None, w, p), rel=1e-12)
+        got = ap_tilde_characteristic(space, e_mask, w[ids], p).value
+        assert got == pytest.approx(oracles.naive_tilde_char(space, e_mask, w, p), rel=1e-12)
+        got = ap_domain_characteristic(space, ids, w[ids], p).value
+        assert got == pytest.approx(oracles.naive_domain_char(space, e_mask, w, p), rel=1e-12)
+        report = restrict_weight_report(space, e_mask, w, p, eps=0.25)
+        u = w**1.25
+        assert report.max_ratio == pytest.approx(
+            oracles.naive_restriction_ratio(space, e_mask, u, p), rel=1e-12
+        )
+        assert report.restricted.value == pytest.approx(
+            oracles.naive_tilde_char(space, e_mask, u, p), rel=1e-12
+        )
+    assert reverse_holder_constant(space, w, 0.5) == pytest.approx(
+        oracles.naive_reverse_holder(space, w, 0.5), rel=1e-12
+    )
+    assert reverse_holder_constant(space, w[ids], 0.5, domain=ids) == pytest.approx(
+        oracles.naive_reverse_holder(space, w, 0.5, e_mask), rel=1e-12
+    )
+    g = rng.random(ids.size)
+    assert holder_average_bound_margin(space, e_mask, w[ids], 2.0, g) == pytest.approx(
+        oracles.naive_holder_margin(space, e_mask, w, 2.0, scatter(space, ids, g)), rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[1].n <= 70], ids=_case_id)
+def test_doubling_bitwise_equals_the_oracle_across_blocks(blocks, case):
+    space = blocks(case[1], case[0])
+    assert doubling_constant(space) == oracles.naive_doubling(space)
+
+
+def _planted(plants):
+    """A ball functional that is 0 except at the planted (center, prefix) balls."""
+
+    def values(block):
+        out = np.zeros(block.values.size)
+        b = block.starts.size - 1
+        for c, k, value in plants:
+            if block.c0 <= c < block.c0 + b:
+                out[block.starts[c - block.c0] + k] = value
+        return out
+
+    return values
+
+
+@pytest.mark.parametrize("size", [None, 7])
+def test_equal_maxima_in_two_blocks_go_to_the_first_center(blocks, size):
+    space = blocks(build_grid_space(1, 130, 1.0), size)
+    cb = space.canonical
+    # blocks of 64 (or 7) centers put 70 and 129 in different blocks
+    plants = [(129, 2, 5.0), (70, 3, 5.0), (100, 1, 4.0)]
+    assert cb.sup(_planted(plants)) == (5.0, (70, 3))
+    domain = np.ones(space.n, dtype=bool)
+    domain[[69, 70, 71, 72]] = False  # every ball of 70 leaves the domain
+    assert cb.sup(_planted(plants), domain) == (5.0, (129, 2))
+    # a block whose first center (64, or 98 in blocks of 7) is outside D still counts
+    domain = np.ones(space.n, dtype=bool)
+    domain[[64, 70, 98]] = False
+    assert cb.sup(_planted([(100, 1, 5.0), (129, 2, 5.0), (70, 3, 6.0)]), domain) == (
+        5.0, (100, 1)
+    )
+    # a center with a NaN ball takes no part, as its argmax is the NaN
+    assert cb.sup(_planted(plants + [(65, 0, np.nan), (65, 1, 9.0)])) == (5.0, (70, 3))
+    nothing = np.zeros(space.n, dtype=bool)
+    assert cb.sup(_planted(plants), nothing) == (-np.inf, (-1, -1))
+
+
+@pytest.mark.parametrize("size", [None, 7])
+def test_center_views_hold_each_centers_prefixes(blocks, size):
+    space = blocks(build_grid_space(2, 9, 1.0 / 3.0), size)
+    for c in (0, 6, 7, 63, 64, 80):
+        data = space.canonical.center(c)
+        row = space.dist_row(c)
+        assert data.order.shape == data.point_prefix.shape == (space.n,)
+        np.testing.assert_array_equal(data.values, np.unique(row))
+        for k, v in enumerate(data.values):
+            members = np.flatnonzero(row <= v)
+            np.testing.assert_array_equal(np.sort(data.order[: data.counts[k]]), members)
+            np.testing.assert_array_equal(np.flatnonzero(data.point_prefix <= k), members)
+
+
+def test_the_cache_holds_two_square_tables_and_three_arrays_per_ball():
+    # A guard on the layout: order and point_prefix are the only n x n tables,
+    # and ends, values and mu_prefix the only per-ball arrays, plus starts.
+    space = build_grid_space(2, 45, 1 / 22)
+    cb = space.canonical
+    cb.ensure_all()
+    n, balls = space.n, cb.ball_count()
+    owners = {}
+    for block in cb._blocks:
+        for name in block.__slots__:
+            array = getattr(block, name)
+            if isinstance(array, np.ndarray):
+                while array.base is not None:
+                    array = array.base
+                owners[id(array)] = array.nbytes
+    assert sum(owners.values()) <= 2 * n * n * 8 + 4 * balls * 8

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from io import StringIO
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import metricweights
 import oracles
 from metricweights import (
     ap_domain_characteristic,
@@ -339,7 +343,10 @@ def test_subset_round_trip_sorts_and_rejects_duplicates(tmp_path):
         io.load_subset(_write(tmp_path / "dup.json", {"version": 1, "ids": [1, 1]}))
 
 
-@pytest.mark.parametrize("ids", [[2.7, 3], [[1, 2]], 3, ["1"], [1, None], [2, [3], 4]])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "ids", [[2.7, 3], [[1, 2]], 3, ["1"], [1, None], [2, [3], 4], [1, 2**63], [1, 1e308]]
+)
 def test_id_lists_in_files_must_be_integers(tmp_path, ids):
     with pytest.raises(ParseError, match="integer ids"):
         io.load_subset(_write(tmp_path / "e.json", {"version": 1, "ids": ids}))
@@ -1021,6 +1028,25 @@ def test_cli_takes_a_negative_number_after_its_flag(capsys, line12):
     rc, out, err = _run(capsys, argv + ["--eps-grid", "-0.5,0"])
     assert out == ""
     _assert_error(rc, err, 2, "InvalidParameter")
+
+
+@pytest.mark.parametrize("argv", [["extend", "--p", "2", "--eps", "0.5"], ["rhi", "--delta", "0.5"]])
+def test_cli_stderr_is_one_json_error_when_numpy_overflows(tmp_path, argv):
+    # w ** (1 + eps/2) overflows at 1e308; numpy's warning must not reach
+    # stderr ahead of the error. pytest captures warnings in process, so the
+    # CLI runs in a process of its own.
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, build_grid_space(1, 12, 1.0))
+    io.save_function(weight, np.where(np.arange(12) == 5, 1e308, np.linspace(1.0, 2.0, 12)))
+    env = {**os.environ, "PYTHONPATH": str(Path(metricweights.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "metricweights.cli", *argv,
+         "--space", str(space), "--weight", str(weight)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode in (2, 3, 4)
+    assert done.stdout == ""
+    assert json.loads(done.stderr)["error"]["exit_code"] == done.returncode
 
 
 def test_writers_refuse_non_finite_numbers(tmp_path):
