@@ -35,10 +35,12 @@ print(f"matrix space: n={s3.n}, total mass={s3.total_mass()}, valid={report.ok}"
 
 # -- canonical enumeration around one center ----------------------------------
 
+# Each radius is the smallest float whose strict ball is that member set,
+# the float just above the distance that closes the ball.
 balls = canonical_balls(s3, center=0)
 print(f"center 0 has {len(balls)} canonical balls:")
 for radius, members in balls:
-    print(f"  radius {radius:4.1f} -> members {members.tolist()}")
+    print(f"  radius {radius!r} -> members {members.tolist()}")
 
 # -- grids and the doubling constant ------------------------------------------
 

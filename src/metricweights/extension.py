@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentRange, NonpositiveWeight
+from .errors import ExponentRange
 from .maximal import as_subset
 from .factorization import FactorizationResult, jones_factorize
 from .space import MetricMeasureSpace
@@ -79,11 +79,7 @@ def wolff_extend(
     if eps <= 0:
         raise ExponentRange("eps must be positive")
     ids, _ = as_subset(space, E)
-    w = np.asarray(w, dtype=float)
-    if w.shape != ids.shape:
-        raise ValueError("w must be aligned with E")
-    if np.any(w <= 0):
-        raise NonpositiveWeight("w must be strictly positive")
+    w = _check_weight(w, ids.size)
 
     v = w ** (1.0 + eps / 2.0)
     fact = jones_factorize(space, E, v, p)
@@ -176,11 +172,7 @@ def restrict_weight_report(
     if eps < 0:
         raise ExponentRange("eps must be >= 0")
     ids, _ = as_subset(space, E)
-    W = np.asarray(W, dtype=float)
-    if W.shape != (space.n,):
-        raise ValueError("W must be defined on all of X")
-    if np.any(W <= 0):
-        raise NonpositiveWeight("W must be strictly positive")
+    W = _check_weight(W, space.n)
 
     u = W ** (1.0 + eps)
     restr = _ap_functional(space, E, u[ids], p)

@@ -36,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExponentRange, NoConvergence, NonpositiveWeight
+from .errors import ExponentRange, NoConvergence
 from .maximal import as_subset, maximal_fn
 from .space import MetricMeasureSpace
-from .weights import ap_tilde_characteristic, conjugate_exponent
+from .weights import _check_weight, ap_tilde_characteristic, conjugate_exponent
 
 # Iteration budget all told: estimation warmup, series truncation, doublings.
 _WARMUP_ITERS = 8
@@ -122,14 +122,10 @@ def rdf_apply_T(
     if p < 2:
         raise ExponentRange("the iteration operator needs p >= 2")
     ids, _ = as_subset(space, E)
-    v = np.asarray(v, dtype=float)
+    v = _check_weight(v, ids.size)
     f = np.asarray(f, dtype=float)
-    if v.shape != ids.shape or f.shape != ids.shape:
-        raise ValueError("v and f must be aligned with E")
-    if np.any(v <= 0):
-        raise NonpositiveWeight("v must be strictly positive")
-    if np.any(f < 0):
-        raise ValueError("f must be nonnegative")
+    if f.shape != ids.shape or np.any(f < 0):
+        raise ValueError("f must be nonnegative and aligned with E")
     return _rdf_parts(space, E, ids, v ** (1.0 / p), p, f)[0]
 
 
@@ -153,11 +149,7 @@ def jones_factorize(
     if p < 1:
         raise ExponentRange("p must be >= 1")
     ids, _ = as_subset(space, E)
-    v = np.asarray(v, dtype=float)
-    if v.shape != ids.shape:
-        raise ValueError("v must be aligned with E")
-    if np.any(v <= 0):
-        raise NonpositiveWeight("v must be strictly positive")
+    v = _check_weight(v, ids.size)
     m = ids.size
 
     if p == 1:

@@ -70,15 +70,19 @@ def maximal_fn(
     f : values of f on E (aligned with the sorted ids of E), or on all of X
         when E is None.
     E : optional subset (bool mask or id array); None means all of X.
-    radius_cap : optional R > 0; only balls whose representative radius is
-        <= R participate. Points contained in no such ball get 0.
+    radius_cap : optional R > 0; only balls B(x, r) with r <= R participate,
+        that is the prefixes whose distance v is below R. Points contained in
+        no such ball get 0.
 
     Averages are nonnegative, so a ball past the cap takes part with
     average 0 instead of being dropped, and one suffix-maximum sweep per
     center serves both the capped and the uncapped case.
     """
     ids, _ = as_subset(space, E)
-    fx_mu = scatter(space, ids, np.abs(np.asarray(f, dtype=float))) * space.mu
+    f = np.asarray(f, dtype=float)
+    if np.isnan(f).any():
+        raise InvalidParameter("f must not contain NaN")
+    fx_mu = scatter(space, ids, np.abs(f)) * space.mu
     if radius_cap is not None and not radius_cap > 0:
         raise InvalidParameter("radius_cap must be positive")
 
@@ -86,7 +90,7 @@ def maximal_fn(
     for block in space.canonical:
         avg = block.prefix_sums(fx_mu) / block.mu_prefix
         if radius_cap is not None:
-            avg[block.reps() > radius_cap] = 0.0
+            avg[block.values >= radius_cap] = 0.0
         # Row i of table holds center i's averages, last prefix first, after
         # zeros that no average (all >= 0) loses to; its running maximum at
         # flat index last[i] - k is the largest average of a ball holding prefix k.

@@ -139,16 +139,6 @@ class _CenterBlock:
         """Prefix sizes, counts[k] = (index in its row of the last point) + 1."""
         return self.ends % self.order.shape[-1] + 1
 
-    def reps(self) -> np.ndarray:
-        """Representative radius of each prefix: the midpoint to the next
-        distinct distance, and max distance + 1 for each center's last one."""
-        values = self.values
-        reps = np.empty_like(values)
-        reps[:-1] = 0.5 * (values[:-1] + values[1:])
-        last = self.starts[1:] - 1
-        reps[last] = values[last] + 1.0
-        return reps
-
     def prefix_sums(self, point_values: np.ndarray) -> np.ndarray:
         """Sum of point_values over each prefix (accumulated in canonical order)."""
         return np.take(np.cumsum(np.take(point_values, self.order), axis=-1), self.ends)
@@ -295,26 +285,45 @@ class MetricMeasureSpace:
     def dist_row(self, i: int) -> np.ndarray:
         if self._dist is not None:
             return self._dist[i]
-        delta = self._coords - self._coords[i]
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        return _norms(self._coords - self._coords[i])
 
     def dists_from(self, i: int, ids: np.ndarray) -> np.ndarray:
         if self._dist is not None:
             return self._dist[i, ids]
-        delta = self._coords[ids] - self._coords[i]
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        return _norms(self._coords[ids] - self._coords[i])
 
     def pair_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """d(us[k], vs[k]) for each k, by the formula of dist_row."""
         if self._dist is not None:
             return self._dist[us, vs]
-        delta = self._coords[vs] - self._coords[us]
-        return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+        return _norms(self._coords[vs] - self._coords[us])
+
+    def nearest_distances(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """min over t in targets of d(x, t) for each x in ids, by the formula of dist_row.
+
+        On coordinates a KD-tree on the targets proposes the targets within
+        (1 + 1e-9) times a point's nearest tree distance (only the nearest,
+        unless the second is that close too); the formula decides.
+        """
+        if self._dist is not None:
+            return self._dist[np.ix_(ids, targets)].min(axis=1)
+        from scipy.spatial import cKDTree
+
+        points = self._coords[ids]
+        tree = cKDTree(self._coords[targets])
+        near, first = tree.query(points, k=2)
+        out = _norms(self._coords[targets[first[:, 0]]] - points)
+        tied = np.flatnonzero(near[:, 1] <= near[:, 0] * (1 + 1e-9))
+        if tied.size:
+            lists = tree.query_ball_point(points[tied], near[tied, 0] * (1 + 1e-9))
+            sizes = np.fromiter(map(len, lists), dtype=np.intp, count=tied.size)
+            cands = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
+            dists = _norms(self._coords[targets[cands]] - np.repeat(points[tied], sizes, axis=0))
+            out[tied] = np.minimum.reduceat(dists, np.cumsum(sizes) - sizes)
+        return out
 
     def dist(self, i: int, j: int) -> float:
         """d(i, j), by the formula of dist_row."""
-        if self._dist is not None:
-            return float(self._dist[i, j])
         return float(self.pair_dists(np.array([i]), np.array([j]))[0])
 
     def dist_matrix(self) -> np.ndarray:
@@ -352,21 +361,27 @@ class MetricMeasureSpace:
         return float(np.sum(self.mu))
 
     def min_positive_distance(self) -> float:
-        """Resolution h: the smallest positive pairwise distance."""
+        """Resolution h: the smallest positive pairwise distance by the
+        formula of dist_row, or 0.0. On coordinates the nearest tree distance
+        of the distinct points bounds h, the pairs within (1 + 1e-9) times
+        that bound are the candidates, and the formula decides.
+        """
         if self._min_positive is None:
-            if self._coords is not None and self.n > 1:
-                tree = self._tree()
-                d, _ = tree.query(self._coords, k=2)
-                positive = d[:, 1][d[:, 1] > 0]
-                self._min_positive = float(positive.min()) if positive.size else 0.0
+            if self._dist is not None:
+                m = self._dist[self._dist > 0].min(initial=np.inf)
             else:
-                m = np.inf
-                for i in range(self.n):
-                    row = self.dist_row(i)
-                    positive = row[row > 0]
-                    if positive.size:
-                        m = min(m, float(positive.min()))
-                self._min_positive = 0.0 if not np.isfinite(m) else m
+                from scipy.spatial import cKDTree
+
+                points, tree = self._coords, self._tree()
+                near = tree.query(points, k=2)[0][:, 1]
+                if not near.all():  # a repeated point; copies add no distance
+                    points = np.unique(points, axis=0)
+                    tree = cKDTree(points)
+                    near = tree.query(points, k=2)[0][:, 1]
+                pairs = tree.query_pairs(near.min() * (1 + 1e-9), output_type="ndarray")
+                d = _norms(points[pairs[:, 1]] - points[pairs[:, 0]])
+                m = d[d > 0].min(initial=np.inf)
+            self._min_positive = float(m) if np.isfinite(m) else 0.0
         return self._min_positive
 
     # -- balls -----------------------------------------------------------------
@@ -417,7 +432,7 @@ class MetricMeasureSpace:
         del lists  # a list entry costs more than the arrays below; free it first
         delta = self._coords[cands]
         delta -= self._coords[np.repeat(centers, sizes)]
-        keep = np.sqrt(np.einsum("ij,ij->i", delta, delta)) < np.repeat(radii, sizes)
+        keep = _norms(delta) < np.repeat(radii, sizes)
         return cands[keep], np.cumsum(keep)[np.cumsum(sizes) - 1].tolist()
 
     @property
@@ -438,12 +453,19 @@ class MetricMeasureSpace:
         return f"MetricMeasureSpace(n={self.n}, backend={kind}, meta={self.meta!r})"
 
 
+def _norms(delta: np.ndarray) -> np.ndarray:
+    """Euclidean row lengths: the one distance formula of coordinate spaces."""
+    return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+
+
 def _symmetric_csr(n: int, us, vs, weights):
     """n x n sparse matrix with weights[i] at (us[i], vs[i]) and at (vs[i], us[i])."""
     from scipy.sparse import csr_matrix
 
-    rows = np.concatenate([us, vs]).astype(np.intp)
-    cols = np.concatenate([vs, us]).astype(np.intp)
+    # scipy stores int32 indices where they fit; casting first spares a copy.
+    index = np.int32 if n < 2**31 else np.intp
+    rows = np.concatenate([us, vs]).astype(index)
+    cols = np.concatenate([vs, us]).astype(index)
     weights = np.asarray(weights, dtype=float)
     return csr_matrix((np.concatenate([weights, weights]), (rows, cols)), shape=(n, n))
 
@@ -451,16 +473,18 @@ def _symmetric_csr(n: int, us, vs, weights):
 def canonical_balls(space: MetricMeasureSpace, center: int) -> list[tuple[float, np.ndarray]]:
     """The nested family of distinct balls around one center, smallest first.
 
-    One (representative radius, sorted member ids) pair per ball: the radius
-    is the midpoint to the next distinct distance (the largest distance + 1
-    for the whole space), and B(center, radius) is exactly that member set.
+    One (radius, sorted member ids) pair per ball. The ball of distinct
+    distance v is B(center, r) for every r in (v, v'], v' the next distinct
+    distance; the radius given is the smallest float in it, nextafter(v, inf),
+    because d < nextafter(v, inf) exactly when d <= v. B(center, radius) is
+    exactly the member set.
     """
     if not 0 <= center < space.n:
         raise ValueError("center out of range")
     data = space.canonical.center(center)
     return [
         (float(r), np.sort(data.order[:count]))
-        for r, count in zip(data.reps(), data.counts)
+        for r, count in zip(np.nextafter(data.values, np.inf), data.counts)
     ]
 
 
@@ -493,9 +517,7 @@ def _closure_certifies(dist: np.ndarray) -> bool:
     Valid only after the pair axioms passed: scipy reads a dense zero as a
     missing edge, so no zero may sit off the diagonal, and a negative entry
     would be a negative edge. NaN has failed the symmetry or self-distance
-    check by then. An inf entry is a missing edge: it certifies only where
-    the closure is inf too, and there every t is inf and the loop flags
-    nothing either.
+    check by then, and inf the finiteness check.
     """
     from scipy.sparse.csgraph import floyd_warshall
 
@@ -508,7 +530,8 @@ def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport
     """Check the metric measure axioms; report the first violation found.
 
     Scan order: masses by point id; pair axioms in lexicographic order
-    (negativity, self-distance, symmetry, distinct points at distance zero);
+    (negativity, self-distance, symmetry, distinct points at distance zero,
+    a non-finite distance);
     edge invariants when an edge graph is declared (the first edge, in edge
     order, shorter than its distance); the triangle inequality last.
 
@@ -518,9 +541,10 @@ def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport
     middle points y run, and that loop alone decides the verdict and the
     witness (the first bad (x, y, z), lexicographic in y, then x, then z).
     Coordinate-backed spaces beyond DENSE_CAP satisfy the metric axioms by
-    construction, so only a seeded sample of SAMPLE_TRIPLES triples is
-    re-verified, the first bad one in sample order is reported, and the
-    report says mode="sampled".
+    construction, except that two points may repeat: a KD-tree finds every
+    such pair (the first reported), then a seeded sample of SAMPLE_TRIPLES
+    triples is re-verified, the first bad one in sample order is reported,
+    and the report says mode="sampled".
     """
     bad_mass = np.flatnonzero(space.mu <= 0)
     if bad_mass.size:
@@ -547,6 +571,16 @@ def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport
         if offdiag_zero.size:
             x, y = map(int, offdiag_zero[0])
             return ValidationReport(False, "ZeroDistanceDistinct", (x, y))
+        nonfinite = np.argwhere(~np.isfinite(dist))
+        if nonfinite.size:
+            x, y = map(int, nonfinite[0])
+            return ValidationReport(False, "NonfiniteDistance", (x, y))
+    else:
+        # Exact by either formula: a sum of squares is 0 only if each term is.
+        pairs = space._tree().query_pairs(0.0, output_type="ndarray")
+        if pairs.size:
+            x, y = min(pairs.tolist())
+            return ValidationReport(False, "ZeroDistanceDistinct", (x, y), mode)
 
     edges = space.edge_arrays()
     if edges is not None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededAtZero, ExponentRange, InvalidParameter, NonpositiveWeight
 from .maximal import as_subset, scatter
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, _norms
 
 
 def conjugate_exponent(p: float) -> float:
@@ -234,8 +234,7 @@ def power_weight(
     """
     if space.coords is None:
         raise ValueError("power weights need a coordinate-backed space")
-    coords = space.coords if ids is None else space.coords[ids]
-    r = np.sqrt(np.einsum("ij,ij->i", coords, coords))
+    r = _norms(space.coords if ids is None else space.coords[ids])
     half = 0.5 * space.min_positive_distance()
     r = np.where(r == 0.0, half, r)
     return r**exponent

@@ -16,6 +16,7 @@ surrogate of integrating reciprocal boundary distance along a path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,8 +31,8 @@ from .errors import (
     PreconditionFail,
     Unreachable,
 )
-from .maximal import as_subset
-from .space import Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr
+from .maximal import as_subset, scatter
+from .space import BALL_QUERY_BLOCK, Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr
 
 # Rows of the ball-ball overlap product built at once by _intersection_edges.
 OVERLAP_BLOCK = 1024
@@ -78,17 +79,8 @@ def make_domain(space: MetricMeasureSpace, members) -> DomainSpec:
     if len(ids) in (0, space.n):
         raise NotProper("domain must be nonempty with nonempty complement")
 
-    comp = np.flatnonzero(~mask)
     boundary = np.zeros(space.n)
-    if space.coords is not None:
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(space.coords[comp])
-        d, _ = tree.query(space.coords[ids], k=1)
-        boundary[ids] = d
-    else:
-        dist = space.dist_matrix()
-        boundary[ids] = dist[np.ix_(ids, comp)].min(axis=1)
+    boundary[ids] = space.nearest_distances(ids, np.flatnonzero(~mask))
     return DomainSpec(
         space=space,
         ids=ids,
@@ -120,18 +112,10 @@ class WhitneyCover:
         return self.radii >= 2.0 * self.domain.resolution
 
     def adjacency(self) -> csr_matrix:
-        """Symmetric 0/1 intersection matrix of the balls (built on first use).
-
-        The sorted edges are already the rows of its upper triangle.
-        """
+        """Symmetric 0/1 intersection matrix of the balls (built on first use)."""
         if self._adjacency is None:
-            b = len(self)
-            indptr = np.zeros(b + 1, dtype=np.intp)
-            np.cumsum(np.bincount(self.edges[:, 0], minlength=b), out=indptr[1:])
-            upper = csr_matrix(
-                (np.ones(self.edges.shape[0]), self.edges[:, 1], indptr), shape=(b, b)
-            )
-            self._adjacency = (upper + upper.T).tocsr()
+            us, vs = self.edges.T
+            self._adjacency = _symmetric_csr(len(self), us, vs, np.ones(us.size))
         return self._adjacency
 
     def ball(self, k: int) -> Ball:
@@ -241,25 +225,28 @@ def check_cover_invariants(cover: WhitneyCover) -> dict:
     quarter_marks = np.zeros(space.n, dtype=bool)
     union = np.zeros(space.n, dtype=bool)
     doubles_inside = True
-    sandwich_ok = True
-    sandwich_lo = np.inf
-    sandwich_hi = -np.inf
+    lo, hi = np.empty(len(cover)), np.empty(len(cover))
     quarters = space.balls_members(cover.centers, cover.radii / 4.0)
     doubles = space.balls_members(cover.centers, 2.0 * cover.radii)
-    for r, mem, quarter, double in zip(cover.radii, cover.members, quarters, doubles):
+    # Block by block of balls; a min or a max does not depend on order, so
+    # the extremes are exact.
+    for start in range(0, len(cover), BALL_QUERY_BLOCK):
+        block = slice(start, start + BALL_QUERY_BLOCK)
+        quarter = np.concatenate(list(islice(quarters, BALL_QUERY_BLOCK)))
         quarter_sizes += quarter.size
         quarter_marks[quarter] = True
-        union[mem] = True
-        if not domain.mask[double].all():
-            doubles_inside = False
+        union[np.concatenate(cover.members[block])] = True
+        double = list(islice(doubles, BALL_QUERY_BLOCK))
+        starts = np.cumsum([0] + [d.size for d in double[:-1]])
+        double = np.concatenate(double)
+        doubles_inside &= bool(domain.mask[double].all())
         delta = domain.boundary_dist[double]
-        lo = float(delta.min() / r)
-        hi = float(delta.max() / r)
-        sandwich_lo = min(sandwich_lo, lo)
-        sandwich_hi = max(sandwich_hi, hi)
-        if lo < 2.0 * (1 - slack) or hi > 6.0 * (1 + slack):
-            sandwich_ok = False
+        lo[block] = np.minimum.reduceat(delta, starts) / cover.radii[block]
+        hi[block] = np.maximum.reduceat(delta, starts) / cover.radii[block]
 
+    sandwich_lo = lo.min(initial=np.inf)
+    sandwich_hi = hi.max(initial=-np.inf)
+    sandwich_ok = not ((lo < 2.0 * (1 - slack)) | (hi > 6.0 * (1 + slack))).any()
     quarter_disjoint = quarter_sizes == int(quarter_marks.sum())
     covers_domain = bool(np.array_equal(np.flatnonzero(union), domain.ids))
 
@@ -271,8 +258,8 @@ def check_cover_invariants(cover: WhitneyCover) -> dict:
         "covers_domain": covers_domain,
         "doubles_inside": doubles_inside,
         "sandwich_ok": sandwich_ok,
-        "sandwich_lo": sandwich_lo if np.isfinite(sandwich_lo) else None,
-        "sandwich_hi": sandwich_hi if np.isfinite(sandwich_hi) else None,
+        "sandwich_lo": float(sandwich_lo) if np.isfinite(sandwich_lo) else None,
+        "sandwich_hi": float(sandwich_hi) if np.isfinite(sandwich_hi) else None,
         "radius_ratio_ok": bool(ratio_max <= 4.0 * (1 + slack)),
         "radius_ratio_max": ratio_max,
         "mu_ratio_max": mu_ratio_max,
@@ -304,29 +291,29 @@ def chain_distances(cover: WhitneyCover, sources: np.ndarray) -> np.ndarray:
     return dijkstra(cover.adjacency(), unweighted=True, indices=sources)
 
 
+def _shortest_path(graph, start: int, goal: int, unweighted: bool, missing: Exception):
+    """One shortest path start -> goal through a sparse graph; raises missing without one."""
+    _, pred = dijkstra(graph, unweighted=unweighted, indices=start, return_predecessors=True)
+    if pred[goal] < 0 and goal != start:
+        raise missing
+    path = [goal]
+    while path[-1] != start:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
 def shortest_chain_length(cover: WhitneyCover, i: int, j: int) -> int:
     """Least number of intersection steps joining cover balls i and j."""
-    b = len(cover)
-    if not (0 <= i < b and 0 <= j < b):
-        raise ValueError("ball index out of range")
-    row = dijkstra(cover.adjacency(), unweighted=True, indices=i)
-    d = row[j]
-    if not np.isfinite(d):
-        raise Unreachable(f"no chain joins balls {i} and {j}")
-    return int(d)
+    return len(chain_path(cover, i, j)) - 1
 
 
 def chain_path(cover: WhitneyCover, i: int, j: int) -> list[int]:
     """One shortest chain i -> j as a list of ball indices."""
-    _, pred = dijkstra(
-        cover.adjacency(), unweighted=True, indices=i, return_predecessors=True
-    )
-    if pred[j] < 0 and i != j:
-        raise Unreachable(f"no chain joins balls {i} and {j}")
-    path = [j]
-    while path[-1] != i:
-        path.append(int(pred[path[-1]]))
-    return path[::-1]
+    b = len(cover)
+    if not (0 <= i < b and 0 <= j < b):
+        raise ValueError("ball index out of range")
+    missing = Unreachable(f"no chain joins balls {i} and {j}")
+    return _shortest_path(cover.adjacency(), i, j, True, missing)
 
 
 # -- quasihyperbolic distance -----------------------------------------------------
@@ -391,12 +378,7 @@ def chain_weight_ratio(
     avg_{B_i} w / avg_{B_j} w, the chain length, the quasihyperbolic distance
     of the two centers, and the per-step ratios along one shortest chain.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != domain.ids.shape:
-        raise ValueError("w must be aligned with the domain")
-    w_on_x = np.zeros(space.n)
-    w_on_x[domain.ids] = w
-    averages = cover.ball_averages(w_on_x)
+    averages = cover.ball_averages(scatter(space, domain.ids, w))
     path = chain_path(cover, i, j)
     steps = tuple(
         float(averages[a] / averages[b]) for a, b in zip(path[:-1], path[1:])
@@ -424,13 +406,8 @@ def _edge_path(space: MetricMeasureSpace, start: int, goal: int) -> list[int]:
     """One shortest path along the edge graph, by edge lengths."""
     if space.edge_arrays() is None:
         raise PreconditionFail("construction needs the edge graph")
-    _, pred = dijkstra(space.edge_graph(), indices=start, return_predecessors=True)
-    if pred[goal] < 0 and goal != start:
-        raise Disconnected(f"no edge path joins {start} and {goal}")
-    path = [goal]
-    while path[-1] != start:
-        path.append(int(pred[path[-1]]))
-    return path[::-1]
+    missing = Disconnected(f"no edge path joins {start} and {goal}")
+    return _shortest_path(space.edge_graph(), start, goal, False, missing)
 
 
 def witness_intersection_ball(

@@ -5,19 +5,23 @@ plain masks. No prefix tricks, no shared code with the package internals
 beyond the space accessors.
 """
 
+import math
+
 import numpy as np
 
 
 def ball_system(space):
-    """Every distinct ball as (center, representative radius, member ids)."""
+    """Every distinct ball as (center, radius, member ids).
+
+    The ball of distinct distance v is {y : d(c, y) <= v}; its radius is the
+    smallest float r with that strict ball, the float just above v.
+    """
     out = []
     for c in range(space.n):
         row = space.dist_row(c)
-        vals = np.unique(row)
-        reps = [(vals[k] + vals[k + 1]) / 2.0 for k in range(len(vals) - 1)]
-        reps.append(float(vals[-1]) + 1.0)
-        for r in reps:
-            out.append((c, float(r), np.flatnonzero(row < r)))
+        for v in np.unique(row):
+            r = float(np.nextafter(v, np.inf))
+            out.append((c, r, np.flatnonzero(row < r)))
     return out
 
 
@@ -184,6 +188,7 @@ def naive_validation(space):
         ("NonzeroSelfDistance", lambda x, y: x == y and d[x][y] != 0),
         ("AsymmetricDistance", lambda x, y: d[x][y] != d[y][x]),
         ("ZeroDistanceDistinct", lambda x, y: x != y and d[x][y] == 0),
+        ("NonfiniteDistance", lambda x, y: not math.isfinite(d[x][y])),
     ]
     for kind, broken in pair_axioms:
         for x in range(n):

@@ -129,6 +129,15 @@ def test_extend_rejects_bad_inputs(s3):
         wolff_extend(s3, np.array([0]), w, 2.0, eps=1.0)
 
 
+def test_a_nan_weight_is_an_input_error(line11):
+    # Not a NoConvergence from the factorization it would reach.
+    w = np.where(np.arange(line11.n) == 4, np.nan, 1.0)
+    with pytest.raises(NonpositiveWeight):
+        wolff_extend(line11, None, w, 2.0, eps=1.0)
+    with pytest.raises(NonpositiveWeight):
+        restrict_weight_report(line11, None, w, 2.0)
+
+
 def test_report_dict_round_trips_the_diagnostics(s3):
     rep = wolff_extend(s3, np.array([0, 1]), np.array([1.0, 4.0]), 2.0, eps=1.0)
     doc = rep.to_dict()

@@ -183,3 +183,13 @@ def test_factorize_rejects_bad_inputs(line11):
         jones_factorize(line11, None, 0.0 * ones, 2.0)
     with pytest.raises(ValueError):
         jones_factorize(line11, None, ones[:-1], 2.0)
+
+
+def test_a_nan_weight_is_an_input_error(line11):
+    ones = np.ones(line11.n)
+    v = np.where(np.arange(line11.n) == 4, np.nan, 1.0)
+    for p in (1.0, 1.5, 2.0):
+        with pytest.raises(NonpositiveWeight):
+            jones_factorize(line11, None, v, p)
+    with pytest.raises(NonpositiveWeight):
+        rdf_apply_T(line11, None, v, 2.0, ones)

@@ -88,3 +88,38 @@ def test_only_functions_the_benchmark_calls_with_workers_take_it():
         and node.name not in allowed
     ]
     assert taking == []
+
+
+
+def _distance_machinery(source: str) -> list[str]:
+    """The lines of a module that name cKDTree or call einsum."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        field = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr"}.get(type(node))
+        if field and getattr(node, field) == "cKDTree":
+            found.add(f"cKDTree (line {node.lineno})")
+        func = node.func if isinstance(node, ast.Call) else None
+        if getattr(func, "attr", getattr(func, "id", None)) == "einsum":
+            found.add(f"einsum (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_checker_finds_distance_machinery():
+    source = (
+        "import numpy as np\n"
+        "from scipy.spatial import cKDTree\n"
+        "import scipy.spatial\n"
+        "t = scipy.spatial.cKDTree(np.einsum('ij,ij->i', a, a))\n"
+        "u = einsum('i,i', a, a)\n"
+    )
+    assert _distance_machinery(source) == [
+        "cKDTree (line 2)", "cKDTree (line 4)", "einsum (line 4)", "einsum (line 5)",
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "space.py"],
+                         ids=lambda p: p.name)
+def test_only_space_computes_distances(module):
+    # One formula decides every distance, and KD-trees only propose
+    # candidates to it; both live in space.py.
+    assert _distance_machinery(module.read_text()) == []

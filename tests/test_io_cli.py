@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 import metricweights
 import oracles
 from metricweights import (
+    MetricMeasureSpace,
     ap_domain_characteristic,
     build_grid_space,
     cli,
@@ -228,6 +229,22 @@ def _interval_inputs(tmp_path):
     return _space_inputs(space, unit_band_subset(space), np.arange(1, space.n - 1), tmp_path)
 
 
+def _cloud_inputs(tmp_path):
+    # In 3-D, KD-tree distances differ from the dist_row formula in the last
+    # bit; only the formula may decide a boundary distance or the resolution.
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(size=(300, 3)) * [1.0, 0.1, 0.1]
+    coords = coords[np.argsort(coords[:, 0])]
+    mu = rng.uniform(0.5, 1.5, size=300)
+    us = np.arange(299)
+    lengths = MetricMeasureSpace(mu=mu, coords=coords).pair_dists(us, us + 1)
+    space = MetricMeasureSpace(mu=mu, coords=coords, meta="cloud(n=300, dim=3)",
+                               edges=np.column_stack([us, us + 1, lengths]))
+    e_ids = np.flatnonzero(coords[:, 1] < 0.05)
+    d_ids = np.flatnonzero((coords[:, 0] > 0.2) & (coords[:, 0] < 0.8))
+    return _space_inputs(space, e_ids, d_ids, tmp_path)
+
+
 # Every subcommand that reads a space file; keys of the inputs stand for paths.
 _DATA_COMMANDS = [
     ["space", "validate"],
@@ -248,8 +265,8 @@ _DATA_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("make_inputs", [_grid_inputs, _interval_inputs],
-                         ids=["grid", "interval"])
+@pytest.mark.parametrize("make_inputs", [_grid_inputs, _interval_inputs, _cloud_inputs],
+                         ids=["grid", "interval", "cloud"])
 def test_coords_and_matrix_files_give_identical_reports(capsys, tmp_path, make_inputs):
     inputs = make_inputs(tmp_path)
     for command in _DATA_COMMANDS:

@@ -32,6 +32,22 @@ def test_radius_cap_removes_large_balls(s3):
     assert out[2] == 0.0
 
 
+def test_radius_cap_keeps_exactly_the_balls_of_radius_at_most_the_cap(s3):
+    # The ball {1, 2} is B(2, r) for every r in (1, 2]: a cap just above 1
+    # keeps it, a cap of 1 does not.
+    f, E = np.array([1.0]), np.array([1])
+    assert maximal_fn(s3, f, E=E, radius_cap=1.0)[2] == 0.0
+    assert maximal_fn(s3, f, E=E, radius_cap=np.nextafter(1.0, 2.0))[2] == 0.5
+
+
+def test_a_nan_in_f_is_an_invalid_parameter(s3):
+    f = np.array([1.0, np.nan, 2.0])
+    with pytest.raises(InvalidParameter):
+        maximal_fn(s3, f)
+    with pytest.raises(InvalidParameter):
+        maximal_fn(s3, f[1:2], E=np.array([1]))
+
+
 def test_cap_is_pointwise_monotone(rng):
     space = oracles.random_metric_space(rng, 12)
     f = oracles.random_weight(rng, 12)

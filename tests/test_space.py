@@ -59,10 +59,24 @@ def test_canonical_prefixes_middle_and_end_center(s3):
 
 def test_representative_radii_cover_each_prefix(s3):
     balls = canonical_balls(s3, 2)
-    assert [r for r, _ in balls] == [0.5, 1.5, 3.0]
-    # each representative radius reproduces its prefix as a strict ball
+    # the smallest float radius of each prefix: just above its distance
+    assert [r for r, _ in balls] == [np.nextafter(v, np.inf) for v in (0.0, 1.0, 2.0)]
+    # each radius reproduces its prefix as a strict ball
     for r, members in balls:
         np.testing.assert_array_equal(s3.ball_members(2, r), members)
+
+
+@pytest.mark.parametrize("space", [
+    build_grid_space(2, 9, 1.0 / 3.0),
+    MetricMeasureSpace(mu=np.ones(150), coords=np.random.default_rng(3).uniform(size=(150, 3))),
+], ids=["grid", "random-3d"])
+def test_every_canonical_radius_gives_exactly_its_listed_members(space):
+    # On the grid one true distance comes out as floats a few ulps apart,
+    # where a midpoint between them rounds onto the smaller one.
+    for c in range(space.n):
+        radii, members = zip(*canonical_balls(space, c))
+        for got, want in zip(space.balls_members([c] * len(radii), radii), members):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_ball_members_strict_inequality(s3):
@@ -286,10 +300,12 @@ def test_validation_matches_oracle_on_gross_violations(seed, entry):
 
 @pytest.mark.parametrize("seed", [4, 5])
 def test_validation_matches_oracle_on_an_infinite_entry(seed):
-    # The certificate cannot pass d(x, z) = inf over a finite detour, so the
-    # exact loop decides; its slack REL_TOL * max(inf, t) is inf, so it passes.
+    # d(x, z) = inf over a finite detour is no metric; the triangle slack
+    # REL_TOL * max(inf, t) is inf, so only the finiteness check can see it.
     space = _planted(seed, 15, lambda t: np.inf)
-    assert validate_space(space).to_dict() == oracles.naive_validation(space)
+    report = validate_space(space).to_dict()
+    assert report["kind"] == "NonfiniteDistance"
+    assert report == oracles.naive_validation(space)
 
 
 def test_closure_certificate_decides_alone_only_with_half_the_tolerance(monkeypatch):
@@ -310,8 +326,18 @@ def test_point_at_infinite_distance_certifies_like_the_oracle():
     d[3, 3] = 0.0
     space = MetricMeasureSpace(mu=base.mu, dist=d)
     report = validate_space(space).to_dict()
-    assert report["ok"]
+    assert (report["kind"], report["witness"]) == ("NonfiniteDistance", [0, 3])
     assert report == oracles.naive_validation(space)
+
+
+def test_a_repeated_point_fails_validation_in_both_modes():
+    coords = np.random.default_rng(8).uniform(size=(3000, 2))
+    coords[17] = coords[5]
+    for n, mode in [(3000, "sampled"), (100, "full")]:
+        space = MetricMeasureSpace(mu=np.ones(n), coords=coords[:n])
+        assert validate_space(space).to_dict() == {
+            "ok": False, "kind": "ZeroDistanceDistinct", "witness": [5, 17], "mode": mode,
+        }
 
 
 @pytest.mark.parametrize("cells, value", [

@@ -5,6 +5,7 @@ import scipy.spatial
 import oracles
 from metricweights import (
     Ball,
+    MetricMeasureSpace,
     build_grid_space,
     chain_weight_ratio,
     check_cover_invariants,
@@ -153,6 +154,17 @@ def test_disjoint_singleton_balls_are_unreachable(line_cover):
         shortest_chain_length(line_cover, i, j)
 
 
+def test_ball_indices_out_of_range_are_rejected(line11, line_domain, line_cover):
+    b = len(line_cover)
+    w = np.ones(line_domain.ids.size)
+    for i, j in [(0, b), (b, 0), (0, -1), (-1, 0)]:
+        for call in (lambda: chain_path(line_cover, i, j),
+                     lambda: shortest_chain_length(line_cover, i, j),
+                     lambda: chain_weight_ratio(line11, line_domain, w, 2.0, line_cover, i, j)):
+            with pytest.raises(ValueError, match="ball index out of range"):
+                call()
+
+
 def test_constant_weight_has_unit_chain_ratio(line11, line_domain, line_cover):
     w = np.ones(line_domain.ids.size)
     i = int(np.flatnonzero(line_cover.centers == 4)[0])
@@ -286,6 +298,40 @@ def test_cover_matches_the_naive_oracle(seed):
         np.testing.assert_array_equal(domain.qh_graph().toarray(), want)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_boundary_and_resolution_are_the_matrix_minima_on_3d_clouds(seed):
+    # KD-tree distances differ from the dist_row formula in the last bit in
+    # 3-D; they may only propose candidates.
+    rng = np.random.default_rng(seed)
+    space = MetricMeasureSpace(mu=np.ones(400), coords=rng.uniform(size=(400, 3)))
+    mask = np.zeros(space.n, dtype=bool)
+    mask[rng.permutation(space.n)[:200]] = True
+    dist = space.dist_matrix()
+    domain = make_domain(space, mask)
+    want = np.zeros(space.n)
+    want[mask] = dist[np.ix_(mask, ~mask)].min(axis=1)
+    np.testing.assert_array_equal(domain.boundary_dist, want)
+    for n in (400, 200, 30):
+        sub = MetricMeasureSpace(mu=np.ones(n), coords=space.coords[:n])
+        assert sub.min_positive_distance() == dist[:n, :n][dist[:n, :n] > 0].min()
+
+
+@pytest.mark.parametrize("spacing", [0.3, 1.0 / 7.0])
+def test_boundary_is_the_matrix_minimum_where_nearest_points_tie(spacing):
+    space = build_grid_space(3, 9, spacing)
+    mask = np.random.default_rng(9).random(space.n) < 0.7
+    dist = space.dist_matrix()
+    domain = make_domain(space, mask)
+    np.testing.assert_array_equal(domain.boundary_dist[mask], dist[np.ix_(mask, ~mask)].min(axis=1))
+    assert domain.resolution == dist[dist > 0].min()
+
+
+def test_resolution_ignores_repeated_points():
+    coords = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [9.0, 4.0]])
+    assert MetricMeasureSpace(mu=np.ones(5), coords=coords).min_positive_distance() == 5.0
+    assert MetricMeasureSpace(mu=np.ones(2), coords=coords[:2]).min_positive_distance() == 0.0
+
+
 def test_balls_sharing_a_multiple_of_256_points_intersect():
     # An 8-bit count of shared members wraps to 0 at 256 and 512.
     n = 2000
@@ -308,8 +354,12 @@ def test_cover_makes_one_tree_query_per_block_of_balls(monkeypatch):
     space, domain = square_domain(64)
     cover = whitney_cover(space, domain)
     blocks = -(-domain.ids.size // BALL_QUERY_BLOCK) + -(-len(cover) // BALL_QUERY_BLOCK)
-    assert len(queries) == blocks
-    assert sum(queries) == domain.ids.size + len(cover)
+    assert len(queries) == 1 + blocks
+    # make_domain queries once, for the points of D with two nearest points
+    # off D: the diagonals of the square.
+    i, j = np.divmod(domain.ids, 64)
+    assert queries[0] == np.count_nonzero((i == j) | (i + j == 63))
+    assert sum(queries[1:]) == domain.ids.size + len(cover)
     assert len(queries) < 50 < domain.ids.size
 
 
