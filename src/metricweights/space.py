@@ -278,6 +278,7 @@ class MetricMeasureSpace:
         self._canonical: CanonicalBallSet | None = None
         self._edge_graph = None
         self._min_positive: float | None = None
+        self._repeats: bool | None = None
         self._kdtree = None
 
     # -- distances -----------------------------------------------------------
@@ -365,16 +366,24 @@ class MetricMeasureSpace:
         formula of dist_row, or 0.0. On coordinates the nearest tree distance
         of the distinct points bounds h, the pairs within (1 + 1e-9) times
         that bound are the candidates, and the formula decides.
+
+        Also records whether a point repeats: on coordinates, a zero
+        distance to the second-nearest point; on a matrix, any entry <= 0
+        off the diagonal or any nonzero one on it.
         """
         if self._min_positive is None:
             if self._dist is not None:
-                m = self._dist[self._dist > 0].min(initial=np.inf)
+                d = self._dist
+                m = d[d > 0].min(initial=np.inf)
+                # The diagonal holds n entries <= 0 exactly when it is all zero.
+                self._repeats = bool(np.diagonal(d).any()) or np.count_nonzero(d <= 0) != self.n
             else:
                 from scipy.spatial import cKDTree
 
                 points, tree = self._coords, self._tree()
                 near = tree.query(points, k=2)[0][:, 1]
-                if not near.all():  # a repeated point; copies add no distance
+                self._repeats = not near.all()
+                if self._repeats:  # copies add no distance
                     points = np.unique(points, axis=0)
                     tree = cKDTree(points)
                     near = tree.query(points, k=2)[0][:, 1]
@@ -383,6 +392,16 @@ class MetricMeasureSpace:
                 m = d[d > 0].min(initial=np.inf)
             self._min_positive = float(m) if np.isfinite(m) else 0.0
         return self._min_positive
+
+    def singleton_radius(self) -> float:
+        """The largest r for which every strict ball B(x, r) is exactly {x}.
+
+        That is the resolution h when no point repeats: every other point
+        lies at distance >= h, and x at distance 0. With a repeated point
+        it is 0.0, and no ball is known to be a singleton.
+        """
+        h = self.min_positive_distance()
+        return 0.0 if self._repeats else h
 
     # -- balls -----------------------------------------------------------------
 
@@ -400,10 +419,11 @@ class MetricMeasureSpace:
     def balls_members(self, centers, radii) -> Iterator[np.ndarray]:
         """Yield, for each (center, radius) pair in order, its ball_members.
 
-        The coordinate backend makes one KD-tree query per block of
-        BALL_QUERY_BLOCK centers. The tree only generates candidates, within
-        radius * (1 + 1e-9); membership is decided by the same distance
-        formula as dist_row, so the backends agree exactly.
+        A ball of radius <= singleton_radius() is {center}, given without a
+        distance. For the others the coordinate backend makes one KD-tree
+        query per block of BALL_QUERY_BLOCK of them. The tree only generates
+        candidates, within radius * (1 + 1e-9); membership is decided by the
+        same distance formula as dist_row, so the backends agree exactly.
         """
         centers = np.asarray(centers, dtype=np.intp)
         radii = np.asarray(radii, dtype=float)
@@ -411,6 +431,14 @@ class MetricMeasureSpace:
             raise ValueError("centers and radii must be 1-d arrays of one length")
         if (radii <= 0).any():
             raise ValueError("ball radius must be positive")
+        alone = radii <= self.singleton_radius()
+        wide = self._wide_balls(centers[~alone], radii[~alone])
+        for c, single in zip(centers.tolist(), alone.tolist()):
+            yield np.array([c], dtype=np.intp) if single else next(wide)
+
+    def _wide_balls(self, centers: np.ndarray, radii: np.ndarray) -> Iterator[np.ndarray]:
+        """The members of each ball, in order: a matrix row each, or on
+        coordinates one tree query per block, made when its first ball is due."""
         if self._dist is not None:
             for c, r in zip(centers.tolist(), radii.tolist()):
                 yield np.flatnonzero(self._dist[c] < r)

@@ -10,6 +10,7 @@ quasihyperbolic comparability, and chain growth of weight averages.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import InvalidParameter, PreconditionFail
 from .extension import wolff_extend
@@ -17,6 +18,7 @@ from .space import MetricMeasureSpace, build_grid_space
 from .weights import ap_tilde_characteristic, power_weight
 from .whitney import (
     DomainSpec,
+    _ball_sums,
     chain_distances,
     check_cover_invariants,
     make_domain,
@@ -162,7 +164,7 @@ def chain_report(space: MetricMeasureSpace, domain: DomainSpec, seed: int = 0) -
 
     Records k_tilde, k, and their ratio k_tilde / max(k, 1) per pair, the
     smallest band [1/alpha, alpha] containing every ratio, and the Pearson
-    correlation of k_tilde against k.
+    correlation of k_tilde against k (None when either is constant).
     """
     cover = whitney_cover(space, domain)
     rng = np.random.default_rng(seed)
@@ -193,7 +195,9 @@ def chain_report(space: MetricMeasureSpace, domain: DomainSpec, seed: int = 0) -
     k_tildes = np.array([pr["k_tilde"] for pr in pairs])
     ks = np.array([pr["qh"] for pr in pairs])
     alpha = float(np.maximum(ratios, 1.0 / ratios).max())
-    corr = float(np.corrcoef(k_tildes, ks)[0, 1])
+    # A constant sample has no correlation; np.corrcoef would give NaN.
+    constant = k_tildes.min() == k_tildes.max() or ks.min() == ks.max()
+    corr = None if constant else float(np.corrcoef(k_tildes, ks)[0, 1])
     return {
         "n_balls": len(cover),
         "n_resolved": int(cover.resolved.sum()),
@@ -267,6 +271,17 @@ def chain_growth_study(side: int, seed: int = 0) -> dict:
     }
 
 
+def _band_centers(domain: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The band's candidate points (boundary distance >= 4h) and its
+    centers, at most HOLD2_BALLS of them evenly spaced in (boundary
+    distance, id) order."""
+    candidates = np.flatnonzero(domain.mask & (domain.boundary_dist >= 4.0 * domain.resolution))
+    order = np.lexsort((candidates, domain.boundary_dist[candidates]))
+    take = min(HOLD2_BALLS, candidates.size)
+    picks = np.unique(np.linspace(0, candidates.size - 1, take).round().astype(int))
+    return candidates, candidates[order][picks]
+
+
 def _whitney_like_band(space, domain, w_on_x) -> dict:
     """Integral ratio band over Whitney-like balls at small qh distance.
 
@@ -278,37 +293,32 @@ def _whitney_like_band(space, domain, w_on_x) -> dict:
     turns the max into a shrinking-sample statistic; the adaptive extremal
     partner keeps the measured sup comparable between sides.
     """
-    h = domain.resolution
-    cand_mask = domain.mask & (domain.boundary_dist >= 4.0 * h)
-    candidates = np.flatnonzero(cand_mask)
+    candidates, centers = _band_centers(domain)
     if candidates.size == 0:
         return {"band": 1.0, "n_pairs": 0, "n_samples": 0}
-    order = np.lexsort((candidates, domain.boundary_dist[candidates]))
-    take = min(HOLD2_BALLS, candidates.size)
-    picks = np.unique(np.linspace(0, candidates.size - 1, take).round().astype(int))
-    centers = candidates[order][picks]
 
     w_mu = w_on_x * space.mu * domain.mask
     radii = domain.boundary_dist[centers][:, None] / np.array(HOLD2_T_RANGE)
     balls = space.balls_members(np.repeat(centers, radii.shape[1]), radii.ravel())
-    sums = np.array([np.sum(w_mu[m]) for m in balls]).reshape(radii.shape)
+    sums = _ball_sums(w_mu, balls).reshape(radii.shape)
     cache = dict(zip(centers.tolist(), sums))
 
     def ball_integrals(c: int) -> np.ndarray:
         # Partners turn up one at a time, so their balls are queried singly.
         if c not in cache:
-            vals = [
-                np.sum(w_mu[space.ball_members(c, domain.boundary_dist[c] / t)])
-                for t in HOLD2_T_RANGE
-            ]
-            cache[c] = np.array(vals)
+            cache[c] = _ball_sums(w_mu, [
+                space.ball_members(c, domain.boundary_dist[c] / t) for t in HOLD2_T_RANGE
+            ])
         return cache[c]
 
     band = 1.0
     pairs: set[tuple[int, int]] = set()
+    graph = domain.qh_graph()
     for c in centers:
         # One source at a time: all rows at once would hold len(centers) x n floats.
-        near = candidates[qh_distances(space, domain, c)[0, candidates] <= HOLD2_QH_GATE]
+        # The gate reads nothing farther, and scipy keeps the nodes at the limit.
+        row = dijkstra(graph, indices=c, limit=HOLD2_QH_GATE)
+        near = candidates[row[candidates] <= HOLD2_QH_GATE]
         ranked = near[np.lexsort((near, domain.boundary_dist[near]))]
         for partner in (int(c), int(ranked[0]), int(ranked[-1])):
             if partner != c:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -71,7 +72,8 @@ class DomainSpec:
 
 def make_domain(space: MetricMeasureSpace, members) -> DomainSpec:
     """Build a DomainSpec from a bool mask or ids, checked by as_subset;
-    raises NotProper unless 0 < |D| < n."""
+    raises NotProper unless 0 < |D| < n, and PreconditionFail, naming the
+    point, when a point of D is not at positive distance from X minus D."""
     try:
         ids, mask = as_subset(space, members)
     except EmptySubset:
@@ -81,6 +83,13 @@ def make_domain(space: MetricMeasureSpace, members) -> DomainSpec:
 
     boundary = np.zeros(space.n)
     boundary[ids] = space.nearest_distances(ids, np.flatnonzero(~mask))
+    unseparated = ids[~(boundary[ids] > 0)]
+    if unseparated.size:
+        x = int(unseparated[0])
+        raise PreconditionFail(
+            f"domain point {x} lies at distance {float(boundary[x])!r} from the "
+            "complement of the domain; a copy of a domain point may not lie outside it"
+        )
     return DomainSpec(
         space=space,
         ids=ids,
@@ -124,9 +133,14 @@ class WhitneyCover:
     def ball_averages(self, values_on_x: np.ndarray) -> np.ndarray:
         """mu-average of a function over each cover ball."""
         v_mu = values_on_x * self.domain.space.mu
-        return np.array(
-            [float(np.sum(v_mu[m])) for m in self.members]
-        ) / self.mu_balls
+        return _ball_sums(v_mu, self.members) / self.mu_balls
+
+
+def _ball_sums(values: np.ndarray, members: Iterable[np.ndarray]) -> np.ndarray:
+    """values summed over each member set, each exactly as np.sum adds it
+    (np.add.reduce, without np.sum's Python wrapper)."""
+    add = np.add.reduce
+    return np.array([add(values[m]) for m in members], dtype=float)
 
 
 def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover:
@@ -134,19 +148,25 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
     ids = domain.ids
     radii_all = domain.boundary_dist[ids] / 4.0
     order = np.lexsort((ids, -radii_all))
+    queue, quarter_radii = ids[order], radii_all[order] / 4.0
 
+    # Radii do not increase along the queue, so the quarter balls that are
+    # singletons form its tail. A singleton {x} is kept when x is not yet
+    # covered, and keeping it covers only x, which no other tail ball holds.
+    head = int(np.count_nonzero(quarter_radii > space.singleton_radius()))
     covered = np.zeros(space.n, dtype=bool)
     chosen: list[int] = []
-    quarters = space.balls_members(ids[order], radii_all[order] / 4.0)
-    for x, quarter in zip(ids[order].tolist(), quarters):
+    quarters = space.balls_members(queue[:head], quarter_radii[:head])
+    for x, quarter in zip(queue[:head].tolist(), quarters):
         if not covered[quarter].any():
             chosen.append(x)
             covered[quarter] = True
+    tail = queue[head:]
 
-    centers = np.array(chosen, dtype=np.intp)
+    centers = np.concatenate([np.array(chosen, dtype=np.intp), tail[~covered[tail]]])
     radii = domain.boundary_dist[centers] / 4.0
     members = list(space.balls_members(centers, radii))
-    mu_balls = np.array([float(np.sum(space.mu[m])) for m in members])
+    mu_balls = _ball_sums(space.mu, members)
 
     edges = _intersection_edges(space.n, members)
     if edges.size:

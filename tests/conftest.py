@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from metricweights import build_grid_space
+from metricweights import MetricMeasureSpace, build_grid_space
 
 settings.register_profile(
     "suite",
@@ -33,3 +33,17 @@ def line11():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def cube_path():
+    """300 uniform points of the unit cube (seed 5) joined by path edges in x
+    order, and the domain mask 0.2 < x < 0.8. The chain report samples only
+    pairs one chain step apart on it."""
+    coords = np.random.default_rng(5).uniform(size=(300, 3))
+    order = np.argsort(coords[:, 0])
+    us, vs = order[:-1], order[1:]
+    lengths = MetricMeasureSpace(mu=np.ones(300), coords=coords).pair_dists(us, vs)
+    space = MetricMeasureSpace(mu=np.ones(300), coords=coords,
+                               edges=np.column_stack([us, vs, lengths]))
+    return space, (coords[:, 0] > 0.2) & (coords[:, 0] < 0.8)

@@ -920,6 +920,33 @@ def test_cli_chains_on_a_domain_too_small_to_sample(capsys, line7, domain):
     _assert_error(rc, err, 2, "PreconditionFail")
 
 
+def test_cli_rejects_a_domain_point_with_a_copy_outside_the_domain(capsys, tmp_path):
+    # Points 1 and 2 coincide; a domain holding only one of them has a
+    # point at boundary distance 0.
+    coords = np.array([[0, 0], [1, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
+    io.save_space(tmp_path / "space.json", MetricMeasureSpace(mu=np.ones(5), coords=coords))
+    for ids in ([1, 2, 3], [1, 3]):
+        io.save_subset(tmp_path / f"d{len(ids)}.json", np.array(ids))
+    argv = ["whitney", "--space", str(tmp_path / "space.json"), "--domain"]
+    assert _run(capsys, argv + [str(tmp_path / "d3.json")])[::2] == (0, "")
+    for command in ("whitney", "chains"):
+        argv[0] = command
+        rc, out, err = _run(capsys, argv + [str(tmp_path / "d2.json")])
+        assert out == ""
+        assert "domain point 1 " in _assert_error(rc, err, 2, "PreconditionFail")
+
+
+def test_cli_chains_reports_a_null_correlation_for_a_constant_sample(capsys, tmp_path, cube_path):
+    space, mask = cube_path
+    io.save_space(tmp_path / "space.json", space)
+    io.save_subset(tmp_path / "domain.json", np.flatnonzero(mask))
+    argv = ["chains", "--space", str(tmp_path / "space.json"), "--domain", str(tmp_path / "domain.json")]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["corr"] is None and report["n_pairs"] >= 2
+
+
 @pytest.mark.parametrize(
     "x, y, flag",
     [("40", "2", "--x"), ("2", "40", "--y"), ("-1", "2", "--x"), ("0", "2", None), ("2", "6", None)],

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from metricweights import make_domain
 from metricweights.studies import (
+    HOLD2_QH_GATE,
+    _band_centers,
     chain_growth_study,
     chain_report,
     condition_refinement_study,
@@ -62,6 +67,32 @@ def test_chain_report_bands_and_correlation():
         assert pair["ratio"] == pytest.approx(
             pair["k_tilde"] / max(pair["qh"], 1.0), rel=1e-12
         )
+
+
+def test_chain_report_has_no_correlation_for_a_constant_chain_length(cube_path):
+    space, mask = cube_path
+    domain = make_domain(space, mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = chain_report(space, domain)
+    assert report["n_pairs"] >= 2
+    assert {p["k_tilde"] for p in report["pairs"]} == {1.0}
+    assert report["corr"] is None
+
+
+def test_gated_qh_rows_are_the_full_rows_inside_the_gate():
+    _, domain = square_domain(64)
+    _, centers = _band_centers(domain)
+    assert centers.size > 1
+    graph = domain.qh_graph()
+    full = dijkstra(graph, indices=centers)
+    gated = dijkstra(graph, indices=centers, limit=HOLD2_QH_GATE)
+    inside = full <= HOLD2_QH_GATE
+    assert gated[inside].tobytes() == full[inside].tobytes()
+    assert np.isinf(gated[~inside]).all()
+    # scipy's limit is inclusive: nodes exactly at the gate keep their value.
+    at_gate = full == HOLD2_QH_GATE
+    assert at_gate.any() and (gated[at_gate] == HOLD2_QH_GATE).all()
 
 
 def test_chain_report_falls_back_when_nothing_is_resolved(line11):

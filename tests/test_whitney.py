@@ -332,6 +332,109 @@ def test_resolution_ignores_repeated_points():
     assert MetricMeasureSpace(mu=np.ones(2), coords=coords[:2]).min_positive_distance() == 0.0
 
 
+def _grid_or_cloud(kind: str, backend: str) -> MetricMeasureSpace:
+    if kind == "grid":
+        space = build_grid_space(2, 13, 0.3)
+    else:
+        rng = np.random.default_rng(4)
+        space = MetricMeasureSpace(mu=rng.uniform(0.5, 2.0, 180), coords=rng.uniform(size=(180, 3)))
+    return space if backend == "coords" else space_from_matrix(space.dist_matrix(), space.mu)
+
+
+@pytest.mark.parametrize("backend", ["coords", "matrix"])
+@pytest.mark.parametrize("kind", ["grid", "cloud"])
+def test_balls_around_the_singleton_radius_are_the_strict_rows(kind, backend):
+    space = _grid_or_cloud(kind, backend)
+    h = space.min_positive_distance()
+    assert space.singleton_radius() == h > 0
+    # Each center twice, so that the calls span more than one query block.
+    centers = np.tile(np.arange(space.n), 2)
+    assert centers.size > BALL_QUERY_BLOCK
+    for r in (np.nextafter(h, 0), h, np.nextafter(h, np.inf)):
+        got = list(space.balls_members(centers, np.full(centers.size, r)))
+        want = [np.flatnonzero(space.dist_row(c) < r) for c in centers]
+        for g, w in zip(got, want):
+            assert g.dtype == np.intp
+            np.testing.assert_array_equal(g, w)
+        assert (max(w.size for w in want) > 1) == (r > h)
+    # Singleton and wider balls interleaved in one call keep their order.
+    radii = np.where(np.random.default_rng(1).random(centers.size) < 0.5, h, 3.0 * h)
+    for c, r, g in zip(centers, radii, space.balls_members(centers, radii)):
+        np.testing.assert_array_equal(g, np.flatnonzero(space.dist_row(c) < r))
+
+
+@pytest.mark.parametrize("backend", ["coords", "matrix"])
+def test_a_repeated_point_inside_the_domain_keeps_the_oracle_cover(backend):
+    # Point 100 repeats point 44; both copies lie in D. B(44, 1) is {44, 100}
+    # although 1 is the resolution, so no ball may be taken for a singleton.
+    grid = build_grid_space(2, 10, 1.0)
+    coords = np.vstack([grid.coords, grid.coords[44]])
+    space = MetricMeasureSpace(mu=np.ones(101), coords=coords)
+    if backend == "matrix":
+        space = space_from_matrix(space.dist_matrix(), space.mu)
+    assert space.min_positive_distance() == 1.0
+    assert space.singleton_radius() == 0.0
+    lattice = np.vstack([np.argwhere(np.ones((10, 10))), [4, 4]])
+    domain = make_domain(space, ((lattice >= 1) & (lattice <= 8)).all(axis=1))
+    assert domain.mask[[44, 100]].all()
+    centers, radii, members, edges, _ = oracles.naive_whitney_cover(space, domain)
+    cover = whitney_cover(space, domain)
+    np.testing.assert_array_equal(cover.centers, centers)
+    np.testing.assert_array_equal(cover.radii, radii)
+    for got, want in zip(cover.members, members, strict=True):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(cover.edges, edges)
+    assert 100 not in cover.centers and [44, 100] in [m.tolist() for m in cover.members]
+    assert check_cover_invariants(cover) == oracles.naive_cover_invariants(
+        space, domain, centers, radii, members, edges
+    )
+
+
+def test_a_matrix_off_zero_at_its_diagonal_or_not_positive_off_it_has_no_singletons():
+    dist = build_grid_space(1, 4, 1.0).dist_matrix().copy()
+    assert space_from_matrix(dist, np.ones(4)).singleton_radius() == 1.0
+    for bad in (0.0, -0.5):
+        changed = dist.copy()
+        changed[0, 3] = changed[3, 0] = bad
+        assert space_from_matrix(changed, np.ones(4)).singleton_radius() == 0.0
+    changed = dist.copy()
+    changed[2, 2] = 2.0
+    assert space_from_matrix(changed, np.ones(4)).singleton_radius() == 0.0
+
+
+def test_domain_point_with_a_copy_outside_the_domain_is_rejected():
+    space = MetricMeasureSpace(
+        mu=np.ones(5), coords=np.array([[0, 0], [1, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
+    )
+    for s in (space, space_from_matrix(space.dist_matrix(), space.mu)):
+        with pytest.raises(PreconditionFail, match="domain point 1 lies at distance 0.0"):
+            make_domain(s, [1, 3])
+        assert make_domain(s, [1, 2, 3]).boundary_dist[[1, 2, 3]].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_per_ball_sums_are_np_sum_bitwise():
+    rng = np.random.default_rng(11)
+    grid = build_grid_space(2, 40, 1.0)
+    space = MetricMeasureSpace(mu=rng.uniform(0.1, 3.0, grid.n), coords=grid.coords)
+    _, domain = square_domain(40)
+    domain = make_domain(space, domain.mask)
+    cover = whitney_cover(space, domain)
+    sizes = np.array([m.size for m in cover.members])
+    assert sizes.min() == 1 and sizes.max() >= 3
+    want = np.array([np.sum(space.mu[m]) for m in cover.members])
+    assert cover.mu_balls.tobytes() == want.tobytes()
+    values = rng.normal(size=space.n)
+    values[rng.random(space.n) < 0.3] = -0.0
+    v_mu = values * space.mu
+    want = np.array([np.sum(v_mu[m]) for m in cover.members]) / cover.mu_balls
+    got = cover.ball_averages(values)
+    assert got.tobytes() == want.tobytes()
+    # np.sum([-0.0]) is 0.0, so a singleton's sum is not its value read off.
+    single = sizes == 1
+    assert np.signbit(v_mu[cover.centers[single]]).any()
+    assert not np.signbit(got[single][v_mu[cover.centers[single]] == 0]).any()
+
+
 def test_balls_sharing_a_multiple_of_256_points_intersect():
     # An 8-bit count of shared members wraps to 0 at 256 and 512.
     n = 2000
@@ -353,13 +456,19 @@ def test_cover_makes_one_tree_query_per_block_of_balls(monkeypatch):
     monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
     space, domain = square_domain(64)
     cover = whitney_cover(space, domain)
-    blocks = -(-domain.ids.size // BALL_QUERY_BLOCK) + -(-len(cover) // BALL_QUERY_BLOCK)
+    # Only balls wider than the singleton radius reach the tree.
+    h = space.singleton_radius()
+    assert h == 1.0
+    wide_quarters = np.count_nonzero(domain.boundary_dist[domain.ids] / 4.0 / 4.0 > h)
+    wide_members = np.count_nonzero(cover.radii > h)
+    assert 0 < wide_quarters < domain.ids.size and 0 < wide_members < len(cover)
+    blocks = -(-wide_quarters // BALL_QUERY_BLOCK) + -(-wide_members // BALL_QUERY_BLOCK)
     assert len(queries) == 1 + blocks
     # make_domain queries once, for the points of D with two nearest points
     # off D: the diagonals of the square.
     i, j = np.divmod(domain.ids, 64)
     assert queries[0] == np.count_nonzero((i == j) | (i + j == 63))
-    assert sum(queries[1:]) == domain.ids.size + len(cover)
+    assert sum(queries[1:]) == wide_quarters + wide_members
     assert len(queries) < 50 < domain.ids.size
 
 
