@@ -37,8 +37,7 @@ class NonpositiveMass(DomainError):
 
 
 class GraphDisconnected(DomainError):
-    def __init__(self, detail: str = "edge graph is not connected") -> None:
-        super().__init__(detail)
+    """A graph space file whose edge graph is not connected."""
 
 
 # -- subsets, functions, weights ---------------------------------------------

@@ -46,27 +46,17 @@ from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr
 FORMAT_VERSION = 1
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json sees builtin types."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _builtin(obj):
+    """json's hook for numpy arrays and scalars: their builtin equivalents."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dumps(doc, **kwargs) -> str:
-    """json.dumps that refuses NaN and inf, which strict JSON cannot hold."""
+    """Every writer's json.dumps: numpy values in, NaN and inf refused."""
     try:
-        return json.dumps(doc, allow_nan=False, **kwargs)
+        return json.dumps(doc, allow_nan=False, default=_builtin, **kwargs)
     except ValueError as exc:
         raise FormatError(f"refusing to write a non-finite number: {exc}") from exc
 
@@ -137,7 +127,7 @@ def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
         try:
             u, v = int(edge[0]), int(edge[1])
             edges.append((u, v, float(edge[2])))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ParseError(f"{path}: edges[{i}] must hold two ids and a length") from exc
         if (u, v) != (edge[0], edge[1]):
             raise ParseError(f"{path}: edges[{i}] ids must be integers: {edge[:2]}")
@@ -165,22 +155,22 @@ def space_to_dict(space: MetricMeasureSpace) -> dict:
     preserve every numeric field of the space.
     """
     if space.coords is not None:
-        metric = {"type": "coords", "data": _plain(space.coords)}
+        metric = {"type": "coords", "data": space.coords.tolist()}
     elif space.n > DENSE_CAP:
         raise SizeOverflow(
             f"space files hold a distance matrix of at most {DENSE_CAP} points, "
             f"got {space.n}"
         )
     else:
-        metric = {"type": "matrix", "data": _plain(space.dist_matrix())}
+        metric = {"type": "matrix", "data": space.dist_matrix().tolist()}
     edges = space.edges
     if edges:
-        metric["edges"] = _plain(edges)
+        metric["edges"] = [list(edge) for edge in edges]
     return {
         "version": FORMAT_VERSION,
         "n": space.n,
         "metric": metric,
-        "mu": _plain(space.mu),
+        "mu": space.mu.tolist(),
         "meta": space.meta,
     }
 
@@ -244,10 +234,10 @@ def function_to_dict(values: np.ndarray, e_ids: np.ndarray | None = None) -> dic
     doc = {
         "version": FORMAT_VERSION,
         "domain": "X" if e_ids is None else "E",
-        "values": _plain(np.asarray(values, dtype=float)),
+        "values": np.asarray(values, dtype=float).tolist(),
     }
     if e_ids is not None:
-        doc["E"] = _plain(np.asarray(e_ids, dtype=np.intp))
+        doc["E"] = np.asarray(e_ids, dtype=np.intp).tolist()
     return doc
 
 
@@ -273,7 +263,7 @@ def load_function(path) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 def save_subset(path, ids) -> None:
-    doc = {"version": FORMAT_VERSION, "ids": _plain(np.asarray(ids, dtype=np.intp))}
+    doc = {"version": FORMAT_VERSION, "ids": np.asarray(ids, dtype=np.intp)}
     Path(path).write_text(_dumps(doc, sort_keys=True) + "\n")
 
 
@@ -288,7 +278,7 @@ def load_subset(path) -> np.ndarray:
 
 def report_bytes(payload: dict) -> bytes:
     """Deterministic JSON encoding used for golden-file comparison."""
-    return (_dumps(_plain(payload), sort_keys=True, indent=2) + "\n").encode()
+    return (_dumps(payload, sort_keys=True, indent=2) + "\n").encode()
 
 
 def write_report(out_dir, name: str, payload: dict, meta: dict | None = None) -> Path:
@@ -302,15 +292,13 @@ def write_report(out_dir, name: str, payload: dict, meta: dict | None = None) ->
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
-    if meta:
-        side.update(_plain(meta))
-    (out / f"{name}.meta.json").write_text(json.dumps(side, sort_keys=True, indent=2) + "\n")
+    side.update(meta or {})
+    (out / f"{name}.meta.json").write_text(_dumps(side, sort_keys=True, indent=2) + "\n")
     return target
 
 
 def write_csv(path, rows: list[dict]) -> None:
     """Plot series: one column per report field, lists JSON-encoded in cells."""
-    rows = [_plain(r) for r in rows]
     if not rows:
         Path(path).write_text("")
         return
@@ -321,7 +309,7 @@ def write_csv(path, rows: list[dict]) -> None:
         for row in rows:
             writer.writerow(
                 [
-                    json.dumps(row.get(c)) if isinstance(row.get(c), (list, dict))
+                    _dumps(row.get(c)) if isinstance(row.get(c), (list, dict))
                     else row.get(c)
                     for c in columns
                 ]

@@ -583,26 +583,18 @@ def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport
 
     if dense:
         dist = space.dist_matrix()
-        neg = np.argwhere(dist < 0)
-        if neg.size:
-            x, y = map(int, neg[0])
-            return ValidationReport(False, "NegativeDistance", (x, y))
-        diag = np.flatnonzero(np.diagonal(dist) != 0)
-        if diag.size:
-            x = int(diag[0])
-            return ValidationReport(False, "NonzeroSelfDistance", (x, x))
-        asym = np.argwhere(dist != dist.T)
-        if asym.size:
-            x, y = map(int, asym[0])
-            return ValidationReport(False, "AsymmetricDistance", (x, y))
-        offdiag_zero = np.argwhere((dist == 0) & ~np.eye(space.n, dtype=bool))
-        if offdiag_zero.size:
-            x, y = map(int, offdiag_zero[0])
-            return ValidationReport(False, "ZeroDistanceDistinct", (x, y))
-        nonfinite = np.argwhere(~np.isfinite(dist))
-        if nonfinite.size:
-            x, y = map(int, nonfinite[0])
-            return ValidationReport(False, "NonfiniteDistance", (x, y))
+        # In scan order; each mask is built only when every axiom before it holds.
+        pair_axioms = (
+            ("NegativeDistance", lambda: dist < 0),
+            ("NonzeroSelfDistance", lambda: (dist != 0) & np.eye(space.n, dtype=bool)),
+            ("AsymmetricDistance", lambda: dist != dist.T),
+            ("ZeroDistanceDistinct", lambda: (dist == 0) & ~np.eye(space.n, dtype=bool)),
+            ("NonfiniteDistance", lambda: ~np.isfinite(dist)),
+        )
+        for kind, violated in pair_axioms:
+            bad = np.argwhere(violated())
+            if bad.size:
+                return ValidationReport(False, kind, tuple(map(int, bad[0])))
     else:
         # Exact by either formula: a sum of squares is 0 only if each term is.
         pairs = space._tree().query_pairs(0.0, output_type="ndarray")

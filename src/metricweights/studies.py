@@ -41,6 +41,8 @@ CHAIN_SOURCES, CHAIN_TARGETS = 12, 60
 GROWTH_SOURCES, GROWTH_TARGETS = 10, 40
 # Exponent of the growth study's weight w = (boundary distance)^exponent.
 GROWTH_W_EXPONENT = 0.3
+# The two points of (0, 1) whose quasihyperbolic distance qh_interval_study measures.
+QH_X, QH_Y = 0.25, 0.5
 
 
 def interval_space(side: int, lo: float = -1.0, hi: float = 1.0) -> MetricMeasureSpace:
@@ -149,14 +151,25 @@ def whitney_refinement_study(sides) -> list[dict]:
     return rows
 
 
-def _sample_resolved(cover, rng, n_sources: int, n_targets: int):
+def _chain_pairs(cover, seed: int, n_sources: int, n_targets: int):
+    """Sampled pairs of resolved cover balls that a chain joins.
+
+    Returns the sorted sampled sources, then for each pair in source-major
+    order (targets ascending): its source's row in the sample, its target
+    ball, and its chain length.
+    """
+    if seed < 0:
+        raise InvalidParameter(f"seed must be a nonnegative integer, got {seed}")
+    rng = np.random.default_rng(seed)
     resolved = np.flatnonzero(cover.resolved)
     pool = resolved if resolved.size >= 2 else np.arange(len(cover))
     if pool.size < 2:
         raise PreconditionFail("not enough cover balls to sample pairs")
-    sources = rng.choice(pool, size=min(n_sources, pool.size), replace=False)
-    targets = rng.choice(pool, size=min(n_targets, pool.size), replace=False)
-    return np.sort(sources), np.sort(targets)
+    sources = np.sort(rng.choice(pool, size=min(n_sources, pool.size), replace=False))
+    targets = np.sort(rng.choice(pool, size=min(n_targets, pool.size), replace=False))
+    chain = chain_distances(cover, sources)[:, targets]
+    rows, cols = np.nonzero((sources[:, None] != targets) & np.isfinite(chain))
+    return sources, rows, targets[cols], chain[rows, cols]
 
 
 def chain_report(space: MetricMeasureSpace, domain: DomainSpec, seed: int = 0) -> dict:
@@ -167,33 +180,14 @@ def chain_report(space: MetricMeasureSpace, domain: DomainSpec, seed: int = 0) -
     correlation of k_tilde against k (None when either is constant).
     """
     cover = whitney_cover(space, domain)
-    rng = np.random.default_rng(seed)
-    sources, targets = _sample_resolved(cover, rng, CHAIN_SOURCES, CHAIN_TARGETS)
-
-    chain = chain_distances(cover, sources)
-    qh = qh_distances(space, domain, cover.centers[sources])
-    pairs = []
-    for si, s in enumerate(sources):
-        for t in targets:
-            if t == s or not np.isfinite(chain[si, t]):
-                continue
-            k_tilde = float(chain[si, t])
-            k = float(qh[si, cover.centers[t]])
-            ratio = k_tilde / max(k, 1.0)
-            pairs.append(
-                {
-                    "i": int(s),
-                    "j": int(t),
-                    "k_tilde": k_tilde,
-                    "qh": k,
-                    "ratio": ratio,
-                }
-            )
-    if not pairs:
+    sources, rows, targets, k_tildes = _chain_pairs(cover, seed, CHAIN_SOURCES, CHAIN_TARGETS)
+    ks = qh_distances(space, domain, cover.centers[sources])[rows, cover.centers[targets]]
+    if not targets.size:
         raise PreconditionFail("sampling produced no chain-connected pairs")
-    ratios = np.array([pr["ratio"] for pr in pairs])
-    k_tildes = np.array([pr["k_tilde"] for pr in pairs])
-    ks = np.array([pr["qh"] for pr in pairs])
+    ratios = k_tildes / np.maximum(ks, 1.0)
+    fields = (sources[rows], targets, k_tildes, ks, ratios)
+    pairs = [dict(zip(("i", "j", "k_tilde", "qh", "ratio"), pair))
+             for pair in zip(*(column.tolist() for column in fields))]
     alpha = float(np.maximum(ratios, 1.0 / ratios).max())
     # A constant sample has no correlation; np.corrcoef would give NaN.
     constant = k_tildes.min() == k_tildes.max() or ks.min() == ks.max()
@@ -238,19 +232,9 @@ def chain_growth_study(side: int, seed: int = 0) -> dict:
         alpha = 0.0
     beta = 0.0
 
-    rng = np.random.default_rng(seed)
-    sources, targets = _sample_resolved(cover, rng, GROWTH_SOURCES, GROWTH_TARGETS)
-    chain = chain_distances(cover, sources)
-    violations = 0
-    n_holdout = 0
-    for si, s in enumerate(sources):
-        for t in targets:
-            if t == s or not np.isfinite(chain[si, t]):
-                continue
-            n_holdout += 1
-            lhs = abs(np.log(averages[s] / averages[t]))
-            if lhs > alpha * chain[si, t] + beta + 1e-9:
-                violations += 1
+    sources, rows, targets, k_tildes = _chain_pairs(cover, seed, GROWTH_SOURCES, GROWTH_TARGETS)
+    lhs = np.abs(np.log(averages[sources[rows]] / averages[targets]))
+    violations = int(np.count_nonzero(lhs > alpha * k_tildes + beta + 1e-9))
 
     like = _whitney_like_band(space, domain, w_on_x)
     return {
@@ -260,7 +244,7 @@ def chain_growth_study(side: int, seed: int = 0) -> dict:
         "n_edges": int(cover.edges.shape[0]),
         "alpha": alpha,
         "beta": beta,
-        "n_holdout": n_holdout,
+        "n_holdout": int(targets.size),
         "violations": violations,
         "hold2_band": like["band"],
         "hold2_pairs": like["n_pairs"],
@@ -330,20 +314,21 @@ def _whitney_like_band(space, domain, w_on_x) -> dict:
     return {"band": float(band), "n_pairs": len(pairs), "n_samples": int(centers.size)}
 
 
-def qh_interval_study(spacing: float, x: float = 0.25, y: float = 0.5) -> dict:
-    """Quasihyperbolic distance on (0, 1) against the closed form log(y/x)."""
+def qh_interval_study(spacing: float) -> dict:
+    """Quasihyperbolic distance on (0, 1) from QH_X to QH_Y against the
+    closed form log(QH_Y/QH_X)."""
     side = int(round(1.0 / spacing))
     space = interval_space(side, lo=0.0, hi=1.0)
     interior = np.arange(1, space.n - 1)
     domain = make_domain(space, interior)
-    xi = int(round(x * side))
-    yi = int(round(y * side))
+    xi = int(round(QH_X * side))
+    yi = int(round(QH_Y * side))
     measured = qh_distance(space, domain, xi, yi)
-    expected = float(np.log(y / x))
+    expected = float(np.log(QH_Y / QH_X))
     return {
         "spacing": spacing,
-        "x": x,
-        "y": y,
+        "x": QH_X,
+        "y": QH_Y,
         "measured": measured,
         "expected": expected,
         "rel_error": abs(measured - expected) / expected,

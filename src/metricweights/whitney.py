@@ -127,9 +127,6 @@ class WhitneyCover:
             self._adjacency = _symmetric_csr(len(self), us, vs, np.ones(us.size))
         return self._adjacency
 
-    def ball(self, k: int) -> Ball:
-        return Ball(int(self.centers[k]), float(self.radii[k]))
-
     def ball_averages(self, values_on_x: np.ndarray) -> np.ndarray:
         """mu-average of a function over each cover ball."""
         v_mu = values_on_x * self.domain.space.mu

@@ -123,3 +123,38 @@ def test_only_space_computes_distances(module):
     # One formula decides every distance, and KD-trees only propose
     # candidates to it; both live in space.py.
     assert _distance_machinery(module.read_text()) == []
+
+
+def _json_dumps_callers(source: str) -> list[str]:
+    """The innermost function around each json.dumps call of a module, in
+    line order; "<module>" for a call outside every function."""
+    tree = ast.parse(source)
+    around = {}
+    for node in ast.walk(tree):  # breadth first, so inner functions win
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around.update(dict.fromkeys(ast.walk(node), node.name))
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps" and getattr(node.func.value, "id", None) == "json"
+    ]
+    return [around.get(call, "<module>") for call in sorted(calls, key=lambda c: c.lineno)]
+
+
+def test_the_checker_finds_json_dumps_calls():
+    source = (
+        "import json\n"
+        "def _dumps(doc):\n"
+        "    return json.dumps(doc, allow_nan=False)\n"
+        "def write(doc):\n"
+        "    def cell(v):\n"
+        "        return json.dumps(v)\n"
+        "    return [json.dumps(doc), _dumps(doc), json.loads('1'), cell(doc)]\n"
+        "HEADER = json.dumps({})\n"
+    )
+    assert _json_dumps_callers(source) == ["_dumps", "cell", "write", "<module>"]
+
+
+def test_io_has_one_json_encoder():
+    # Every file io writes goes through _dumps, which refuses NaN and inf.
+    assert _json_dumps_callers((PACKAGE / "io.py").read_text()) == ["_dumps"]

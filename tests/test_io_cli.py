@@ -151,7 +151,7 @@ def test_graph_space_validates_edges(tmp_path):
             )
         )
     for name, bad in [("arity", (1, 2)), ("field", (1, "two", 1.0)),
-                      ("fraction", (0.6, 1.9, 1.0))]:
+                      ("fraction", (0.6, 1.9, 1.0)), ("overflow", (0, float("inf"), 1.0))]:
         with pytest.raises(ParseError, match=r"edges\[1\]"):
             io.load_space(
                 _write(
@@ -920,6 +920,17 @@ def test_cli_chains_on_a_domain_too_small_to_sample(capsys, line7, domain):
     _assert_error(rc, err, 2, "PreconditionFail")
 
 
+@pytest.mark.parametrize("command", [
+    ["chains", "--space", "line11", "--domain", "interior11"],
+    ["study", "refine", "--scenario", "chains", "--sides", "16"],
+    ["study", "refine", "--scenario", "growth", "--sides", "8"],
+])
+def test_cli_rejects_a_negative_seed(capsys, line7, command):
+    rc, out, err = _run(capsys, [line7.get(a, a) for a in command] + ["--seed", "-1"])
+    assert out == ""
+    assert "seed" in _assert_error(rc, err, 2, "InvalidParameter")
+
+
 def test_cli_rejects_a_domain_point_with_a_copy_outside_the_domain(capsys, tmp_path):
     # Points 1 and 2 coincide; a domain holding only one of them has a
     # point at boundary distance 0.
@@ -1100,6 +1111,9 @@ def test_writers_refuse_non_finite_numbers(tmp_path):
     with pytest.raises(FormatError, match="non-finite"):
         io.save_function(target, np.array([1.0, np.inf]))
     assert not target.exists()
+    with pytest.raises(FormatError, match="non-finite"):
+        io.write_report(tmp_path, "r", {"value": 1.0}, meta={"seconds": np.float64("nan")})
+    assert not (tmp_path / "r.meta.json").exists()
 
 
 # -- fuzzing -----------------------------------------------------------------------------
@@ -1134,9 +1148,12 @@ def _refuse(constant):
     kind=st.sampled_from(["coords", "matrix"]),
     target=st.integers(0, 3),
     node=st.integers(0, 10**4),
-    value=st.sampled_from([None, True, "x", [], {}, _NESTED, 1e308, -1, 2**63, _DELETE]),
+    value=st.sampled_from([None, True, "x", [], {}, _NESTED, 1e308, float("inf"), -1, 2**63,
+                           _DELETE]),
 )
 @example(command=["whitney", "--domain", "D"], kind="coords", target=1, node=2, value=_NESTED)
+# Node 30 of the coords file is the second id of its first edge.
+@example(command=["ball", "doubling"], kind="coords", target=0, node=30, value=float("inf"))
 def test_cli_fails_cleanly_on_a_mutated_input_file(fuzz_inputs, command, kind, target, node,
                                                    value):
     # Replace or delete one node of one file the command reads: the space

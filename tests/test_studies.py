@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from metricweights import make_domain
+from metricweights.errors import InvalidParameter
 from metricweights.studies import (
     HOLD2_QH_GATE,
     _band_centers,
@@ -101,6 +102,12 @@ def test_chain_report_falls_back_when_nothing_is_resolved(line11):
     assert report["n_resolved"] < 2
     assert report["n_pairs"] == 6
     assert {p["k_tilde"] for p in report["pairs"]} == {1.0, 2.0}
+
+
+def test_chain_report_rejects_a_negative_seed(line11):
+    domain = make_domain(line11, np.arange(1, 10))
+    with pytest.raises(InvalidParameter, match="seed"):
+        chain_report(line11, domain, seed=-1)
 
 
 def test_chain_growth_has_no_holdout_violations():
