@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 validation or precondition error, 3 convergence error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -420,7 +419,7 @@ def main(argv=None) -> int:
                 "exit_code": code,
             }
         }
-        sys.stderr.write(json.dumps(error, sort_keys=True) + "\n")
+        sys.stderr.write(io._dumps(error, sort_keys=True) + "\n")
         return code
 
 

@@ -61,13 +61,8 @@ def _dumps(doc, **kwargs) -> str:
         raise FormatError(f"refusing to write a non-finite number: {exc}") from exc
 
 
-def _check_version(doc: dict, path: str) -> None:
-    found = doc.get("version")
-    if found != FORMAT_VERSION:
-        raise VersionMismatch(found, FORMAT_VERSION)
-
-
 def _load_json(path) -> dict:
+    """A file's top-level JSON object, of format version FORMAT_VERSION."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -77,6 +72,8 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
+    if doc.get("version") != FORMAT_VERSION:
+        raise VersionMismatch(doc.get("version"), FORMAT_VERSION)
     return doc
 
 
@@ -181,7 +178,6 @@ def save_space(path, space: MetricMeasureSpace) -> None:
 
 def load_space(path) -> MetricMeasureSpace:
     doc = _load_json(path)
-    _check_version(doc, path)
     n = _field(doc, "n", path)
     if not isinstance(n, int) or n < 1:
         raise ParseError(f"{path}: field 'n' must be a positive integer")
@@ -248,7 +244,6 @@ def save_function(path, values: np.ndarray, e_ids: np.ndarray | None = None) -> 
 def load_function(path) -> tuple[np.ndarray | None, np.ndarray]:
     """Returns (ids or None for domain X, values aligned to ascending ids)."""
     doc = _load_json(path)
-    _check_version(doc, path)
     values = _finite(doc, "values", path)
     domain = _field(doc, "domain", path)
     if domain == "X":
@@ -269,7 +264,6 @@ def save_subset(path, ids) -> None:
 
 def load_subset(path) -> np.ndarray:
     doc = _load_json(path)
-    _check_version(doc, path)
     return np.sort(_ids(doc, "ids", path))
 
 
@@ -284,8 +278,6 @@ def report_bytes(payload: dict) -> bytes:
 def write_report(out_dir, name: str, payload: dict, meta: dict | None = None) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    target = out / f"{name}.json"
-    target.write_bytes(report_bytes(payload))
     side = {
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "host": platform.node(),
@@ -293,7 +285,11 @@ def write_report(out_dir, name: str, payload: dict, meta: dict | None = None) ->
         "numpy": np.__version__,
     }
     side.update(meta or {})
-    (out / f"{name}.meta.json").write_text(_dumps(side, sort_keys=True, indent=2) + "\n")
+    # Both documents are encoded before either is written, so a refused one leaves neither.
+    report, side_text = report_bytes(payload), _dumps(side, sort_keys=True, indent=2) + "\n"
+    target = out / f"{name}.json"
+    target.write_bytes(report)
+    (out / f"{name}.meta.json").write_text(side_text)
     return target
 
 

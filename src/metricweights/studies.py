@@ -118,9 +118,7 @@ def condition_refinement_study(
 def square_domain(side: int) -> tuple[MetricMeasureSpace, DomainSpec]:
     """side x side unit grid with its interior lattice points as the domain."""
     space = build_grid_space(2, side, 1.0)
-    lattice = np.stack(
-        np.unravel_index(np.arange(space.n), (side, side)), axis=1
-    )
+    lattice = space.coords  # unit spacing: the coordinates are the lattice
     interior = ((lattice >= 1) & (lattice <= side - 2)).all(axis=1)
     return space, make_domain(space, interior)
 
@@ -281,37 +279,34 @@ def _whitney_like_band(space, domain, w_on_x) -> dict:
     if candidates.size == 0:
         return {"band": 1.0, "n_pairs": 0, "n_samples": 0}
 
-    w_mu = w_on_x * space.mu * domain.mask
-    radii = domain.boundary_dist[centers][:, None] / np.array(HOLD2_T_RANGE)
-    balls = space.balls_members(np.repeat(centers, radii.shape[1]), radii.ravel())
-    sums = _ball_sums(w_mu, balls).reshape(radii.shape)
-    cache = dict(zip(centers.tolist(), sums))
-
-    def ball_integrals(c: int) -> np.ndarray:
-        # Partners turn up one at a time, so their balls are queried singly.
-        if c not in cache:
-            cache[c] = _ball_sums(w_mu, [
-                space.ball_members(c, domain.boundary_dist[c] / t) for t in HOLD2_T_RANGE
-            ])
-        return cache[c]
-
-    band = 1.0
-    pairs: set[tuple[int, int]] = set()
+    partners = np.empty((centers.size, 2), dtype=np.intp)
     graph = domain.qh_graph()
-    for c in centers:
+    for k, c in enumerate(centers.tolist()):
         # One source at a time: all rows at once would hold len(centers) x n floats.
         # The gate reads nothing farther, and scipy keeps the nodes at the limit.
         row = dijkstra(graph, indices=c, limit=HOLD2_QH_GATE)
         near = candidates[row[candidates] <= HOLD2_QH_GATE]
         ranked = near[np.lexsort((near, domain.boundary_dist[near]))]
-        for partner in (int(c), int(ranked[0]), int(ranked[-1])):
-            if partner != c:
-                pairs.add((min(int(c), partner), max(int(c), partner)))
-            a = ball_integrals(int(c))
-            b = ball_integrals(partner)
-            for r in (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]):
-                band = max(band, r, 1.0 / r)
-    return {"band": float(band), "n_pairs": len(pairs), "n_samples": int(centers.size)}
+        partners[k] = ranked[0], ranked[-1]
+
+    w_mu = w_on_x * space.mu * domain.mask
+
+    def integrals(points: np.ndarray) -> np.ndarray:
+        """w mu over B(x, delta(x)/t) for each point x and each t of HOLD2_T_RANGE."""
+        radii = domain.boundary_dist[points][..., None] / np.array(HOLD2_T_RANGE)
+        balls = space.balls_members(np.repeat(points.ravel(), radii.shape[-1]), radii.ravel())
+        return _ball_sums(w_mu, balls).reshape(radii.shape)
+
+    a = integrals(centers)
+    # Partners repeat (the deepest point near several centers), so each is integrated once.
+    others, at = np.unique(partners, return_inverse=True)
+    # Each center against itself and its two partners, every dilation against every one.
+    b = np.concatenate([a[:, None], integrals(others)[at.reshape(partners.shape)]], axis=1)
+    ratios = a[:, None, :, None] / b[:, :, None, :]
+    band = max(1.0, ratios.max(), (1.0 / ratios).max())
+    pairs = np.sort(np.column_stack([np.repeat(centers, 2), partners.ravel()]), axis=1)
+    n_pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0).shape[0]
+    return {"band": float(band), "n_pairs": n_pairs, "n_samples": int(centers.size)}
 
 
 def qh_interval_study(spacing: float) -> dict:
@@ -346,9 +341,7 @@ def random_grid_domain(seed: int) -> tuple[MetricMeasureSpace, DomainSpec]:
     side = int(rng.integers(8, 65)) if dim == 1 else int(rng.integers(8, 33))
     spacing = float(rng.choice([0.5, 1.0, 2.0]))
     space = build_grid_space(dim, side, spacing)
-    lattice = np.stack(
-        np.unravel_index(np.arange(space.n), (side,) * dim), axis=1
-    )
+    lattice = np.rint(space.coords / spacing)
 
     lo = rng.integers(0, side // 2, size=dim)
     hi = lo + rng.integers(2, side - 2, size=dim)

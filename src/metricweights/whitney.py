@@ -41,19 +41,22 @@ OVERLAP_BLOCK = 1024
 
 @dataclass
 class DomainSpec:
-    """A proper nonempty subset D with boundary distances and resolution.
+    """A proper nonempty subset D with boundary distances.
 
     boundary_dist is defined on all of X: the distance to the complement of
-    D for members (strictly positive), and 0 off D. resolution is the
-    smallest positive pairwise distance of the ambient space.
+    D for members (strictly positive), and 0 off D.
     """
 
     space: MetricMeasureSpace
     ids: np.ndarray
     mask: np.ndarray
     boundary_dist: np.ndarray
-    resolution: float
-    _qh_graph: csr_matrix | None = field(default=None, repr=False)
+    _qh_graph: csr_matrix | None = field(default=None, init=False, repr=False)
+
+    @property
+    def resolution(self) -> float:
+        """The smallest positive pairwise distance of the ambient space."""
+        return self.space.min_positive_distance()
 
     def qh_graph(self) -> csr_matrix:
         if self._qh_graph is None:
@@ -90,13 +93,7 @@ def make_domain(space: MetricMeasureSpace, members) -> DomainSpec:
             f"domain point {x} lies at distance {float(boundary[x])!r} from the "
             "complement of the domain; a copy of a domain point may not lie outside it"
         )
-    return DomainSpec(
-        space=space,
-        ids=ids,
-        mask=mask,
-        boundary_dist=boundary,
-        resolution=space.min_positive_distance(),
-    )
+    return DomainSpec(space=space, ids=ids, mask=mask, boundary_dist=boundary)
 
 
 @dataclass
@@ -110,7 +107,7 @@ class WhitneyCover:
     mu_balls: np.ndarray
     edges: np.ndarray  # (m, 2) intersecting pairs i < j
     overlap_n: int
-    _adjacency: csr_matrix | None = field(default=None, repr=False)
+    _adjacency: csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return int(self.centers.shape[0])
@@ -166,10 +163,7 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
     mu_balls = _ball_sums(space.mu, members)
 
     edges = _intersection_edges(space.n, members)
-    if edges.size:
-        degree = np.bincount(edges.ravel(), minlength=centers.size)
-    else:
-        degree = np.zeros(centers.size, dtype=int)
+    degree = np.bincount(edges.ravel(), minlength=centers.size)
     overlap_n = int(degree.max()) + 1 if centers.size else 0  # counts the ball itself
 
     return WhitneyCover(

@@ -8,6 +8,7 @@ beyond the space accessors.
 import math
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 
 def ball_system(space):
@@ -309,3 +310,43 @@ def naive_cover_invariants(space, domain, centers, radii, members, edges):
         "overlap_n": int(degree.max()) + 1,
         "n_balls": len(centers),
     }
+
+
+def naive_whitney_like_band(space, domain, w_on_x, t_range, gate, n_centers):
+    """The chain growth study's integral band, ball by ball from the matrix.
+
+    Candidates are the domain points at boundary distance >= 4h; the centers
+    are at most n_centers of them, evenly spaced in (boundary distance, id)
+    order. Each center is paired with itself and with the least and the
+    greatest candidate, in that order, among those a full Dijkstra row puts
+    within qh distance gate. A ball B(x, delta(x)/t) is a strict matrix row,
+    integrated with np.sum; the band is the largest ratio of a center's
+    integral to a partner's, or that ratio's reciprocal, at any two t of t_range.
+    """
+    dist = space.dist_matrix()
+    h = dist[dist > 0].min()
+    delta = domain.boundary_dist
+    inside = np.flatnonzero(domain.mask).tolist()
+    candidates = sorted((x for x in inside if delta[x] >= 4.0 * h), key=lambda x: (delta[x], x))
+    if not candidates:
+        return {"band": 1.0, "n_pairs": 0, "n_samples": 0}
+    take = min(n_centers, len(candidates))
+    picks = sorted({int(k) for k in np.linspace(0, len(candidates) - 1, take).round()})
+    centers = [candidates[k] for k in picks]
+
+    def integrals(x):
+        rows = [dist[x] < delta[x] / t for t in t_range]
+        return [np.sum(w_on_x[row] * space.mu[row]) for row in rows]
+
+    band, pairs, graph = 1.0, set(), domain.qh_graph()
+    for c in centers:
+        qh = dijkstra(graph, indices=c)
+        near = [x for x in candidates if qh[x] <= gate]
+        for partner in (c, near[0], near[-1]):
+            if partner != c:
+                pairs.add((min(c, partner), max(c, partner)))
+            ours, theirs = integrals(c), integrals(partner)
+            for a in ours:
+                for b in theirs:
+                    band = max(band, a / b, 1.0 / (a / b))
+    return {"band": float(band), "n_pairs": len(pairs), "n_samples": len(centers)}

@@ -156,5 +156,32 @@ def test_the_checker_finds_json_dumps_calls():
 
 
 def test_io_has_one_json_encoder():
-    # Every file io writes goes through _dumps, which refuses NaN and inf.
+    # Every file io writes, and the CLI's error object, go through io._dumps,
+    # which refuses NaN and inf.
     assert _json_dumps_callers((PACKAGE / "io.py").read_text()) == ["_dumps"]
+    assert _json_dumps_callers((PACKAGE / "cli.py").read_text()) == []
+
+
+def _ball_members_calls(source: str) -> list[int]:
+    """The lines of a module that call a .ball_members method."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "ball_members"
+    )
+
+
+def test_the_checker_finds_ball_members_calls():
+    source = (
+        "a = space.ball_members(0, 1.0)\n"
+        "b = space.balls_members([0], [1.0])\n"
+        "c = [s.ball_members(x, r) for x, r in pairs]\n"
+    )
+    assert _ball_members_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "space.py"],
+                         ids=lambda p: p.name)
+def test_only_space_queries_single_balls(module):
+    # Ball integrals outside space.py go through the batched balls_members.
+    assert _ball_members_calls(module.read_text()) == []

@@ -61,10 +61,15 @@ def test_matrix_space_round_trip(tmp_path, s2):
 
 
 def test_version_mismatch_is_reported(tmp_path, s2):
-    doc = io.space_to_dict(s2)
-    doc["version"] = 2
-    with pytest.raises(VersionMismatch):
-        io.load_space(_write(tmp_path / "v2.json", doc))
+    docs = {
+        io.load_space: io.space_to_dict(s2),
+        io.load_function: io.function_to_dict(np.ones(s2.n)),
+        io.load_subset: {"ids": [0, 1]},
+    }
+    for loader, doc in docs.items():
+        doc["version"] = 2
+        with pytest.raises(VersionMismatch):
+            loader(_write(tmp_path / "v2.json", doc))
 
 
 def test_parse_error_carries_line_diagnostics(tmp_path):
@@ -1114,6 +1119,7 @@ def test_writers_refuse_non_finite_numbers(tmp_path):
     with pytest.raises(FormatError, match="non-finite"):
         io.write_report(tmp_path, "r", {"value": 1.0}, meta={"seconds": np.float64("nan")})
     assert not (tmp_path / "r.meta.json").exists()
+    assert not (tmp_path / "r.json").exists()
 
 
 # -- fuzzing -----------------------------------------------------------------------------

@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
+import oracles
 from metricweights import make_domain
 from metricweights.errors import InvalidParameter
 from metricweights.studies import (
+    GROWTH_W_EXPONENT,
+    HOLD2_BALLS,
     HOLD2_QH_GATE,
+    HOLD2_T_RANGE,
     _band_centers,
+    _whitney_like_band,
     chain_growth_study,
     chain_report,
     condition_refinement_study,
@@ -118,6 +123,37 @@ def test_chain_growth_has_no_holdout_violations():
     assert report["hold2_band"] >= 1.0
     assert report["qh_gate"] == 1.0
     assert report["t_range"] == [1.5, 5.0]
+
+
+def _growth_weight(domain):
+    """chain_growth_study's weight, (boundary distance)^GROWTH_W_EXPONENT on D."""
+    return np.where(domain.mask, domain.boundary_dist, 1.0) ** GROWTH_W_EXPONENT
+
+
+def _naive_band(space, domain):
+    return oracles.naive_whitney_like_band(
+        space, domain, _growth_weight(domain), HOLD2_T_RANGE, HOLD2_QH_GATE, HOLD2_BALLS
+    )
+
+
+@pytest.mark.parametrize("side", [16, 24, 32])
+def test_growth_band_matches_the_naive_band_on_squares(side):
+    report = chain_growth_study(side, seed=0)
+    naive = _naive_band(*square_domain(side))
+    assert report["hold2_band"].hex() == naive["band"].hex()
+    assert report["hold2_pairs"] == naive["n_pairs"] > 0
+    assert report["hold2_samples"] == naive["n_samples"] > 0
+
+
+# 2-D domains with 5, 40, 40 and 4 centers, a 1-D one whose single center
+# has no partner but itself, and a 2-D one without candidates.
+@pytest.mark.parametrize("seed", [2, 4, 7, 15, 14, 0])
+def test_growth_band_matches_the_naive_band_on_random_domains(seed):
+    space, domain = random_grid_domain(seed)
+    band = _whitney_like_band(space, domain, _growth_weight(domain))
+    naive = _naive_band(space, domain)
+    assert band["band"].hex() == naive["band"].hex()
+    assert (band["n_pairs"], band["n_samples"]) == (naive["n_pairs"], naive["n_samples"])
 
 
 def test_extension_refinement_rows():
