@@ -216,8 +216,8 @@ def _cmd_whitney(args):
     checks = check_cover_invariants(cover)
     payload = {
         "balls": [
-            {"center": int(c), "radius": float(r), "members_count": int(m.size)}
-            for c, r, m in zip(cover.centers, cover.radii, cover.members)
+            {"center": int(c), "radius": float(r), "members_count": int(m)}
+            for c, r, m in zip(cover.centers, cover.radii, np.diff(cover.offsets))
         ],
         "overlap_n": cover.overlap_n,
         "n_edges": int(cover.edges.shape[0]),

@@ -35,8 +35,8 @@ GRID_POINT_CAP = 4_000_000
 # Triples re-verified by validate_space on a space too large to check in full.
 SAMPLE_TRIPLES = 20000
 
-# balls_members answers this many coordinate-backed ball queries with one
-# KD-tree call. A block's candidates are its transient memory, so larger
+# balls_members decides this many balls with one KD-tree query (or one slice
+# of matrix rows). A block's candidates are its transient memory, so larger
 # blocks save little time and cost memory.
 BALL_QUERY_BLOCK = 256
 
@@ -58,7 +58,7 @@ class Ball:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
     def members(self, space: "MetricMeasureSpace") -> np.ndarray:
@@ -316,9 +316,7 @@ class MetricMeasureSpace:
         out = _norms(self._coords[targets[first[:, 0]]] - points)
         tied = np.flatnonzero(near[:, 1] <= near[:, 0] * (1 + 1e-9))
         if tied.size:
-            lists = tree.query_ball_point(points[tied], near[tied, 0] * (1 + 1e-9))
-            sizes = np.fromiter(map(len, lists), dtype=np.intp, count=tied.size)
-            cands = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
+            cands, sizes = _flat(tree.query_ball_point(points[tied], near[tied, 0] * (1 + 1e-9)))
             dists = _norms(self._coords[targets[cands]] - np.repeat(points[tied], sizes, axis=0))
             out[tied] = np.minimum.reduceat(dists, np.cumsum(sizes) - sizes)
         return out
@@ -414,54 +412,52 @@ class MetricMeasureSpace:
 
     def ball_members(self, center: int, radius: float) -> np.ndarray:
         """Sorted ids y with d(center, y) < radius (strict)."""
-        return next(self.balls_members([center], [radius]))
+        return self.balls_members([center], [radius])[0]
 
-    def balls_members(self, centers, radii) -> Iterator[np.ndarray]:
-        """Yield, for each (center, radius) pair in order, its ball_members.
-
-        A ball of radius <= singleton_radius() is {center}, given without a
-        distance. For the others the coordinate backend makes one KD-tree
-        query per block of BALL_QUERY_BLOCK of them. The tree only generates
-        candidates, within radius * (1 + 1e-9); membership is decided by the
-        same distance formula as dist_row, so the backends agree exactly.
-        """
+    def balls_members(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
+        """Every ball B(centers[k], radii[k]) as (members, offsets): ball k is the
+        sorted strict ball members[offsets[k]:offsets[k + 1]]. A ball of radius
+        <= singleton_radius() is {center}, placed without a distance; the others
+        go to _block_members BALL_QUERY_BLOCK at a time."""
         centers = np.asarray(centers, dtype=np.intp)
         radii = np.asarray(radii, dtype=float)
         if centers.shape != radii.shape or centers.ndim != 1:
             raise ValueError("centers and radii must be 1-d arrays of one length")
-        if (radii <= 0).any():
+        if not (radii > 0).all():
             raise ValueError("ball radius must be positive")
+        if ((centers < 0) | (centers >= self.n)).any():
+            raise InvalidParameter(f"ball centers must be point ids in [0, {self.n})")
         alone = radii <= self.singleton_radius()
-        wide = self._wide_balls(centers[~alone], radii[~alone])
-        for c, single in zip(centers.tolist(), alone.tolist()):
-            yield np.array([c], dtype=np.intp) if single else next(wide)
-
-    def _wide_balls(self, centers: np.ndarray, radii: np.ndarray) -> Iterator[np.ndarray]:
-        """The members of each ball, in order: a matrix row each, or on
-        coordinates one tree query per block, made when its first ball is due."""
-        if self._dist is not None:
-            for c, r in zip(centers.tolist(), radii.tolist()):
-                yield np.flatnonzero(self._dist[c] < r)
-            return
-        for start in range(0, centers.size, BALL_QUERY_BLOCK):
-            block = slice(start, start + BALL_QUERY_BLOCK)
-            kept, ends = self._block_members(centers[block], radii[block])
-            for lo, hi in zip([0] + ends, ends):
-                yield kept[lo:hi]
+        wide = np.flatnonzero(~alone)
+        sizes = np.ones(centers.size, dtype=np.intp)
+        blocks = [np.empty(0, dtype=np.intp)]
+        for start in range(0, wide.size, BALL_QUERY_BLOCK):
+            block = wide[start:start + BALL_QUERY_BLOCK]
+            kept, sizes[block] = self._block_members(centers[block], radii[block])
+            blocks.append(kept)
+        offsets = np.zeros(centers.size + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        single = np.zeros(offsets[-1], dtype=bool)
+        single[offsets[:-1][alone]] = True
+        members = np.empty(offsets[-1], dtype=np.intp)
+        members[single] = centers[alone]
+        members[~single] = np.concatenate(blocks)
+        return members, offsets
 
     def _block_members(self, centers: np.ndarray, radii: np.ndarray):
-        """One block of coordinate-backed balls: their members, concatenated,
-        and the offset where each ball's members end."""
-        lists = self._tree().query_ball_point(
+        """One block of balls as (members laid end to end, each ball's size): matrix
+        rows, or one tree query for candidates within radius * (1 + 1e-9) that the
+        formula of dist_row decides, so the backends agree exactly."""
+        if self._dist is not None:
+            inside = self._dist[centers] < radii[:, None]
+            return np.nonzero(inside)[1], np.count_nonzero(inside, axis=1)
+        cands, sizes = _flat(self._tree().query_ball_point(
             self._coords[centers], radii * (1 + 1e-9), return_sorted=True
-        )
-        sizes = np.fromiter(map(len, lists), dtype=np.intp, count=centers.size)
-        cands = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
-        del lists  # a list entry costs more than the arrays below; free it first
+        ))
         delta = self._coords[cands]
         delta -= self._coords[np.repeat(centers, sizes)]
         keep = _norms(delta) < np.repeat(radii, sizes)
-        return cands[keep], np.cumsum(keep)[np.cumsum(sizes) - 1].tolist()
+        return cands[keep], np.diff(np.cumsum(keep)[np.cumsum(sizes) - 1], prepend=0)
 
     @property
     def canonical(self) -> CanonicalBallSet:
@@ -484,6 +480,12 @@ class MetricMeasureSpace:
 def _norms(delta: np.ndarray) -> np.ndarray:
     """Euclidean row lengths: the one distance formula of coordinate spaces."""
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+
+
+def _flat(lists) -> tuple[np.ndarray, np.ndarray]:
+    """KD-tree query lists as (their entries laid end to end, each list's size)."""
+    sizes = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    return np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum())), sizes
 
 
 def _symmetric_csr(n: int, us, vs, weights):

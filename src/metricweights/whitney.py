@@ -16,8 +16,6 @@ surrogate of integrating reciprocal boundary distance along a path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -103,14 +101,20 @@ class WhitneyCover:
     domain: DomainSpec
     centers: np.ndarray
     radii: np.ndarray
-    members: list[np.ndarray]
+    members: np.ndarray  # ball k is members[offsets[k]:offsets[k + 1]]
+    offsets: np.ndarray
     mu_balls: np.ndarray
     edges: np.ndarray  # (m, 2) intersecting pairs i < j
-    overlap_n: int
     _adjacency: csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return int(self.centers.shape[0])
+
+    @property
+    def overlap_n(self) -> int:
+        """The most balls meeting one ball, counting the ball itself; 0 without balls."""
+        degree = np.bincount(self.edges.ravel(), minlength=len(self))
+        return int(degree.max()) + 1 if len(self) else 0
 
     @property
     def resolved(self) -> np.ndarray:
@@ -127,14 +131,17 @@ class WhitneyCover:
     def ball_averages(self, values_on_x: np.ndarray) -> np.ndarray:
         """mu-average of a function over each cover ball."""
         v_mu = values_on_x * self.domain.space.mu
-        return _ball_sums(v_mu, self.members) / self.mu_balls
+        return _ball_sums(v_mu, self.members, self.offsets) / self.mu_balls
 
 
-def _ball_sums(values: np.ndarray, members: Iterable[np.ndarray]) -> np.ndarray:
-    """values summed over each member set, each exactly as np.sum adds it
-    (np.add.reduce, without np.sum's Python wrapper)."""
+def _ball_sums(values: np.ndarray, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """values summed over each ball of a (members, offsets) family, each
+    exactly as np.sum adds it (np.add.reduce, without np.sum's Python
+    wrapper; np.add.reduceat adds in another order)."""
     add = np.add.reduce
-    return np.array([add(values[m]) for m in members], dtype=float)
+    gathered = values[members]
+    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    return np.array([add(gathered[lo:hi]) for lo, hi in bounds], dtype=float)
 
 
 def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover:
@@ -150,8 +157,9 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
     head = int(np.count_nonzero(quarter_radii > space.singleton_radius()))
     covered = np.zeros(space.n, dtype=bool)
     chosen: list[int] = []
-    quarters = space.balls_members(queue[:head], quarter_radii[:head])
-    for x, quarter in zip(queue[:head].tolist(), quarters):
+    quarters, offsets = space.balls_members(queue[:head], quarter_radii[:head])
+    for x, lo, hi in zip(queue[:head].tolist(), offsets[:-1].tolist(), offsets[1:].tolist()):
+        quarter = quarters[lo:hi]
         if not covered[quarter].any():
             chosen.append(x)
             covered[quarter] = True
@@ -159,56 +167,27 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
 
     centers = np.concatenate([np.array(chosen, dtype=np.intp), tail[~covered[tail]]])
     radii = domain.boundary_dist[centers] / 4.0
-    members = list(space.balls_members(centers, radii))
-    mu_balls = _ball_sums(space.mu, members)
-
-    edges = _intersection_edges(space.n, members)
-    degree = np.bincount(edges.ravel(), minlength=centers.size)
-    overlap_n = int(degree.max()) + 1 if centers.size else 0  # counts the ball itself
-
+    members, offsets = space.balls_members(centers, radii)
     return WhitneyCover(
         domain=domain,
         centers=centers,
         radii=radii,
         members=members,
-        mu_balls=mu_balls,
-        edges=edges,
-        overlap_n=overlap_n,
+        offsets=offsets,
+        mu_balls=_ball_sums(space.mu, members, offsets),
+        edges=_intersection_edges(space.n, members, offsets),
     )
 
 
-def _intersection_edges(n: int, members: list[np.ndarray]) -> np.ndarray:
-    """Pairs (i, j), i < j, whose member sets share at least one point.
-
-    Rows come in order and each row's columns sorted, so the pairs are in
-    lexicographic order.
-    """
-    blocks = list(_upper_overlaps(n, members))
-    pairs = np.empty((sum(i.size for i, _ in blocks), 2), dtype=np.intp)
-    at = 0
-    for i, j in blocks:
-        pairs[at:at + i.size, 0] = i
-        pairs[at:at + i.size, 1] = j
-        at += i.size
-    return pairs
-
-
-def _upper_overlaps(n: int, members: list[np.ndarray]):
-    """Yield (rows, columns) of the upper triangle of A A^T, OVERLAP_BLOCK rows at a time.
-
-    A is the boolean ball-point incidence matrix, so (A A^T)_{ij} is true
-    exactly when balls i and j share a member; a boolean product cannot wrap
-    around, as small integer counts of shared members do.
-    """
-    b = len(members)
-    indptr = np.zeros(b + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, members), dtype=np.intp, count=b), out=indptr[1:])
-    incidence = csr_matrix(
-        (np.ones(indptr[-1], dtype=bool),
-         np.concatenate(members) if b else np.empty(0, dtype=np.intp), indptr),
-        shape=(b, n),
-    )
+def _intersection_edges(n: int, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Pairs (i, j), i < j, of balls of a (members, offsets) family that share a point,
+    in lexicographic order: the upper triangle of A A^T, OVERLAP_BLOCK rows at a
+    time, A the boolean ball-point incidence matrix. A boolean product cannot
+    wrap around, as small integer counts of shared members do."""
+    b = offsets.size - 1
+    incidence = csr_matrix((np.ones(members.size, dtype=bool), members, offsets), shape=(b, n))
     incidence_t = incidence.T.tocsr()
+    pairs = [np.empty((0, 2), dtype=np.intp)]
     for start in range(0, b, OVERLAP_BLOCK):
         overlap = incidence[start:start + OVERLAP_BLOCK] @ incidence_t
         overlap.sort_indices()
@@ -217,7 +196,8 @@ def _upper_overlaps(n: int, members: list[np.ndarray]):
             np.diff(overlap.indptr),
         )
         upper = overlap.indices > rows
-        yield rows[upper], overlap.indices[upper]
+        pairs.append(np.column_stack([rows[upper], overlap.indices[upper]]))
+    return np.concatenate(pairs)
 
 
 def check_cover_invariants(cover: WhitneyCover) -> dict:
@@ -232,34 +212,25 @@ def check_cover_invariants(cover: WhitneyCover) -> dict:
     domain = cover.domain
     slack = REL_TOL
 
-    quarter_sizes = 0
-    quarter_marks = np.zeros(space.n, dtype=bool)
-    union = np.zeros(space.n, dtype=bool)
+    quarters = space.balls_members(cover.centers, cover.radii / 4.0)[0]
+    quarter_disjoint = quarters.size == np.unique(quarters).size
+    covers_domain = bool(np.array_equal(np.unique(cover.members), domain.ids))
+
+    # Doubles hold far more points than quarters: BALL_QUERY_BLOCK balls a
+    # call. A min or a max does not depend on order, so the extremes are exact.
     doubles_inside = True
     lo, hi = np.empty(len(cover)), np.empty(len(cover))
-    quarters = space.balls_members(cover.centers, cover.radii / 4.0)
-    doubles = space.balls_members(cover.centers, 2.0 * cover.radii)
-    # Block by block of balls; a min or a max does not depend on order, so
-    # the extremes are exact.
     for start in range(0, len(cover), BALL_QUERY_BLOCK):
         block = slice(start, start + BALL_QUERY_BLOCK)
-        quarter = np.concatenate(list(islice(quarters, BALL_QUERY_BLOCK)))
-        quarter_sizes += quarter.size
-        quarter_marks[quarter] = True
-        union[np.concatenate(cover.members[block])] = True
-        double = list(islice(doubles, BALL_QUERY_BLOCK))
-        starts = np.cumsum([0] + [d.size for d in double[:-1]])
-        double = np.concatenate(double)
-        doubles_inside &= bool(domain.mask[double].all())
-        delta = domain.boundary_dist[double]
-        lo[block] = np.minimum.reduceat(delta, starts) / cover.radii[block]
-        hi[block] = np.maximum.reduceat(delta, starts) / cover.radii[block]
+        doubles, offsets = space.balls_members(cover.centers[block], 2.0 * cover.radii[block])
+        doubles_inside &= bool(domain.mask[doubles].all())
+        delta = domain.boundary_dist[doubles]
+        lo[block] = np.minimum.reduceat(delta, offsets[:-1]) / cover.radii[block]
+        hi[block] = np.maximum.reduceat(delta, offsets[:-1]) / cover.radii[block]
 
     sandwich_lo = lo.min(initial=np.inf)
     sandwich_hi = hi.max(initial=-np.inf)
     sandwich_ok = not ((lo < 2.0 * (1 - slack)) | (hi > 6.0 * (1 + slack))).any()
-    quarter_disjoint = quarter_sizes == int(quarter_marks.sum())
-    covers_domain = bool(np.array_equal(np.flatnonzero(union), domain.ids))
 
     ratio_max = _max_edge_ratio(cover.radii, cover.edges)
     mu_ratio_max = _max_edge_ratio(cover.mu_balls, cover.edges)
@@ -439,6 +410,8 @@ def witness_intersection_ball(
         raise ValueError("a must lie in (0, 1]")
     if a * b.radius > bp.radius:
         raise PreconditionFail("need a * rad(B) <= rad(Bp)")
+    if not (0 <= b.center < space.n and 0 <= bp.center < space.n):
+        raise InvalidParameter(f"ball centers must be point ids in [0, {space.n})")
     d_centers = space.dist(b.center, bp.center)
     if d_centers >= bp.radius:
         raise PreconditionFail("second ball must contain the center of the first")

@@ -11,7 +11,7 @@ from metricweights import (
     space_from_matrix,
     validate_space,
 )
-from metricweights.errors import SizeOverflow
+from metricweights.errors import InvalidParameter, SizeOverflow
 from metricweights import io
 from metricweights import space as space_mod
 from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP, REL_TOL, ValidationReport
@@ -75,8 +75,9 @@ def test_every_canonical_radius_gives_exactly_its_listed_members(space):
     # where a midpoint between them rounds onto the smaller one.
     for c in range(space.n):
         radii, members = zip(*canonical_balls(space, c))
-        for got, want in zip(space.balls_members([c] * len(radii), radii), members):
-            np.testing.assert_array_equal(got, want)
+        got, offsets = space.balls_members([c] * len(radii), radii)
+        for ball, want in zip(np.split(got, offsets[1:-1]), members, strict=True):
+            np.testing.assert_array_equal(ball, want)
 
 
 def test_ball_members_strict_inequality(s3):
@@ -93,20 +94,34 @@ def test_balls_members_matches_strict_rows_across_query_blocks(dense):
     centers = rng.integers(0, space.n, size=2 * BALL_QUERY_BLOCK + 5)
     # radii on exact lattice distances test the strict inequality
     radii = rng.choice([0.5, 0.75, 1.0, np.sqrt(0.5), 2.5, 40.0], size=centers.size)
-    got = list(space.balls_members(centers, radii))
-    assert len(got) == centers.size
-    for c, r, mem in zip(centers, radii, got):
+    members, offsets = space.balls_members(centers, radii)
+    assert members.dtype == offsets.dtype == np.intp and offsets.size == centers.size + 1
+    got = np.split(members, offsets[1:-1])
+    for c, r, mem in zip(centers, radii, got, strict=True):
         np.testing.assert_array_equal(mem, np.flatnonzero(space.dist_row(c) < r))
         np.testing.assert_array_equal(mem, space.ball_members(int(c), float(r)))
-    assert list(space.balls_members([], [])) == []
+    members, offsets = space.balls_members([], [])
+    assert members.dtype == offsets.dtype == np.intp
+    assert (members.tolist(), offsets.tolist()) == ([], [0])
 
 
 def test_balls_members_rejects_bad_radii(s3):
-    for radii in ([1.0, 0.0], [1.0, -2.0], [1.0]):
-        with pytest.raises(ValueError):
-            list(s3.balls_members([0, 1], radii))
-    with pytest.raises(ValueError):
-        s3.ball_members(1, 0.0)
+    for space in (s3, space_from_matrix(s3.dist_matrix(), s3.mu)):
+        for radii in ([1.0, 0.0], [1.0, -2.0], [1.0], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                space.balls_members([0, 1], radii)
+        for radius in (0.0, np.nan):
+            with pytest.raises(ValueError):
+                space.ball_members(1, radius)
+
+
+def test_balls_members_rejects_centers_outside_the_space(s3):
+    for space in (s3, space_from_matrix(s3.dist_matrix(), s3.mu)):
+        for center in (-1, 3, 10**6):
+            with pytest.raises(InvalidParameter, match="point ids"):
+                space.ball_members(center, 0.5)
+            with pytest.raises(InvalidParameter, match="point ids"):
+                space.balls_members([0, center], [1.5, 1.5])
 
 
 @pytest.mark.parametrize("dim, side", [(1, 1), (1, 5), (2, 1), (2, 4), (3, 3)])
@@ -129,8 +144,9 @@ def test_grid_edges_join_axis_neighbours_in_axis_order(dim, side):
 def test_ball_dataclass_members(s3):
     b = Ball(1, 1.5)
     assert set(b.members(s3)) == {0, 1, 2}
-    with pytest.raises(ValueError):
-        Ball(1, 0.0)
+    for radius in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            Ball(1, radius)
 
 
 def test_doubling_frozen_values(s2, s3):

@@ -91,7 +91,8 @@ def test_line_cover_keeps_one_ball_per_point(line_cover):
     assert sorted(line_cover.centers) == list(range(1, 10))
     k = int(np.flatnonzero(line_cover.centers == 5)[0])
     assert line_cover.radii[k] == 1.25
-    np.testing.assert_array_equal(line_cover.members[k], [4, 5, 6])
+    balls = np.split(line_cover.members, line_cover.offsets[1:-1])
+    np.testing.assert_array_equal(balls[k], [4, 5, 6])
     assert line_cover.centers[0] == 5  # largest radius first
 
 
@@ -111,7 +112,8 @@ def test_single_point_domain_gets_a_quarter_radius_ball(line11):
     cover = whitney_cover(line11, domain)
     assert len(cover) == 1
     assert cover.radii[0] == 0.25
-    np.testing.assert_array_equal(cover.members[0], [5])
+    np.testing.assert_array_equal(cover.members, [5])
+    np.testing.assert_array_equal(cover.offsets, [0, 1])
     report = check_cover_invariants(cover)
     assert report["covers_domain"] and report["quarter_disjoint"]
 
@@ -241,6 +243,13 @@ def test_touching_balls_fail_the_precondition():
         witness_intersection_ball(space, Ball(40, 0.3), Ball(72, 0.35), a=1.0)
 
 
+def test_witness_rejects_centers_outside_the_space():
+    space = build_grid_space(2, 6, 1.0)
+    for b, bp in [(Ball(-1, 3.0), Ball(28, 3.0)), (Ball(14, 2.0), Ball(40, 3.0))]:
+        with pytest.raises(InvalidParameter, match="point ids"):
+            witness_intersection_ball(space, b, bp, a=1.0)
+
+
 def test_offset_witness_radius_is_an_eighth():
     space = interval_space(80, lo=0.0, hi=1.0)
     b, bp = Ball(40, 0.3), Ball(72, 0.45)
@@ -277,9 +286,10 @@ def test_cover_matches_the_naive_oracle(seed):
         cover = whitney_cover(space, domain)
         np.testing.assert_array_equal(cover.centers, centers)
         np.testing.assert_array_equal(cover.radii, radii)
-        assert len(cover.members) == len(members)
-        for got, want in zip(cover.members, members):
-            np.testing.assert_array_equal(got, want)
+        got = np.split(cover.members, cover.offsets[1:-1])
+        assert len(got) == len(members)
+        for ball, want in zip(got, members):
+            np.testing.assert_array_equal(ball, want)
         assert cover.edges.dtype == np.intp and cover.edges.shape == (len(edges), 2)
         np.testing.assert_array_equal(cover.edges, edges)
         adj = cover.adjacency()
@@ -351,15 +361,16 @@ def test_balls_around_the_singleton_radius_are_the_strict_rows(kind, backend):
     centers = np.tile(np.arange(space.n), 2)
     assert centers.size > BALL_QUERY_BLOCK
     for r in (np.nextafter(h, 0), h, np.nextafter(h, np.inf)):
-        got = list(space.balls_members(centers, np.full(centers.size, r)))
+        members, offsets = space.balls_members(centers, np.full(centers.size, r))
+        assert members.dtype == np.intp
         want = [np.flatnonzero(space.dist_row(c) < r) for c in centers]
-        for g, w in zip(got, want):
-            assert g.dtype == np.intp
+        for g, w in zip(np.split(members, offsets[1:-1]), want, strict=True):
             np.testing.assert_array_equal(g, w)
         assert (max(w.size for w in want) > 1) == (r > h)
     # Singleton and wider balls interleaved in one call keep their order.
     radii = np.where(np.random.default_rng(1).random(centers.size) < 0.5, h, 3.0 * h)
-    for c, r, g in zip(centers, radii, space.balls_members(centers, radii)):
+    members, offsets = space.balls_members(centers, radii)
+    for c, r, g in zip(centers, radii, np.split(members, offsets[1:-1]), strict=True):
         np.testing.assert_array_equal(g, np.flatnonzero(space.dist_row(c) < r))
 
 
@@ -381,10 +392,11 @@ def test_a_repeated_point_inside_the_domain_keeps_the_oracle_cover(backend):
     cover = whitney_cover(space, domain)
     np.testing.assert_array_equal(cover.centers, centers)
     np.testing.assert_array_equal(cover.radii, radii)
-    for got, want in zip(cover.members, members, strict=True):
+    balls = np.split(cover.members, cover.offsets[1:-1])
+    for got, want in zip(balls, members, strict=True):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(cover.edges, edges)
-    assert 100 not in cover.centers and [44, 100] in [m.tolist() for m in cover.members]
+    assert 100 not in cover.centers and [44, 100] in [m.tolist() for m in balls]
     assert check_cover_invariants(cover) == oracles.naive_cover_invariants(
         space, domain, centers, radii, members, edges
     )
@@ -419,14 +431,15 @@ def test_per_ball_sums_are_np_sum_bitwise():
     _, domain = square_domain(40)
     domain = make_domain(space, domain.mask)
     cover = whitney_cover(space, domain)
-    sizes = np.array([m.size for m in cover.members])
+    balls = np.split(cover.members, cover.offsets[1:-1])
+    sizes = np.array([m.size for m in balls])
     assert sizes.min() == 1 and sizes.max() >= 3
-    want = np.array([np.sum(space.mu[m]) for m in cover.members])
+    want = np.array([np.sum(space.mu[m]) for m in balls])
     assert cover.mu_balls.tobytes() == want.tobytes()
     values = rng.normal(size=space.n)
     values[rng.random(space.n) < 0.3] = -0.0
     v_mu = values * space.mu
-    want = np.array([np.sum(v_mu[m]) for m in cover.members]) / cover.mu_balls
+    want = np.array([np.sum(v_mu[m]) for m in balls]) / cover.mu_balls
     got = cover.ball_averages(values)
     assert got.tobytes() == want.tobytes()
     # np.sum([-0.0]) is 0.0, so a singleton's sum is not its value read off.
@@ -440,7 +453,8 @@ def test_balls_sharing_a_multiple_of_256_points_intersect():
     n = 2000
     members = [np.arange(0, 300), np.arange(44, 400), np.arange(1000, 1600),
                np.arange(1088, 1700), np.arange(1900, 2000)]
-    edges = _intersection_edges(n, members)
+    offsets = np.cumsum([0] + [m.size for m in members])
+    edges = _intersection_edges(n, np.concatenate(members), offsets)
     np.testing.assert_array_equal(edges, [[0, 1], [2, 3]])
     assert [np.intersect1d(members[i], members[j]).size for i, j in edges] == [256, 512]
 
