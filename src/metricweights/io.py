@@ -41,7 +41,7 @@ from .errors import (
     SizeOverflow,
     VersionMismatch,
 )
-from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr
+from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr, coords_in_range
 
 FORMAT_VERSION = 1
 
@@ -194,8 +194,7 @@ def load_space(path) -> MetricMeasureSpace:
         data = _finite(metric, "data", path)
         if data.ndim != 2 or data.shape[0] != n or data.shape[1] == 0:
             raise ParseError(f"{path}: metric data must be {n} rows of coordinates")
-        # Below this bound every squared distance sum stays finite.
-        if np.abs(data).max() > np.sqrt(np.finfo(float).max / data.shape[1]) / 4:
+        if not coords_in_range(data):
             raise ParseError(f"{path}: coordinates too large for finite distances")
         backend = {"coords": data}
     elif metric["type"] == "matrix":

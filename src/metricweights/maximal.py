@@ -15,32 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySubset, ExponentRange, InvalidParameter, NonpositiveG, ZeroFunction
-from .space import MetricMeasureSpace
+from .space import MetricMeasureSpace, point_ids
 
 
 def as_subset(space: MetricMeasureSpace, E) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a subset given as bool mask or id array to (sorted ids, mask).
-
-    Ids must be integral (an integer or a whole float array) and lie in
-    [0, n); anything else is an InvalidParameter.
-    """
-    if E is None:
-        ids = np.arange(space.n, dtype=np.intp)
-        mask = np.ones(space.n, dtype=bool)
-        return ids, mask
-    E = np.asarray(E)
+    """Normalize a subset given as bool mask or id array (None: all of X) to
+    (sorted ids, mask). Ids must be point ids (space.point_ids)."""
+    E = np.ones(space.n, dtype=bool) if E is None else np.asarray(E)
     if E.dtype == bool:
         if E.shape != (space.n,):
             raise ValueError("subset mask length does not match the space")
         mask = E.copy()
     else:
-        if E.dtype.kind not in "iuf" or not np.isfinite(E).all() or (E % 1).any():
-            raise InvalidParameter("subset ids must be integers")
-        ids = np.unique(E.astype(np.intp))
-        if ids.size and (ids[0] < 0 or ids[-1] >= space.n):
-            raise InvalidParameter(f"subset ids must lie in [0, {space.n})")
         mask = np.zeros(space.n, dtype=bool)
-        mask[ids] = True
+        mask[point_ids(E, space.n, "subset members")] = True
     ids = np.flatnonzero(mask)
     if ids.size == 0:
         raise EmptySubset("subset must have positive measure")

@@ -32,9 +32,6 @@ DENSE_CAP = 2048
 # Hard cap for build_grid_space, protecting against runaway side**dim.
 GRID_POINT_CAP = 4_000_000
 
-# Triples re-verified by validate_space on a space too large to check in full.
-SAMPLE_TRIPLES = 20000
-
 # balls_members decides this many balls with one KD-tree query (or one slice
 # of matrix rows). A block's candidates are its transient memory, so larger
 # blocks save little time and cost memory.
@@ -49,6 +46,11 @@ CANONICAL_BLOCK_CELLS = 32768
 # Blanket relative tolerance for asserted equalities.
 REL_TOL = 1e-12
 
+# validate_space proves the triangle inequality of coordinates in at most
+# ROUNDING_DIM dimensions, at least ROUNDING_FLOOR apart (see its docstring).
+ROUNDING_FLOOR = 2.0**-480
+ROUNDING_DIM = 4096
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -60,6 +62,8 @@ class Ball:
     def __post_init__(self) -> None:
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
+        point_ids(self.center, None, "ball centers")  # the space checks the range
+        object.__setattr__(self, "center", int(self.center))
 
     def members(self, space: "MetricMeasureSpace") -> np.ndarray:
         """Sorted point ids y with d(center, y) < radius. Always contains the center."""
@@ -68,19 +72,19 @@ class Ball:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_space: pass, or the first violated axiom with witness."""
+    """Outcome of validate_space: pass, or the first violated axiom with
+    witness. Every verdict is exact, so to_dict says "mode": "full"."""
 
     ok: bool
     kind: str | None = None
     witness: tuple[int, ...] | None = None
-    mode: str = "full"
 
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
             "kind": self.kind,
             "witness": list(self.witness) if self.witness is not None else None,
-            "mode": self.mode,
+            "mode": "full",
         }
 
 
@@ -267,11 +271,8 @@ class MetricMeasureSpace:
             triples = np.asarray(edges, dtype=float)
             if triples.ndim != 2 or triples.shape[1] != 3:
                 raise ValueError("edges must be (u, v, length) triples")
-            self._edges = (
-                triples[:, 0].astype(np.intp),
-                triples[:, 1].astype(np.intp),
-                triples[:, 2].copy(),
-            )
+            ends = point_ids(triples[:, :2].T, self.n, "edge endpoints")
+            self._edges = (ends[0], ends[1], triples[:, 2].copy())
             for column in self._edges:
                 column.flags.writeable = False
         self.meta = meta
@@ -326,11 +327,8 @@ class MetricMeasureSpace:
         return float(self.pair_dists(np.array([i]), np.array([j]))[0])
 
     def dist_matrix(self) -> np.ndarray:
-        """The full matrix; guarded by the dense size cap.
-
-        A coordinate space builds a new matrix on each call and does not keep
-        it, so it stays on the coordinate backend.
-        """
+        """The full matrix, guarded by DENSE_CAP. A coordinate space builds a new
+        one on each call and does not keep it, so it stays on coordinates."""
         if self._dist is not None:
             return self._dist
         if self.n > DENSE_CAP:
@@ -419,14 +417,13 @@ class MetricMeasureSpace:
         sorted strict ball members[offsets[k]:offsets[k + 1]]. A ball of radius
         <= singleton_radius() is {center}, placed without a distance; the others
         go to _block_members BALL_QUERY_BLOCK at a time."""
-        centers = np.asarray(centers, dtype=np.intp)
+        centers = np.asarray(centers)
         radii = np.asarray(radii, dtype=float)
         if centers.shape != radii.shape or centers.ndim != 1:
             raise ValueError("centers and radii must be 1-d arrays of one length")
         if not (radii > 0).all():
             raise ValueError("ball radius must be positive")
-        if ((centers < 0) | (centers >= self.n)).any():
-            raise InvalidParameter(f"ball centers must be point ids in [0, {self.n})")
+        centers = point_ids(centers, self.n, "ball centers")
         alone = radii <= self.singleton_radius()
         wide = np.flatnonzero(~alone)
         sizes = np.ones(centers.size, dtype=np.intp)
@@ -477,6 +474,26 @@ class MetricMeasureSpace:
         return f"MetricMeasureSpace(n={self.n}, backend={kind}, meta={self.meta!r})"
 
 
+def point_ids(ids, n: int | None, what: str) -> np.ndarray:
+    """ids as an intp array, each a whole number in [0, n); else InvalidParameter.
+    With n None, any whole numbers pass, returned as given."""
+    ids = np.asarray(ids)
+    whole = ids.dtype.kind in "iu" or (
+        ids.dtype.kind == "f" and np.isfinite(ids).all() and not (ids % 1).any()
+    )
+    where = "" if n is None else f" in [0, {n})"
+    if not whole or n is not None and ((ids < 0) | (ids >= n)).any():
+        raise InvalidParameter(f"{what} must be point ids{where}")
+    return ids if n is None else ids.astype(np.intp)
+
+
+def coords_in_range(coords: np.ndarray) -> bool:
+    """True when every coordinate is finite and at most sqrt(max float / dim) / 4
+    in size; then no difference, square or sum of squares of _norms overflows."""
+    bound = np.sqrt(np.finfo(float).max / max(coords.shape[1], 1)) / 4
+    return bool(np.isfinite(coords).all() and np.abs(coords).max(initial=0.0) <= bound)
+
+
 def _norms(delta: np.ndarray) -> np.ndarray:
     """Euclidean row lengths: the one distance formula of coordinate spaces."""
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))
@@ -509,9 +526,7 @@ def canonical_balls(space: MetricMeasureSpace, center: int) -> list[tuple[float,
     because d < nextafter(v, inf) exactly when d <= v. B(center, radius) is
     exactly the member set.
     """
-    if not 0 <= center < space.n:
-        raise ValueError("center out of range")
-    data = space.canonical.center(center)
+    data = space.canonical.center(int(point_ids(center, space.n, "ball centers")))
     return [
         (float(r), np.sort(data.order[:count]))
         for r, count in zip(np.nextafter(data.values, np.inf), data.counts)
@@ -535,55 +550,74 @@ def _validate_triangle_dense(dist: np.ndarray) -> tuple[int, int, int] | None:
 
 
 def _closure_certifies(dist: np.ndarray) -> bool:
-    """True when no triple can fail _validate_triangle_dense.
+    """True when no triple can fail _validate_triangle_dense; False proves nothing.
 
-    False proves nothing; the exact loop must then decide. Floyd-Warshall
-    gives a closure C <= D in which C(x,z) <= fl(C(x,y) + C(y,z)) for all y,
-    and rounding is monotone, so C(x,z) <= t = fl(D(x,y) + D(y,z)) for every
-    y. The exact loop flags D(x,z) > t + REL_TOL * max(D(x,z), t). A matrix
-    with D <= C * (1 + REL_TOL/2) stays below that by about REL_TOL/2 * t,
-    far more than the rounding of either side, so no triple is flagged.
-
-    Valid only after the pair axioms passed: scipy reads a dense zero as a
-    missing edge, so no zero may sit off the diagonal, and a negative entry
-    would be a negative edge. NaN has failed the symmetry or self-distance
-    check by then, and inf the finiteness check.
+    Floyd-Warshall starts from C = D and at step y lowers C(x, z) to
+    fl(C(x, y) + C(y, z)) when smaller; by monotone rounding, at the end C(x,
+    z) <= t = fl(D(x, y) + D(y, z)) for every y. The exact loop flags D(x, z)
+    > fl(t + fl(REL_TOL * max(D(x, z), t))), never below fl(t * (1 +
+    REL_TOL/2)), subnormal t too (REL_TOL * t loses at most 2^-1075, and
+    below 2^-1034 that product rounds back to t). So D <= fl(C * (1 +
+    REL_TOL/2)) leaves no triple to flag. C starts from D only if scipy sees
+    every entry: a plain dense entry within 1e-8 of 0 is a missing edge to
+    it, which makes C larger; a masked array with nothing masked keeps all.
+    A zero is still a missing edge, so the pair axioms must pass first (no zero
+    off the diagonal, no negative edge, and no NaN or inf by then).
     """
     from scipy.sparse.csgraph import floyd_warshall
 
-    closure = floyd_warshall(dist, directed=True)
+    closure = floyd_warshall(np.ma.masked_array(dist, mask=False), directed=True)
     closure *= 1.0 + REL_TOL / 2
     return bool(np.all(dist <= closure))
 
 
-def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport:
+def validate_space(space: MetricMeasureSpace) -> ValidationReport:
     """Check the metric measure axioms; report the first violation found.
 
-    Scan order: masses by point id; pair axioms in lexicographic order
-    (negativity, self-distance, symmetry, distinct points at distance zero,
-    a non-finite distance);
-    edge invariants when an edge graph is declared (the first edge, in edge
-    order, shorter than its distance); the triangle inequality last.
+    Scan order: masses by id; pair axioms in lexicographic order (negativity,
+    self-distance, symmetry, distinct points at distance 0, non-finite);
+    with an edge graph, the first edge shorter than its distance, then
+    connectivity; the triangle inequality last, its witness the first bad
+    (x, y, z) in (y, x, z) order. Every verdict is exact, by one of two rules.
 
-    Dense spaces are checked over all triples. A Floyd-Warshall closure C of
-    the matrix certifies the whole inequality at once when D <= C * (1 +
-    REL_TOL/2) everywhere; only when it does not does the exact loop over
-    middle points y run, and that loop alone decides the verdict and the
-    witness (the first bad (x, y, z), lexicographic in y, then x, then z).
-    Coordinate-backed spaces beyond DENSE_CAP satisfy the metric axioms by
-    construction, except that two points may repeat: a KD-tree finds every
-    such pair (the first reported), then a seeded sample of SAMPLE_TRIPLES
-    triples is re-verified, the first bad one in sample order is reported,
-    and the report says mode="sampled".
+    Coordinates that pass coords_in_range, with 1 <= dim <= ROUNDING_DIM and
+    min_positive_distance() >= ROUNDING_FLOOR = 2^-480, are decided in
+    O(n log n). Proof, for d = |a - b| exact, d^ = _norms(a - b), u = 2^-53:
+    - d^ is exactly symmetric (fl(a_i - b_i) = -fl(b_i - a_i)), exactly 0 for
+      a = b, and finite, as nothing overflows. So only distinct points at
+      d^ = 0 can fail a pair axiom: those whose squares are all 0, in any
+      summation order, which the KD-tree's query_pairs(0.0) finds.
+    - Squares summing below 2^-962 (d < 2^-481) in _norms sum below that in
+      the tree too, so its nearest distance is below 2^-481 (1 + 2^-40) and
+      each candidate of min_positive_distance() below 2^-480 (with none, it
+      reads 0.0). Past the floor every distinct pair has d^2 >= 2^-962,
+      2^60 times the smallest normal 2^-1022.
+    - Each difference rounds by a factor 1 + e, |e| <= u, each square by one
+      or by at most 2^-1075 if subnormal, a sum of dim nonnegative terms by
+      gamma_(dim-1) (Higham, Accuracy and Stability of Numerical Algorithms,
+      ch. 3). So the sum is d^2 (1 + s), |s| <= gamma_(dim+2) + dim 2^-112,
+      and |d^ - d| <= (dim/2 + 2) u d (1 + O(dim u)) <= e d, e = (dim + 4) u.
+    - Then d^(x, z) <= t (1 + e)/((1 - e)(1 - u)) for the normal t =
+      fl(d^(x, y) + d^(y, z)), and the exact loop flags only d^(x, z) > t (1
+      + REL_TOL (1 - u))(1 - u). As (2 dim + 11) u <= 8203 u < REL_TOL, no
+      triple is flagged: the triangle inequality holds unchecked.
+
+    Any other space (a matrix, or coordinates that miss a premise) is checked
+    on dist_matrix(), SizeOverflow beyond DENSE_CAP: the pair axioms entry by
+    entry, then _closure_certifies, and the exact loop only if it fails.
     """
     bad_mass = np.flatnonzero(space.mu <= 0)
     if bad_mass.size:
         return ValidationReport(False, "NonpositiveMass", (int(bad_mass[0]),))
 
-    dense = space._dist is not None or space.n <= DENSE_CAP
-    mode = "full" if dense else "sampled"
-
-    if dense:
+    dim = 0 if space.coords is None else space.coords.shape[1]
+    proved = 0 < dim <= ROUNDING_DIM and coords_in_range(space.coords)
+    if proved:
+        pairs = space._tree().query_pairs(0.0, output_type="ndarray")
+        if pairs.size:
+            return ValidationReport(False, "ZeroDistanceDistinct", tuple(min(pairs.tolist())))
+        proved = space.min_positive_distance() >= ROUNDING_FLOOR
+    if not proved:
         dist = space.dist_matrix()
         # In scan order; each mask is built only when every axiom before it holds.
         pair_axioms = (
@@ -597,12 +631,6 @@ def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport
             bad = np.argwhere(violated())
             if bad.size:
                 return ValidationReport(False, kind, tuple(map(int, bad[0])))
-    else:
-        # Exact by either formula: a sum of squares is 0 only if each term is.
-        pairs = space._tree().query_pairs(0.0, output_type="ndarray")
-        if pairs.size:
-            x, y = min(pairs.tolist())
-            return ValidationReport(False, "ZeroDistanceDistinct", (x, y), mode)
 
     edges = space.edge_arrays()
     if edges is not None:
@@ -612,32 +640,17 @@ def validate_space(space: MetricMeasureSpace, seed: int = 0) -> ValidationReport
         )
         if short.size:
             k = short[0]
-            return ValidationReport(False, "EdgeTooShort", (int(us[k]), int(vs[k])), mode)
+            return ValidationReport(False, "EdgeTooShort", (int(us[k]), int(vs[k])))
         from scipy.sparse.csgraph import connected_components
 
         if connected_components(space.edge_graph(), directed=False)[0] != 1:
-            return ValidationReport(False, "GraphDisconnected", None, mode)
+            return ValidationReport(False, "GraphDisconnected")
 
-    if dense:
-        if not _closure_certifies(dist):
-            witness = _validate_triangle_dense(dist)
-            if witness is not None:
-                return ValidationReport(False, "TriangleViolation", witness)
-        return ValidationReport(True)
-
-    rng = np.random.default_rng(seed)
-    xs = rng.integers(0, space.n, size=SAMPLE_TRIPLES)
-    ys = rng.integers(0, space.n, size=SAMPLE_TRIPLES)
-    zs = rng.integers(0, space.n, size=SAMPLE_TRIPLES)
-    dxz = space.pair_dists(xs, zs)
-    through = space.pair_dists(xs, ys) + space.pair_dists(ys, zs)
-    bad = np.flatnonzero(dxz > through + REL_TOL * np.maximum(dxz, through))
-    if bad.size:
-        k = bad[0]
-        return ValidationReport(
-            False, "TriangleViolation", (int(xs[k]), int(ys[k]), int(zs[k])), mode
-        )
-    return ValidationReport(True, mode=mode)
+    if not (proved or _closure_certifies(dist)):
+        witness = _validate_triangle_dense(dist)
+        if witness is not None:
+            return ValidationReport(False, "TriangleViolation", witness)
+    return ValidationReport(True)
 
 
 # -- builders -------------------------------------------------------------------

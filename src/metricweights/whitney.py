@@ -31,7 +31,7 @@ from .errors import (
     Unreachable,
 )
 from .maximal import as_subset, scatter
-from .space import BALL_QUERY_BLOCK, Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr
+from .space import BALL_QUERY_BLOCK, Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr, point_ids
 
 # Rows of the ball-ball overlap product built at once by _intersection_edges.
 OVERLAP_BLOCK = 1024
@@ -300,26 +300,23 @@ def chain_path(cover: WhitneyCover, i: int, j: int) -> list[int]:
 
 # -- quasihyperbolic distance -----------------------------------------------------
 
-def _check_domain_points(domain: DomainSpec, ids: np.ndarray, what: str) -> None:
-    n = domain.mask.size
-    if ((ids < 0) | (ids >= n)).any():
-        raise InvalidParameter(f"{what} must be point ids in [0, {n})")
+def _check_domain_points(domain: DomainSpec, ids, what: str) -> np.ndarray:
+    ids = point_ids(ids, domain.mask.size, what)
     if not domain.mask[ids].all():
         raise InvalidParameter(f"{what} must lie in the domain")
+    return ids
 
 
 def qh_distances(space: MetricMeasureSpace, domain: DomainSpec, sources) -> np.ndarray:
     """Rows of quasihyperbolic distances from each source point (inf off D)."""
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
-    _check_domain_points(domain, sources, "sources")
+    sources = _check_domain_points(domain, np.atleast_1d(sources), "sources")
     return dijkstra(domain.qh_graph(), indices=sources)
 
 
 def qh_distance(space: MetricMeasureSpace, domain: DomainSpec, x: int, y: int) -> float:
     """Quasihyperbolic distance between two domain points."""
-    _check_domain_points(domain, np.array([x, y], dtype=np.intp), "both endpoints")
-    row = qh_distances(space, domain, [x])[0]
-    d = float(row[y])
+    x, y = _check_domain_points(domain, [x, y], "both endpoints")
+    d = float(qh_distances(space, domain, [x])[0, y])
     if not np.isfinite(d):
         raise Disconnected(f"no path joins {x} and {y} inside the domain")
     return d
@@ -410,8 +407,7 @@ def witness_intersection_ball(
         raise ValueError("a must lie in (0, 1]")
     if a * b.radius > bp.radius:
         raise PreconditionFail("need a * rad(B) <= rad(Bp)")
-    if not (0 <= b.center < space.n and 0 <= bp.center < space.n):
-        raise InvalidParameter(f"ball centers must be point ids in [0, {space.n})")
+    point_ids([b.center, bp.center], space.n, "ball centers")
     d_centers = space.dist(b.center, bp.center)
     if d_centers >= bp.radius:
         raise PreconditionFail("second ball must contain the center of the first")

@@ -185,3 +185,37 @@ def test_the_checker_finds_ball_members_calls():
 def test_only_space_queries_single_balls(module):
     # Ball integrals outside space.py go through the batched balls_members.
     assert _ball_members_calls(module.read_text()) == []
+
+
+def _random_draws(source: str) -> list[str]:
+    """The lines of a module that name default_rng or a random module
+    (random, numpy.random, np.random, or an attribute named random)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        field = {ast.alias: "name", ast.Name: "id", ast.Attribute: "attr",
+                 ast.ImportFrom: "module"}.get(type(node))
+        name = getattr(node, field) if field else None
+        if name in ("default_rng", "random", "numpy.random"):
+            found.add(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_checker_finds_random_draws():
+    source = (
+        "import random\n"
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "x = np.random.default_rng(0).integers(5)\n"
+        "y = np.sum(np.arange(3))\n"
+    )
+    assert _random_draws(source) == [
+        "default_rng (line 3)", "default_rng (line 4)", "numpy.random (line 3)",
+        "random (line 1)", "random (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "studies.py"],
+                         ids=lambda p: p.name)
+def test_only_studies_draws_random_numbers(module):
+    # No library verdict rests on a sample; only the studies sample ball pairs.
+    assert _random_draws(module.read_text()) == []

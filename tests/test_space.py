@@ -21,7 +21,7 @@ from metricweights.studies import interval_space
 def test_two_point_space_passes_validation(s2):
     report = validate_space(s2)
     assert report.ok
-    assert report.mode == "full"
+    assert report.to_dict()["mode"] == "full"
 
 
 def test_grid_builder_two_and_three_points(s2, s3):
@@ -117,7 +117,7 @@ def test_balls_members_rejects_bad_radii(s3):
 
 def test_balls_members_rejects_centers_outside_the_space(s3):
     for space in (s3, space_from_matrix(s3.dist_matrix(), s3.mu)):
-        for center in (-1, 3, 10**6):
+        for center in (-1, 3, 10**6, 2.7, np.nan):
             with pytest.raises(InvalidParameter, match="point ids"):
                 space.ball_members(center, 0.5)
             with pytest.raises(InvalidParameter, match="point ids"):
@@ -246,7 +246,7 @@ def test_grid_sampled_validation_mode():
     grid = build_grid_space(2, 8, 1.0)
     report = validate_space(grid)
     assert report.ok
-    assert report.mode in ("full", "sampled")
+    assert report.to_dict()["mode"] in ("full", "sampled")
 
 
 def test_canonical_structures_refuse_oversized_spaces():
@@ -269,6 +269,13 @@ def test_dist_matrix_leaves_a_coordinate_space_on_coordinates():
     assert space._dist is None
     assert space.dist_matrix() is not space.dist_matrix()
     assert dense.dist_matrix() is dense.dist_matrix()
+
+
+def test_canonical_balls_rejects_centers_outside_the_space(s3):
+    for center in (-1, 3, 7, 1.5, np.nan):
+        with pytest.raises(InvalidParameter, match="point ids"):
+            canonical_balls(s3, center)
+    assert [r for r, _ in canonical_balls(s3, 1.0)] == [r for r, _ in canonical_balls(s3, 1)]
 
 
 def test_canonical_ball_count_small_fixture(s3):
@@ -324,6 +331,23 @@ def test_validation_matches_oracle_on_an_infinite_entry(seed):
     assert report == oracles.naive_validation(space)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12, 1e-300])
+def test_closure_certificate_sees_every_entry_at_every_scale(scale):
+    # scipy reads a plain dense entry within 1e-8 of 0 as a missing edge,
+    # which once let these violations pass the certificate.
+    spaces = [
+        space_from_matrix(np.array(d) * scale, np.ones(3))
+        for d in ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [[0, 1e-9, 1.5], [1e-9, 0, 1], [1.5, 1, 0]])
+    ]
+    for seed in (4, 5):
+        planted = _planted(seed, 15, lambda t: 10.0 * t)
+        spaces.append(MetricMeasureSpace(mu=planted.mu, dist=planted.dist_matrix() * scale))
+    for space in spaces:
+        report = validate_space(space).to_dict()
+        assert report["kind"] == "TriangleViolation"
+        assert report == oracles.naive_validation(space)
+
+
 def test_closure_certificate_decides_alone_only_with_half_the_tolerance(monkeypatch):
     calls = []
     exact = space_mod._validate_triangle_dense
@@ -349,11 +373,65 @@ def test_point_at_infinite_distance_certifies_like_the_oracle():
 def test_a_repeated_point_fails_validation_in_both_modes():
     coords = np.random.default_rng(8).uniform(size=(3000, 2))
     coords[17] = coords[5]
-    for n, mode in [(3000, "sampled"), (100, "full")]:
+    for n, mode in [(3000, "full"), (100, "full")]:
         space = MetricMeasureSpace(mu=np.ones(n), coords=coords[:n])
         assert validate_space(space).to_dict() == {
             "ok": False, "kind": "ZeroDistanceDistinct", "witness": [5, 17], "mode": mode,
         }
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-140, 1e-155, 1e-162, 1e-300])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_coordinate_validation_matches_oracle_at_every_scale(dim, scale):
+    # Below the rounding floor the coordinate rule hands over to the matrix
+    # rule; from 1e-155 down, subnormal squares break some triangles.
+    verdicts = []
+    for seed in range(6):
+        n = 3 + (7 * seed + dim) % 22
+        coords = np.random.default_rng(seed).uniform(size=(n, dim)) * scale
+        space = MetricMeasureSpace(mu=np.ones(n), coords=coords)
+        report = validate_space(space).to_dict()
+        assert report == oracles.naive_validation(space)
+        assert validate_space(space_from_matrix(space.dist_matrix(), space.mu)).to_dict() == report
+        verdicts.append(report["ok"])
+    if scale >= 1e-140:
+        assert all(verdicts)
+
+
+def test_subnormal_squares_break_a_triangle_that_validation_reports():
+    coords = [[0.0, 0.0], [1.511e-162, 2.674e-162], [2.967e-162, 5.266e-162]]
+    space = MetricMeasureSpace(mu=np.ones(3), coords=coords)
+    assert space.dist(0, 2) > 1.4 * (space.dist(0, 1) + space.dist(1, 2))
+    report = validate_space(space)
+    assert report == ValidationReport(False, "TriangleViolation", (0, 1, 2))
+    assert report.to_dict() == oracles.naive_validation(space)
+
+
+def test_a_pair_whose_squares_underflow_is_at_distance_zero():
+    coords = np.random.default_rng(9).uniform(size=(8, 2))
+    coords[1] = [0.0, 0.0]
+    coords[2] = [1e-170, 1e-170]
+    space = MetricMeasureSpace(mu=np.ones(8), coords=coords)
+    report = validate_space(space).to_dict()
+    assert (report["kind"], report["witness"]) == ("ZeroDistanceDistinct", [1, 2])
+    assert report == oracles.naive_validation(space)
+
+
+def test_a_large_cloud_below_the_rounding_floor_needs_the_matrix():
+    coords = np.random.default_rng(10).uniform(size=(3000, 2)) * 1e-155
+    space = MetricMeasureSpace(mu=np.ones(3000), coords=coords)
+    assert 0 < space.min_positive_distance() < space_mod.ROUNDING_FLOOR
+    with pytest.raises(SizeOverflow):
+        validate_space(space)
+
+
+def test_a_coordinate_space_validates_without_a_distance_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("validate_space built a distance matrix")
+
+    monkeypatch.setattr(MetricMeasureSpace, "dist_matrix", refuse)
+    assert validate_space(build_grid_space(2, 45, 1.0)) == ValidationReport(True)
+    assert validate_space(build_grid_space(3, 14, 1e-100)) == ValidationReport(True)
 
 
 @pytest.mark.parametrize("cells, value", [
@@ -385,22 +463,3 @@ def test_validation_reports_the_first_short_edge_like_the_oracle():
     assert report["witness"] == list(edges[2][:2])
     assert report == oracles.naive_validation(space)
     assert validate_space(grid).to_dict() == oracles.naive_validation(grid)
-
-
-def test_sampled_validation_reports_the_first_bad_triple_in_sample_order(monkeypatch):
-    # A coordinate space is a metric up to rounding, so a negative tolerance
-    # stands in for a violation: it makes many sampled triples bad.
-    monkeypatch.setattr(space_mod, "REL_TOL", -0.5)
-    coords = np.random.default_rng(8).uniform(size=(DENSE_CAP + 100, 2))
-    space = MetricMeasureSpace(mu=np.ones(coords.shape[0]), coords=coords)
-    report = validate_space(space, seed=3)
-    rng = np.random.default_rng(3)
-    samples = zip(*(
-        rng.integers(0, space.n, size=space_mod.SAMPLE_TRIPLES).tolist() for _ in range(3)
-    ))
-    first = next(
-        (x, y, z) for x, y, z in samples
-        if space.dist(x, z) > (space.dist(x, y) + space.dist(y, z))
-        - 0.5 * max(space.dist(x, z), space.dist(x, y) + space.dist(y, z))
-    )
-    assert (report.kind, report.witness, report.mode) == ("TriangleViolation", first, "sampled")

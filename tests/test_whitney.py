@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -248,6 +250,9 @@ def test_witness_rejects_centers_outside_the_space():
     for b, bp in [(Ball(-1, 3.0), Ball(28, 3.0)), (Ball(14, 2.0), Ball(40, 3.0))]:
         with pytest.raises(InvalidParameter, match="point ids"):
             witness_intersection_ball(space, b, bp, a=1.0)
+    for center in (2.7, np.nan):
+        with pytest.raises(InvalidParameter, match="point ids"):
+            witness_intersection_ball(space, Ball(center, 3.0), Ball(28, 3.0), a=1.0)
 
 
 def test_offset_witness_radius_is_an_eighth():
@@ -275,6 +280,29 @@ def test_witness_parameter_validation():
 
 
 # -- the cover against its naive oracle ----------------------------------------------
+
+
+@pytest.mark.parametrize("corrupt, broken", [
+    (lambda radii, i, j: 3.0 * radii[i], "doubles_inside"),  # the double leaves D
+    (lambda radii, i, j: radii[i] / 4.0, "sandwich_ok"),  # delta / r above 6 on the double
+    (lambda radii, i, j: 4.5 * radii[j], "radius_ratio_ok"),
+], ids=["radius_x3", "radius_div4", "edge_ratio_4.5"])
+@pytest.mark.parametrize("seed", [6, 9])  # covers with intersecting balls
+def test_check_cover_invariants_sees_a_corrupted_ball(seed, corrupt, broken):
+    space, domain = random_grid_domain(seed)
+    cover = whitney_cover(space, domain)
+    i, j = cover.edges[0]
+    radii = cover.radii.copy()
+    radii[i] = corrupt(radii, i, j)
+    bad = dataclasses.replace(cover, radii=radii)
+    report = check_cover_invariants(bad)
+    assert not report[broken]
+    members = np.split(bad.members, bad.offsets[1:-1])
+    assert report == oracles.naive_cover_invariants(
+        space, domain, bad.centers, radii, members, bad.edges
+    )
+    if broken == "sandwich_ok":  # through the upper bound 6r alone
+        assert report["sandwich_lo"] >= 2.0
 
 
 @pytest.mark.parametrize("seed", range(12))
