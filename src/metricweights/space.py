@@ -126,7 +126,7 @@ class _CenterBlock:
         np.cumsum(change[:, :-1], axis=1, out=prefix[:, 1:])
         point_prefix = np.empty_like(order)
         np.put_along_axis(point_prefix, order, prefix, axis=1)
-        mu_prefix = np.cumsum(space.mu[order], axis=1).ravel()[ends]
+        mu_prefix = _prefix_sums(space.mu, order, ends)
         starts = np.concatenate(([0], np.cumsum(change.sum(axis=1))))
         return cls(c0, order, point_prefix, ends, sorted_d.ravel()[ends], mu_prefix, starts)
 
@@ -145,7 +145,7 @@ class _CenterBlock:
 
     def prefix_sums(self, point_values: np.ndarray) -> np.ndarray:
         """Sum of point_values over each prefix (accumulated in canonical order)."""
-        return np.take(np.cumsum(np.take(point_values, self.order), axis=-1), self.ends)
+        return _prefix_sums(point_values, self.order, self.ends)
 
     def prefix_mins(self, point_values: np.ndarray) -> np.ndarray:
         """Running minimum of point_values over each prefix."""
@@ -234,7 +234,7 @@ class MetricMeasureSpace:
     ----------
     mu : positive mass per point, length n.
     dist : full n x n matrix, or None for coordinate-backed spaces.
-    coords : lattice coordinates (n x dim) for Euclidean row computation.
+    coords : lattice coordinates (n x dim, dim >= 1) for Euclidean row computation.
     edges : optional (u, v, length) triples, or an (m, 3) array of them;
         lengths must dominate distances. Kept as three read-only arrays.
     meta : free-form description string, round-tripped by save/load.
@@ -263,8 +263,8 @@ class MetricMeasureSpace:
             self._dist = dist
         if coords is not None:
             coords = np.asarray(coords, dtype=float)
-            if coords.ndim != 2 or coords.shape[0] != self.n:
-                raise ValueError("coords shape does not match mu")
+            if coords.ndim != 2 or coords.shape[0] != self.n or coords.shape[1] == 0:
+                raise ValueError("coords must be one row of at least one coordinate per point")
             self._coords = coords
         self._edges = None
         if edges is not None and len(edges):
@@ -441,6 +441,43 @@ class MetricMeasureSpace:
         members[~single] = np.concatenate(blocks)
         return members, offsets
 
+    def ball_sums(self, values, centers, members, offsets) -> np.ndarray:
+        """values summed over each ball B(centers[k], .) of a (members, offsets)
+        family with each ball in id order, as balls_members gives it.
+
+        The one rule of every ball integral: a ball adds its members one at a
+        time in (distance, id) order from the first, as the canonical prefix
+        sums do, so a ball's mu sum is its canonical mu_prefix bit for bit. A
+        singleton is its value read off (-0.0 stays -0.0, as in a cumsum). The
+        others are ordered by the formula of dist_row, a stable sort keeping
+        id order on ties, and summed in padded blocks of at most
+        BALL_QUERY_BLOCK balls and, unless one ball is wider,
+        CANONICAL_BLOCK_CELLS entries, as the canonical cache's blocks.
+        """
+        values, centers = np.asarray(values, dtype=float), np.asarray(centers)
+        sizes = np.diff(offsets)
+        out = np.empty(sizes.size)
+        single = sizes == 1
+        out[single] = values[members[offsets[:-1][single]]]
+        wide = np.flatnonzero(~single)
+        start = 0
+        while start < wide.size:
+            widest = int(sizes[wide[start:start + BALL_QUERY_BLOCK]].max())
+            block = wide[start:start + min(BALL_QUERY_BLOCK, max(1, CANONICAL_BLOCK_CELLS // widest))]
+            start += block.size
+            counts = sizes[block]
+            row = np.repeat(np.arange(block.size), counts)
+            column = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            ids = members[np.repeat(offsets[block], counts) + column]
+            # Padding sorts last, and ties keep their id order.
+            dist = np.full((block.size, int(counts.max())), np.inf)
+            dist[row, column] = self.pair_dists(np.repeat(centers[block], counts), ids)
+            order = np.zeros(dist.shape, dtype=np.intp)
+            order[row, column] = ids
+            order = np.take_along_axis(order, np.argsort(dist, axis=1, kind="stable"), axis=1)
+            out[block] = _prefix_sums(values, order, np.arange(block.size) * dist.shape[1] + counts - 1)
+        return out
+
     def _block_members(self, centers: np.ndarray, radii: np.ndarray):
         """One block of balls as (members laid end to end, each ball's size): matrix
         rows, or one tree query for candidates within radius * (1 + 1e-9) that the
@@ -490,13 +527,19 @@ def point_ids(ids, n: int | None, what: str) -> np.ndarray:
 def coords_in_range(coords: np.ndarray) -> bool:
     """True when every coordinate is finite and at most sqrt(max float / dim) / 4
     in size; then no difference, square or sum of squares of _norms overflows."""
-    bound = np.sqrt(np.finfo(float).max / max(coords.shape[1], 1)) / 4
+    bound = np.sqrt(np.finfo(float).max / coords.shape[1]) / 4
     return bool(np.isfinite(coords).all() and np.abs(coords).max(initial=0.0) <= bound)
 
 
 def _norms(delta: np.ndarray) -> np.ndarray:
     """Euclidean row lengths: the one distance formula of coordinate spaces."""
     return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+
+
+def _prefix_sums(values: np.ndarray, order: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """values gathered along the rows of the index block order and added one at
+    a time from each row's first column, read at the flat positions ends."""
+    return np.take(np.cumsum(np.take(values, order), axis=-1), ends)
 
 
 def _flat(lists) -> tuple[np.ndarray, np.ndarray]:
@@ -580,7 +623,7 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
     connectivity; the triangle inequality last, its witness the first bad
     (x, y, z) in (y, x, z) order. Every verdict is exact, by one of two rules.
 
-    Coordinates that pass coords_in_range, with 1 <= dim <= ROUNDING_DIM and
+    Coordinates that pass coords_in_range, with dim <= ROUNDING_DIM and
     min_positive_distance() >= ROUNDING_FLOOR = 2^-480, are decided in
     O(n log n). Proof, for d = |a - b| exact, d^ = _norms(a - b), u = 2^-53:
     - d^ is exactly symmetric (fl(a_i - b_i) = -fl(b_i - a_i)), exactly 0 for
@@ -610,8 +653,8 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
     if bad_mass.size:
         return ValidationReport(False, "NonpositiveMass", (int(bad_mass[0]),))
 
-    dim = 0 if space.coords is None else space.coords.shape[1]
-    proved = 0 < dim <= ROUNDING_DIM and coords_in_range(space.coords)
+    proved = (space.coords is not None and space.coords.shape[1] <= ROUNDING_DIM
+              and coords_in_range(space.coords))
     if proved:
         pairs = space._tree().query_pairs(0.0, output_type="ndarray")
         if pairs.size:

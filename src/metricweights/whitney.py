@@ -130,18 +130,9 @@ class WhitneyCover:
 
     def ball_averages(self, values_on_x: np.ndarray) -> np.ndarray:
         """mu-average of a function over each cover ball."""
-        v_mu = values_on_x * self.domain.space.mu
-        return _ball_sums(v_mu, self.members, self.offsets) / self.mu_balls
-
-
-def _ball_sums(values: np.ndarray, members: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """values summed over each ball of a (members, offsets) family, each
-    exactly as np.sum adds it (np.add.reduce, without np.sum's Python
-    wrapper; np.add.reduceat adds in another order)."""
-    add = np.add.reduce
-    gathered = values[members]
-    bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-    return np.array([add(gathered[lo:hi]) for lo, hi in bounds], dtype=float)
+        space = self.domain.space
+        v_mu = values_on_x * space.mu
+        return space.ball_sums(v_mu, self.centers, self.members, self.offsets) / self.mu_balls
 
 
 def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover:
@@ -174,7 +165,7 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
         radii=radii,
         members=members,
         offsets=offsets,
-        mu_balls=_ball_sums(space.mu, members, offsets),
+        mu_balls=space.ball_sums(space.mu, centers, members, offsets),
         edges=_intersection_edges(space.n, members, offsets),
     )
 

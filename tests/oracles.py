@@ -11,6 +11,18 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 
+def sequential_ball_sum(space, values, center, members):
+    """The one rule of every ball integral: the members of the ball around
+    center in (distance by space.dist_row(center), id) order, their values
+    added one at a time from the first."""
+    row = space.dist_row(center)
+    first, *rest = sorted(np.asarray(members).tolist(), key=lambda y: (row[y], y))
+    total = float(values[first])
+    for y in rest:
+        total += float(values[y])
+    return total
+
+
 def ball_system(space):
     """Every distinct ball as (center, radius, member ids).
 
@@ -139,22 +151,15 @@ def naive_doubling(space):
     consecutive breakpoints. So the ratio is probed at every breakpoint b,
     which is exact in floating point (as is 2b), and once beyond the last.
     A midpoint probe would be rounded onto an end of an interval one ulp
-    wide. Each ball's mass is added up point by point in (distance, id)
-    order, the order in which the library accumulates its prefix masses, so
-    the two agree bitwise.
+    wide. Each ball's mass is a sequential_ball_sum, the rule by which the
+    library accumulates its prefix masses, so the two agree bitwise.
     """
-    mu = space.mu.tolist()
     best = 0.0
     for c in range(space.n):
         row = space.dist_row(c)
-        canonical = sorted(range(space.n), key=lambda y: (row[y], y))
 
         def mass(r):
-            total = 0.0
-            for y in canonical:
-                if row[y] < r:
-                    total += mu[y]
-            return total
+            return sequential_ball_sum(space, space.mu, c, np.flatnonzero(row < r))
 
         vals = np.unique(row)
         crit = np.unique(np.concatenate([vals[vals > 0], vals[vals > 0] / 2.0]))
@@ -286,7 +291,7 @@ def naive_cover_invariants(space, domain, centers, radii, members, edges):
     doubles = [np.flatnonzero(dist[c] < 2.0 * r) for c, r in zip(centers, radii)]
     lo = [float(delta[d].min() / r) for d, r in zip(doubles, radii)]
     hi = [float(delta[d].max() / r) for d, r in zip(doubles, radii)]
-    mu_balls = np.array([float(np.sum(space.mu[m])) for m in members])
+    mu_balls = np.array([sequential_ball_sum(space, space.mu, c, m) for c, m in zip(centers, members)])
     if len(edges):
         i, j = edges[:, 0], edges[:, 1]
         ratio = radii[i] / radii[j]
@@ -320,7 +325,7 @@ def naive_whitney_like_band(space, domain, w_on_x, t_range, gate, n_centers):
     order. Each center is paired with itself and with the least and the
     greatest candidate, in that order, among those a full Dijkstra row puts
     within qh distance gate. A ball B(x, delta(x)/t) is a strict matrix row,
-    integrated with np.sum; the band is the largest ratio of a center's
+    integrated by sequential_ball_sum; the band is the largest ratio of a center's
     integral to a partner's, or that ratio's reciprocal, at any two t of t_range.
     """
     dist = space.dist_matrix()
@@ -335,8 +340,8 @@ def naive_whitney_like_band(space, domain, w_on_x, t_range, gate, n_centers):
     centers = [candidates[k] for k in picks]
 
     def integrals(x):
-        rows = [dist[x] < delta[x] / t for t in t_range]
-        return [np.sum(w_on_x[row] * space.mu[row]) for row in rows]
+        balls = [np.flatnonzero(dist[x] < delta[x] / t) for t in t_range]
+        return [sequential_ball_sum(space, w_on_x * space.mu, x, ball) for ball in balls]
 
     band, pairs, graph = 1.0, set(), domain.qh_graph()
     for c in centers:

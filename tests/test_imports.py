@@ -219,3 +219,46 @@ def test_the_checker_finds_random_draws():
 def test_only_studies_draws_random_numbers(module):
     # No library verdict rests on a sample; only the studies sample ball pairs.
     assert _random_draws(module.read_text()) == []
+
+
+def _ordered_sums(source: str) -> list[str]:
+    """The lines of a module that name cumsum, add.reduce or add.reduceat:
+    as np.cumsum, an array's .cumsum, np.add.reduce(at), or from numpy."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+            if name in ("reduce", "reduceat") and getattr(node.value, "attr", None) == "add":
+                name = f"add.{name}"
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("cumsum", "add.reduce", "add.reduceat"):
+            found.add(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_the_checker_finds_ordered_sums():
+    source = (
+        "import numpy as np\n"
+        "from numpy import cumsum\n"
+        "a = np.cumsum(x)\n"
+        "b = x.cumsum(axis=1)\n"
+        "add = np.add.reduce\n"
+        "c = np.add.reduceat(x, starts)\n"
+        "d = np.minimum.reduceat(x, starts) + np.maximum.reduce(x) + np.sum(x)\n"
+    )
+    assert _ordered_sums(source) == [
+        "add.reduce (line 5)", "add.reduceat (line 6)",
+        "cumsum (line 2)", "cumsum (line 3)", "cumsum (line 4)",
+    ]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "space.py"],
+                         ids=lambda p: p.name)
+def test_only_space_sums_over_balls(module):
+    # A ball integral adds in one order, (distance, id) from the first member,
+    # and space.ball_sums is where that order lives. A min or a max does not
+    # depend on order, so np.minimum.reduceat and np.maximum.reduceat may stay.
+    assert _ordered_sums(module.read_text()) == []

@@ -24,6 +24,21 @@ def test_two_point_space_passes_validation(s2):
     assert report.to_dict()["mode"] == "full"
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(mu=np.ones(0), coords=np.zeros((0, 1))),
+    dict(mu=np.ones(3)),
+    dict(mu=np.ones(3), dist=np.zeros((3, 2))),
+    dict(mu=np.ones(3), coords=np.zeros((2, 1))),
+    dict(mu=np.ones(3), coords=np.zeros(3)),
+    dict(mu=np.ones(3), coords=np.zeros((3, 0))),  # a KD-tree fails on no columns
+    dict(mu=np.ones(3), coords=np.eye(3), edges=[(0, 1)]),
+], ids=["empty_mu", "no_metric", "matrix_shape", "coords_rows", "coords_1d",
+        "coords_no_columns", "edge_pairs"])
+def test_constructor_rejects_malformed_shapes(kwargs):
+    with pytest.raises(ValueError):
+        MetricMeasureSpace(**kwargs)
+
+
 def test_grid_builder_two_and_three_points(s2, s3):
     assert s2.n == 2
     assert s2.dist(0, 1) == 1.0
@@ -276,6 +291,21 @@ def test_canonical_balls_rejects_centers_outside_the_space(s3):
         with pytest.raises(InvalidParameter, match="point ids"):
             canonical_balls(s3, center)
     assert [r for r, _ in canonical_balls(s3, 1.0)] == [r for r, _ in canonical_balls(s3, 1)]
+
+
+def test_ball_sums_are_the_sequential_canonical_prefix_sums(rng):
+    space = oracles.random_metric_space(rng, 40)
+    centers, radii, want = [], [], []
+    for c in range(space.n):
+        block, row = space.canonical.center(c), space.dist_row(c)
+        want += [oracles.sequential_ball_sum(space, space.mu, c, np.flatnonzero(row <= v))
+                 for v in block.values]
+        assert block.mu_prefix.tobytes() == np.array(want[-block.values.size:]).tobytes()
+        centers += [c] * block.values.size
+        radii += np.nextafter(block.values, np.inf).tolist()
+    assert len(centers) > 2 * BALL_QUERY_BLOCK
+    sums = space.ball_sums(space.mu, centers, *space.balls_members(centers, radii))
+    assert sums.tobytes() == np.array(want).tobytes()
 
 
 def test_canonical_ball_count_small_fixture(s3):
