@@ -177,11 +177,16 @@ def restrict_weight_report(
     u = W ** (1.0 + eps)
     restr = _ap_functional(space, E, u[ids], p)
     glob = _ap_functional(space, None, u, p)
-    worst, _ = space.canonical.sup(lambda data: restr(data) / glob(data))
+
+    def values(data) -> np.ndarray:
+        r, g = restr(data), glob(data)
+        return np.stack([r / g, r, g])
+
+    (worst, _), found_restr, found_glob = space.canonical.sups(values, 3)
     return RestrictionReport(
         max(0.0, worst),
-        _characteristic(space, restr, p, "tilde"),
-        _characteristic(space, glob, p, "tilde"),
+        _characteristic(found_restr, p, "tilde"),
+        _characteristic(found_glob, p, "tilde"),
         float(p),
         float(eps),
     )

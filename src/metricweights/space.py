@@ -29,6 +29,12 @@ from .errors import InvalidParameter, SizeOverflow
 # beyond this many points; coordinate-backed row queries have no such limit.
 DENSE_CAP = 2048
 
+# A center has at most DENSE_CAP prefixes, so _CenterBlock.point_prefix,
+# whose entries are prefix numbers, fits in this type.
+PREFIX_DTYPE = np.int16
+if DENSE_CAP - 1 > np.iinfo(PREFIX_DTYPE).max:
+    raise ImportError("DENSE_CAP - 1 must fit PREFIX_DTYPE")
+
 # Hard cap for build_grid_space, protecting against runaway side**dim.
 GRID_POINT_CAP = 4_000_000
 
@@ -93,7 +99,11 @@ class _CenterBlock:
     """Distance-sorted prefix machinery for the ball centers [c0, c0 + b).
 
     order        b x n: point ids sorted by (distance to the center, id)
-    point_prefix b x n: for each point y, the smallest k with y in prefix k
+    point_prefix b x n: for each point y, the smallest k with y in prefix k,
+                 in two bytes (PREFIX_DTYPE), as a center has at most
+                 n <= DENSE_CAP prefixes; maximal_fn subtracts it from intp.
+                 order and ends are take indices and stay intp, as narrow
+                 take indices are slower
     ends         per ball: flat index into the b x n tables of its last point
     values       per ball: its distinct distance (0.0 first for each center)
     mu_prefix    per ball: its mu-mass
@@ -122,9 +132,9 @@ class _CenterBlock:
         ends = np.flatnonzero(change)
         # The prefix of the point at each sorted position counts the
         # distance changes before it; scatter it back to the point ids.
-        prefix = np.zeros(rows.shape, dtype=np.intp)
+        prefix = np.zeros(rows.shape, dtype=PREFIX_DTYPE)
         np.cumsum(change[:, :-1], axis=1, out=prefix[:, 1:])
-        point_prefix = np.empty_like(order)
+        point_prefix = np.empty(rows.shape, dtype=PREFIX_DTYPE)
         np.put_along_axis(point_prefix, order, prefix, axis=1)
         mu_prefix = _prefix_sums(space.mu, order, ends)
         starts = np.concatenate(([0], np.cumsum(change.sum(axis=1))))
@@ -205,9 +215,18 @@ class CanonicalBallSet:
         wins, and a center with a NaN ball takes no part. Returns (value,
         (center, prefix)), or (-inf, (-1, -1)) when no ball is in scope.
         """
+        return self.sups(lambda block: values(block)[None], 1, domain_mask)[0]
+
+    def sups(
+        self,
+        values: Callable[[_CenterBlock], np.ndarray],
+        count: int,
+        domain_mask: np.ndarray | None = None,
+    ) -> list[tuple[float, tuple[int, int]]]:
+        """sup of count ball functionals in one pass over the blocks: values(block)
+        gives count rows, one per functional, and each row gets sup's answer."""
         outside = None if domain_mask is None else (~domain_mask).astype(float)
-        best = -np.inf
-        witness = (-1, -1)
+        found = [(-np.inf, (-1, -1))] * count
         for block in self:
             starts = block.starts
             if domain_mask is not None:
@@ -218,13 +237,13 @@ class CanonicalBallSet:
                     vals = np.where(block.prefix_sums(outside) == 0, values(block), -np.inf)
             else:
                 vals = values(block)
-            maxima = np.maximum.reduceat(vals, starts[:-1])
+            maxima = np.maximum.reduceat(vals, starts[:-1], axis=1)
             maxima[np.isnan(maxima)] = -np.inf
-            i = int(np.argmax(maxima))
-            if maxima[i] > best:
-                k = int(np.argmax(vals[starts[i]:starts[i + 1]]))
-                best, witness = float(vals[starts[i] + k]), (block.c0 + i, k)
-        return best, witness
+            for r, i in enumerate(np.argmax(maxima, axis=1).tolist()):
+                if maxima[r, i] > found[r][0]:
+                    k = int(np.argmax(vals[r, starts[i]:starts[i + 1]]))
+                    found[r] = float(vals[r, starts[i] + k]), (block.c0 + i, k)
+        return found
 
 
 class MetricMeasureSpace:
@@ -489,7 +508,7 @@ class MetricMeasureSpace:
             self._coords[centers], radii * (1 + 1e-9), return_sorted=True
         ))
         delta = self._coords[cands]
-        delta -= self._coords[np.repeat(centers, sizes)]
+        delta -= np.repeat(self._coords[centers], sizes, axis=0)
         keep = _norms(delta) < np.repeat(radii, sizes)
         return cands[keep], np.diff(np.cumsum(keep)[np.cumsum(sizes) - 1], prepend=0)
 

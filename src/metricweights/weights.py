@@ -95,10 +95,9 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
     return values
 
 
-def _characteristic(
-    space: MetricMeasureSpace, values, p: float, scope: str, domain_mask=None
-) -> CharacteristicReport:
-    value, (center, prefix) = space.canonical.sup(values, domain_mask)
+def _characteristic(found, p: float, scope: str) -> CharacteristicReport:
+    """The report of one answer (value, (center, prefix)) of CanonicalBallSet.sup."""
+    value, (center, prefix) = found
     kind = ("Ap_" if p > 1 else "A1_") + scope
     return CharacteristicReport(value, center, prefix, p, kind)
 
@@ -117,7 +116,7 @@ def ap_tilde_characteristic(
     average divided by min over B cap E of w, skipping empty intersections.
     w is given on E (sorted-id alignment); E = None means all of X.
     """
-    return _characteristic(space, _ap_functional(space, E, w, p), p, "tilde")
+    return _characteristic(space.canonical.sup(_ap_functional(space, E, w, p)), p, "tilde")
 
 
 def ap_domain_characteristic(
@@ -137,7 +136,7 @@ def ap_domain_characteristic(
     """
     values = _ap_functional(space, D, w, p)
     _, mask = as_subset(space, D)
-    return _characteristic(space, values, p, "domain", mask)
+    return _characteristic(space.canonical.sup(values, mask), p, "domain")
 
 
 def reverse_holder_constant(

@@ -165,6 +165,11 @@ def test_equal_maxima_in_two_blocks_go_to_the_first_center(blocks, size):
     assert cb.sup(_planted(plants + [(65, 0, np.nan), (65, 1, 9.0)])) == (5.0, (70, 3))
     nothing = np.zeros(space.n, dtype=bool)
     assert cb.sup(_planted(plants), nothing) == (-np.inf, (-1, -1))
+    # sups answers each of several rows in one pass as sup does
+    rows = [_planted(plants), _planted(plants + [(65, 0, np.nan), (65, 1, 9.0)]), _planted([])]
+    for mask in (None, domain, nothing):
+        got = cb.sups(lambda block: np.stack([f(block) for f in rows]), len(rows), mask)
+        assert got == [cb.sup(f, mask) for f in rows]
 
 
 @pytest.mark.parametrize("size", [None, 7])
@@ -181,9 +186,10 @@ def test_center_views_hold_each_centers_prefixes(blocks, size):
             np.testing.assert_array_equal(np.flatnonzero(data.point_prefix <= k), members)
 
 
-def test_the_cache_holds_two_square_tables_and_three_arrays_per_ball():
-    # A guard on the layout: order and point_prefix are the only n x n tables,
-    # and ends, values and mu_prefix the only per-ball arrays, plus starts.
+def test_the_cache_holds_an_index_table_a_two_byte_prefix_table_and_three_arrays_per_ball():
+    # A guard on the layout: order (intp) and point_prefix (two bytes) are the
+    # only n x n tables, and ends, values and mu_prefix the only per-ball
+    # arrays, plus starts.
     space = build_grid_space(2, 45, 1 / 22)
     cb = space.canonical
     cb.ensure_all()
@@ -196,4 +202,42 @@ def test_the_cache_holds_two_square_tables_and_three_arrays_per_ball():
                 while array.base is not None:
                     array = array.base
                 owners[id(array)] = array.nbytes
-    assert sum(owners.values()) <= 2 * n * n * 8 + 4 * balls * 8
+    assert sum(owners.values()) <= n * n * (8 + 2) + 4 * balls * 8
+
+
+def test_point_prefix_holds_every_prefix_of_a_space_of_dense_cap_points():
+    # On a line of DENSE_CAP points center 0 has DENSE_CAP distinct distances,
+    # so its last prefix number is the largest the two-byte table must hold.
+    space = build_grid_space(1, space_mod.DENSE_CAP, 1.0)
+    assert space.n == space_mod.DENSE_CAP
+    data = space.canonical.center(0)
+    assert data.point_prefix.dtype == np.int16
+    assert data.point_prefix.max() == space_mod.DENSE_CAP - 1
+    row = space.dist_row(0)
+    for k in (0, space_mod.DENSE_CAP // 2, space_mod.DENSE_CAP - 1):
+        np.testing.assert_array_equal(
+            np.flatnonzero(data.point_prefix <= k), np.flatnonzero(row <= data.values[k])
+        )
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_restriction_evaluates_each_functional_once_per_block(monkeypatch, p):
+    # One pass: the restricted and the global functional each take their
+    # prefix sums once per block (two each at p > 1, one each at p = 1),
+    # for the ratio and both characteristics together.
+    space = build_grid_space(2, 12, 1.0)
+    space.canonical.ensure_all()
+    calls = []
+    prefix_sums = space_mod._CenterBlock.prefix_sums
+
+    def counted(block, point_values):
+        calls.append(block.c0)
+        return prefix_sums(block, point_values)
+
+    monkeypatch.setattr(space_mod._CenterBlock, "prefix_sums", counted)
+    e_mask = np.arange(space.n) % 3 != 0
+    w = np.linspace(1.0, 2.0, space.n)
+    restrict_weight_report(space, e_mask, w, p, eps=0.25)
+    per_block = 4 if p > 1 else 2
+    assert len(calls) == per_block * len(space.canonical._blocks)
+    assert sorted(set(calls)) == [block.c0 for block in space.canonical]
