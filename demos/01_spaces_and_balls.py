@@ -36,7 +36,8 @@ print(f"matrix space: n={s3.n}, total mass={s3.total_mass()}, valid={report.ok}"
 # -- canonical enumeration around one center ----------------------------------
 
 # Each radius is the smallest float whose strict ball is that member set,
-# the float just above the distance that closes the ball.
+# the float just above the distance that closes the ball. Members are
+# listed nearest first, ties by id.
 balls = canonical_balls(s3, center=0)
 print(f"center 0 has {len(balls)} canonical balls:")
 for radius, members in balls:

@@ -74,9 +74,9 @@ def wolff_extend(
     eps: float,
 ) -> ExtensionReport:
     """Extend w (on E, exponent p >= 1, margin eps > 0) to a global weight."""
-    if p < 1:
+    if not p >= 1:
         raise ExponentRange("p must be >= 1")
-    if eps <= 0:
+    if not eps > 0:
         raise ExponentRange("eps must be positive")
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
@@ -124,7 +124,7 @@ def check_extension_condition(
     workers: int = 1,
 ) -> ConditionReport:
     """Tabulate the subset-induced characteristic of w^{1+eps} over the grid."""
-    if p < 1:
+    if not p >= 1:
         raise ExponentRange("p must be >= 1")
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
@@ -167,9 +167,9 @@ def restrict_weight_report(
     is compared against the global functional of W^{1+eps}; the report carries
     the worst ratio (at most 1 up to roundoff) and both characteristics.
     """
-    if p < 1:
+    if not p >= 1:
         raise ExponentRange("p must be >= 1")
-    if eps < 0:
+    if not eps >= 0:
         raise ExponentRange("eps must be >= 0")
     ids, _ = as_subset(space, E)
     W = _check_weight(W, space.n)

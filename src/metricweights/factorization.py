@@ -119,7 +119,7 @@ def rdf_apply_T(
     All functions live on E (sorted-id alignment); the result does too.
     Sublinear, positively homogeneous, and bounded below by 2f for f >= 0.
     """
-    if p < 2:
+    if not p >= 2:
         raise ExponentRange("the iteration operator needs p >= 2")
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)
@@ -146,7 +146,7 @@ def jones_factorize(
     tail is below _TAIL_TOL times the partial sum; k_max records the K
     accepted.
     """
-    if p < 1:
+    if not p >= 1:
         raise ExponentRange("p must be >= 1")
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)

@@ -72,7 +72,7 @@ class Ball:
         object.__setattr__(self, "center", int(self.center))
 
     def members(self, space: "MetricMeasureSpace") -> np.ndarray:
-        """Sorted point ids y with d(center, y) < radius. Always contains the center."""
+        """Point ids y with d(center, y) < radius in (distance, id) order; holds the center."""
         return space.ball_members(self.center, self.radius)
 
 
@@ -428,14 +428,14 @@ class MetricMeasureSpace:
         return self._kdtree
 
     def ball_members(self, center: int, radius: float) -> np.ndarray:
-        """Sorted ids y with d(center, y) < radius (strict)."""
+        """Ids y with d(center, y) < radius (strict), in (distance, id) order."""
         return self.balls_members([center], [radius])[0]
 
     def balls_members(self, centers, radii) -> tuple[np.ndarray, np.ndarray]:
         """Every ball B(centers[k], radii[k]) as (members, offsets): ball k is the
-        sorted strict ball members[offsets[k]:offsets[k + 1]]. A ball of radius
-        <= singleton_radius() is {center}, placed without a distance; the others
-        go to _block_members BALL_QUERY_BLOCK at a time."""
+        strict ball members[offsets[k]:offsets[k + 1]] in (distance, id) order. A
+        ball of radius <= singleton_radius() is {center}, placed without a distance;
+        the others go to _block_members BALL_QUERY_BLOCK at a time."""
         centers = np.asarray(centers)
         radii = np.asarray(radii, dtype=float)
         if centers.shape != radii.shape or centers.ndim != 1:
@@ -460,20 +460,15 @@ class MetricMeasureSpace:
         members[~single] = np.concatenate(blocks)
         return members, offsets
 
-    def ball_sums(self, values, centers, members, offsets) -> np.ndarray:
-        """values summed over each ball B(centers[k], .) of a (members, offsets)
-        family with each ball in id order, as balls_members gives it.
-
-        The one rule of every ball integral: a ball adds its members one at a
-        time in (distance, id) order from the first, as the canonical prefix
-        sums do, so a ball's mu sum is its canonical mu_prefix bit for bit. A
-        singleton is its value read off (-0.0 stays -0.0, as in a cumsum). The
-        others are ordered by the formula of dist_row, a stable sort keeping
-        id order on ties, and summed in padded blocks of at most
-        BALL_QUERY_BLOCK balls and, unless one ball is wider,
-        CANONICAL_BLOCK_CELLS entries, as the canonical cache's blocks.
-        """
-        values, centers = np.asarray(values, dtype=float), np.asarray(centers)
+    def ball_sums(self, values, members, offsets) -> np.ndarray:
+        """values summed over each ball of a (members, offsets) family, each in
+        (distance, id) order as balls_members gives it. The one rule of every ball
+        integral: a ball adds its members one at a time in that order, as the
+        canonical prefix sums do, so its mu sum is its mu_prefix bit for bit. A
+        singleton is its value read off (-0.0 stays -0.0, as in a cumsum); the
+        others are summed in padded blocks of at most BALL_QUERY_BLOCK balls and,
+        unless one ball is wider, CANONICAL_BLOCK_CELLS entries, as the cache's."""
+        values = np.asarray(values, dtype=float)
         sizes = np.diff(offsets)
         out = np.empty(sizes.size)
         single = sizes == 1
@@ -484,33 +479,36 @@ class MetricMeasureSpace:
             widest = int(sizes[wide[start:start + BALL_QUERY_BLOCK]].max())
             block = wide[start:start + min(BALL_QUERY_BLOCK, max(1, CANONICAL_BLOCK_CELLS // widest))]
             start += block.size
-            counts = sizes[block]
-            row = np.repeat(np.arange(block.size), counts)
-            column = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            ids = members[np.repeat(offsets[block], counts) + column]
-            # Padding sorts last, and ties keep their id order.
-            dist = np.full((block.size, int(counts.max())), np.inf)
-            dist[row, column] = self.pair_dists(np.repeat(centers[block], counts), ids)
-            order = np.zeros(dist.shape, dtype=np.intp)
-            order[row, column] = ids
-            order = np.take_along_axis(order, np.argsort(dist, axis=1, kind="stable"), axis=1)
-            out[block] = _prefix_sums(values, order, np.arange(block.size) * dist.shape[1] + counts - 1)
+            counts, first = sizes[block], offsets[block, None]
+            # A row pads with its ball's last member, past the column read.
+            order = members[np.minimum(first + np.arange(int(counts.max())), first + counts[:, None] - 1)]
+            out[block] = _prefix_sums(values, order, np.arange(block.size) * order.shape[1] + counts - 1)
         return out
 
     def _block_members(self, centers: np.ndarray, radii: np.ndarray):
         """One block of balls as (members laid end to end, each ball's size): matrix
         rows, or one tree query for candidates within radius * (1 + 1e-9) that the
-        formula of dist_row decides, so the backends agree exactly."""
+        formula of dist_row decides, so the backends agree exactly. A ball's order
+        is that of one unique integer key per member, (ball, rank of its distance
+        in the block, id), so no sort needs to keep ties in id order."""
         if self._dist is not None:
-            inside = self._dist[centers] < radii[:, None]
-            return np.nonzero(inside)[1], np.count_nonzero(inside, axis=1)
-        cands, sizes = _flat(self._tree().query_ball_point(
-            self._coords[centers], radii * (1 + 1e-9), return_sorted=True
-        ))
-        delta = self._coords[cands]
-        delta -= np.repeat(self._coords[centers], sizes, axis=0)
-        keep = _norms(delta) < np.repeat(radii, sizes)
-        return cands[keep], np.diff(np.cumsum(keep)[np.cumsum(sizes) - 1], prepend=0)
+            rows = self._dist[centers]
+            ball, ids = np.nonzero(rows < radii[:, None])
+            dist = rows[ball, ids]
+        else:
+            cands, sizes = _flat(self._tree().query_ball_point(
+                self._coords[centers], radii * (1 + 1e-9), return_sorted=False
+            ))
+            dist = _norms(self._coords[cands] - np.repeat(self._coords[centers], sizes, axis=0))
+            keep = dist < np.repeat(radii, sizes)
+            ball, ids, dist = np.repeat(np.arange(centers.size), sizes)[keep], cands[keep], dist[keep]
+        if centers.size * dist.size * self.n >= 2**63:
+            raise SizeOverflow("too many ball members in one block to order them")
+        by_dist = np.argsort(dist)
+        rank = np.zeros(dist.size, dtype=np.intp)
+        rank[by_dist[1:]] = np.cumsum(dist[by_dist[1:]] != dist[by_dist[:-1]])
+        keys = np.sort((ball * dist.size + rank) * self.n + ids)
+        return keys % self.n, np.bincount(ball, minlength=centers.size)
 
     @property
     def canonical(self) -> CanonicalBallSet:
@@ -582,15 +580,15 @@ def _symmetric_csr(n: int, us, vs, weights):
 def canonical_balls(space: MetricMeasureSpace, center: int) -> list[tuple[float, np.ndarray]]:
     """The nested family of distinct balls around one center, smallest first.
 
-    One (radius, sorted member ids) pair per ball. The ball of distinct
-    distance v is B(center, r) for every r in (v, v'], v' the next distinct
-    distance; the radius given is the smallest float in it, nextafter(v, inf),
-    because d < nextafter(v, inf) exactly when d <= v. B(center, radius) is
-    exactly the member set.
+    One (radius, member ids in (distance, id) order) pair per ball. The ball
+    of distinct distance v is B(center, r) for every r in (v, v'], v' the
+    next distinct distance; the radius given is the smallest float in it,
+    nextafter(v, inf), because d < nextafter(v, inf) exactly when d <= v.
+    balls_members(center, radius) gives exactly these members, in this order.
     """
     data = space.canonical.center(int(point_ids(center, space.n, "ball centers")))
     return [
-        (float(r), np.sort(data.order[:count]))
+        (float(r), data.order[:count].copy())
         for r, count in zip(np.nextafter(data.values, np.inf), data.counts)
     ]
 

@@ -293,9 +293,8 @@ def _whitney_like_band(space, domain, w_on_x) -> dict:
     def integrals(points: np.ndarray) -> np.ndarray:
         """w mu over B(x, delta(x)/t) for each point x and each t of HOLD2_T_RANGE."""
         radii = domain.boundary_dist[points][..., None] / np.array(HOLD2_T_RANGE)
-        centers = np.repeat(points.ravel(), radii.shape[-1])
-        balls = space.balls_members(centers, radii.ravel())
-        return space.ball_sums(w_mu, centers, *balls).reshape(radii.shape)
+        balls = space.balls_members(np.repeat(points.ravel(), radii.shape[-1]), radii.ravel())
+        return space.ball_sums(w_mu, *balls).reshape(radii.shape)
 
     a = integrals(centers)
     # Partners repeat (the deepest point near several centers), so each is integrated once.

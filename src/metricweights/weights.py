@@ -30,7 +30,7 @@ from .space import MetricMeasureSpace, _norms
 
 def conjugate_exponent(p: float) -> float:
     """Holder conjugate p' = p/(p-1); infinity when p = 1."""
-    if p < 1:
+    if not p >= 1:
         raise ExponentRange("p must be >= 1")
     if p == 1:
         return np.inf
@@ -71,7 +71,7 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
     At p = 1 a ball that misses E is out of scope (-inf): it is the one
     kind of ball whose minimum over B cap E is still infinite.
     """
-    if p < 1:
+    if not p >= 1:
         raise ExponentRange("p must be >= 1")
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
@@ -152,7 +152,7 @@ def reverse_holder_constant(
     only balls entirely contained in the domain (w on the domain ids).
     Always >= 1 by the power mean inequality.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ExponentRange("delta must be positive")
     ids, mask = as_subset(space, domain)
     w = _check_weight(w, ids.size)
@@ -254,7 +254,7 @@ def holder_average_bound_margin(
     for this ratio; callers assert margin <= characteristic. Balls where the
     right side vanishes have a vanishing left side and are skipped.
     """
-    if q < 1:
+    if not q >= 1:
         raise ExponentRange("q must be >= 1")
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)

@@ -101,7 +101,7 @@ class WhitneyCover:
     domain: DomainSpec
     centers: np.ndarray
     radii: np.ndarray
-    members: np.ndarray  # ball k is members[offsets[k]:offsets[k + 1]]
+    members: np.ndarray  # ball k is members[offsets[k]:offsets[k + 1]], in (distance, id) order
     offsets: np.ndarray
     mu_balls: np.ndarray
     edges: np.ndarray  # (m, 2) intersecting pairs i < j
@@ -131,8 +131,10 @@ class WhitneyCover:
     def ball_averages(self, values_on_x: np.ndarray) -> np.ndarray:
         """mu-average of a function over each cover ball."""
         space = self.domain.space
+        if np.shape(values_on_x) != (space.n,):
+            raise ValueError("values_on_x must be defined on all of X")
         v_mu = values_on_x * space.mu
-        return space.ball_sums(v_mu, self.centers, self.members, self.offsets) / self.mu_balls
+        return space.ball_sums(v_mu, self.members, self.offsets) / self.mu_balls
 
 
 def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover:
@@ -165,7 +167,7 @@ def whitney_cover(space: MetricMeasureSpace, domain: DomainSpec) -> WhitneyCover
         radii=radii,
         members=members,
         offsets=offsets,
-        mu_balls=space.ball_sums(space.mu, centers, members, offsets),
+        mu_balls=space.ball_sums(space.mu, members, offsets),
         edges=_intersection_edges(space.n, members, offsets),
     )
 

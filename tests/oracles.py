@@ -23,6 +23,13 @@ def sequential_ball_sum(space, values, center, members):
     return total
 
 
+def strict_ball(row, r):
+    """The ids y with row[y] < r, in (row[y], y) order: a distance row's strict
+    ball as the package lists it, from a plain stable sort."""
+    ids = np.flatnonzero(row < r)
+    return ids[np.argsort(row[ids], kind="stable")]
+
+
 def ball_system(space):
     """Every distinct ball as (center, radius, member ids).
 
@@ -259,9 +266,9 @@ def naive_whitney_cover(space, domain):
 
     Points of D by decreasing quarter boundary distance r (ties by id), each
     kept when its ball of radius r/4 misses every kept one; balls are strict
-    rows of the matrix, and two balls are joined when they share a point,
-    counted in int64. Returns centers, radii, members, edges (i < j,
-    lexicographic) and the dense 0/1 adjacency.
+    rows of the matrix in (distance, id) order (strict_ball), and two balls
+    are joined when they share a point, counted in int64. Returns centers,
+    radii, members, edges (i < j, lexicographic) and the dense 0/1 adjacency.
     """
     dist = space.dist_matrix()
     delta = domain.boundary_dist
@@ -276,7 +283,7 @@ def naive_whitney_cover(space, domain):
     centers = np.array(centers, dtype=np.intp)
     radii = delta[centers] / 4.0
     inside = dist[centers] < radii[:, None]
-    members = [np.flatnonzero(row) for row in inside]
+    members = [strict_ball(dist[c], r) for c, r in zip(centers, radii)]
     shared = inside.astype(np.int64) @ inside.T.astype(np.int64)
     adjacency = ((shared > 0) & ~np.eye(centers.size, dtype=bool)).astype(float)
     edges = np.argwhere(np.triu(adjacency, k=1) > 0)

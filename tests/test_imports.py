@@ -262,3 +262,40 @@ def test_only_space_sums_over_balls(module):
     # and space.ball_sums is where that order lives. A min or a max does not
     # depend on order, so np.minimum.reduceat and np.maximum.reduceat may stay.
     assert _ordered_sums(module.read_text()) == []
+
+
+def _method_names(source: str, cls: str, method: str) -> set[str]:
+    """Every name and attribute named inside cls.method of a module."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == method:
+                    return {n.id if isinstance(n, ast.Name) else n.attr
+                            for n in ast.walk(item) if isinstance(n, (ast.Name, ast.Attribute))}
+    raise LookupError(f"{cls}.{method} not found")
+
+
+ORDER_MACHINERY = {"pair_dists", "dist_row", "_norms", "argsort", "lexsort", "sort"}
+
+
+def test_the_checker_sees_order_machinery_in_a_method():
+    source = (
+        "class S:\n"
+        "    def ball_sums(self, values, members, offsets):\n"
+        "        order = np.argsort(self.pair_dists(members, members))\n"
+        "        return _norms(values[order])\n"
+        "    def other(self):\n"
+        "        return np.lexsort(self.dist_row(0)) + np.sort(values)\n"
+    )
+    assert _method_names(source, "S", "ball_sums") & ORDER_MACHINERY == {
+        "argsort", "pair_dists", "_norms"}
+    assert _method_names(source, "S", "other") & ORDER_MACHINERY == {"lexsort", "dist_row", "sort"}
+    with pytest.raises(LookupError):
+        _method_names(source, "S", "missing")
+
+
+def test_ball_sums_takes_the_member_order_as_given():
+    # balls_members decides membership and order in one place; ball_sums
+    # only adds the members in the order they come.
+    source = (PACKAGE / "space.py").read_text()
+    assert _method_names(source, "MetricMeasureSpace", "ball_sums") & ORDER_MACHINERY == set()

@@ -64,10 +64,11 @@ def test_canonical_prefixes_two_points(s2):
 
 
 def test_canonical_prefixes_middle_and_end_center(s3):
+    # Members come in (distance, id) order: ties by id, the nearest first.
     mid = canonical_balls(s3, 1)
-    assert [members.tolist() for _, members in mid] == [[1], [0, 1, 2]]
+    assert [members.tolist() for _, members in mid] == [[1], [1, 0, 2]]
     end = canonical_balls(s3, 2)
-    assert [members.tolist() for _, members in end] == [[2], [1, 2], [0, 1, 2]]
+    assert [members.tolist() for _, members in end] == [[2], [2, 1], [2, 1, 0]]
     with pytest.raises(ValueError):
         canonical_balls(s3, 3)
 
@@ -113,11 +114,41 @@ def test_balls_members_matches_strict_rows_across_query_blocks(dense):
     assert members.dtype == offsets.dtype == np.intp and offsets.size == centers.size + 1
     got = np.split(members, offsets[1:-1])
     for c, r, mem in zip(centers, radii, got, strict=True):
-        np.testing.assert_array_equal(mem, np.flatnonzero(space.dist_row(c) < r))
+        np.testing.assert_array_equal(mem, oracles.strict_ball(space.dist_row(c), r))
         np.testing.assert_array_equal(mem, space.ball_members(int(c), float(r)))
     members, offsets = space.balls_members([], [])
     assert members.dtype == offsets.dtype == np.intp
     assert (members.tolist(), offsets.tolist()) == ([], [0])
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_tied_balls_list_their_members_in_canonical_order(dense):
+    # On a unit grid most distances tie, so id order within a distance decides.
+    space = build_grid_space(2, 12, 1.0)
+    if dense:
+        space = space_from_matrix(space.dist_matrix(), space.mu)
+    rng = np.random.default_rng(5)
+    centers = rng.integers(0, space.n, size=2 * BALL_QUERY_BLOCK)
+    blocks = [space.canonical.center(int(c)) for c in centers]
+    # A canonical prefix per ball; every third is prefix 0, a singleton, and
+    # the others span two query blocks.
+    prefixes = [0 if k % 3 == 0 else int(rng.integers(1, b.values.size)) for k, b in enumerate(blocks)]
+    radii = [np.nextafter(b.values[k], np.inf) for b, k in zip(blocks, prefixes)]
+    members, offsets = space.balls_members(centers, radii)
+    balls = np.split(members, offsets[1:-1])
+    assert any((np.diff(ball) < 0).any() for ball in balls)  # not id order
+    for c, r, b, k, ball in zip(centers, radii, blocks, prefixes, balls, strict=True):
+        np.testing.assert_array_equal(ball, oracles.strict_ball(space.dist_row(c), r))
+        np.testing.assert_array_equal(ball, b.order[:b.counts[k]])
+
+
+def test_a_block_whose_order_keys_overflow_is_refused():
+    # A member's order key is (ball, distance rank, id) in one int64; a space
+    # this large would overflow it, and the block must not come back misordered.
+    space = build_grid_space(1, 8, 1.0)
+    space.n = 2**62
+    with pytest.raises(SizeOverflow):
+        space._block_members(np.array([0, 1]), np.array([3.0, 3.0]))
 
 
 def test_balls_members_rejects_bad_radii(s3):
@@ -304,7 +335,7 @@ def test_ball_sums_are_the_sequential_canonical_prefix_sums(rng):
         centers += [c] * block.values.size
         radii += np.nextafter(block.values, np.inf).tolist()
     assert len(centers) > 2 * BALL_QUERY_BLOCK
-    sums = space.ball_sums(space.mu, centers, *space.balls_members(centers, radii))
+    sums = space.ball_sums(space.mu, *space.balls_members(centers, radii))
     assert sums.tobytes() == np.array(want).tobytes()
 
 

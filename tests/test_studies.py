@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 import oracles
-from metricweights import make_domain
+from metricweights import MetricMeasureSpace, make_domain, whitney_cover
 from metricweights.errors import InvalidParameter
 from metricweights.studies import (
     GROWTH_W_EXPONENT,
@@ -154,6 +154,24 @@ def test_growth_band_matches_the_naive_band_on_random_domains(seed):
     naive = _naive_band(space, domain)
     assert band["band"].hex() == naive["band"].hex()
     assert (band["n_pairs"], band["n_samples"]) == (naive["n_pairs"], naive["n_samples"])
+
+
+def test_ball_integrals_compute_no_distance(monkeypatch):
+    # balls_members hands each ball out in (distance, id) order, so summing
+    # in that order needs no distance.
+    space, domain = random_grid_domain(4)
+    cover = whitney_cover(space, domain)
+    domain.qh_graph()  # its edge weights are distances, computed once here
+    values = np.random.default_rng(4).normal(size=space.n)
+    averages = cover.ball_averages(values)
+    band = _whitney_like_band(space, domain, _growth_weight(domain))
+
+    def refuse(*args):
+        raise AssertionError("pair_dists called")
+
+    monkeypatch.setattr(MetricMeasureSpace, "pair_dists", refuse)
+    assert cover.ball_averages(values).tobytes() == averages.tobytes()
+    assert _whitney_like_band(space, domain, _growth_weight(domain)) == band
 
 
 def test_extension_refinement_rows():

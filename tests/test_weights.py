@@ -12,6 +12,8 @@ from metricweights import (
     self_improve_epsilon,
 )
 from metricweights.errors import BudgetExceededAtZero, ExponentRange, NonpositiveWeight
+from metricweights.extension import check_extension_condition, restrict_weight_report, wolff_extend
+from metricweights.factorization import jones_factorize, rdf_apply_T
 from metricweights.space import REL_TOL
 from metricweights.studies import interval_space
 from metricweights.weights import holder_average_bound_margin
@@ -266,6 +268,31 @@ def test_reverse_holder_domain_scope(s3):
 def test_reverse_holder_rejects_zero_delta(s2):
     with pytest.raises(ExponentRange):
         reverse_holder_constant(s2, np.array([1.0, 4.0]), 0.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, w: conjugate_exponent(NAN),
+    lambda s, w: ap_tilde_characteristic(s, None, w, NAN),
+    lambda s, w: ap_domain_characteristic(s, None, w, NAN),
+    lambda s, w: jones_factorize(s, None, w, NAN),
+    lambda s, w: rdf_apply_T(s, None, w, NAN, w),
+    lambda s, w: wolff_extend(s, None, w, NAN, 0.5),
+    lambda s, w: wolff_extend(s, None, w, 2.0, NAN),
+    lambda s, w: check_extension_condition(s, None, w, NAN, [0.0], 10.0),
+    lambda s, w: restrict_weight_report(s, None, w, NAN),
+    lambda s, w: restrict_weight_report(s, None, w, 2.0, NAN),
+    lambda s, w: reverse_holder_constant(s, w, NAN),
+    lambda s, w: holder_average_bound_margin(s, None, w, NAN, w),
+], ids=["conjugate", "ap_tilde", "ap_domain", "jones", "rdf_T", "wolff_p", "wolff_eps",
+        "condition", "restrict_p", "restrict_eps", "reverse_holder", "holder_margin"])
+def test_a_nan_exponent_is_out_of_range(call):
+    # Each guard is written "not p >= 1", so that NaN fails it as well.
+    space = interval_space(8)
+    with pytest.raises(ExponentRange):
+        call(space, np.linspace(1.0, 2.0, space.n))
 
 
 # -- self-improvement of the exponent ----------------------------------------------

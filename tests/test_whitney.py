@@ -94,7 +94,7 @@ def test_line_cover_keeps_one_ball_per_point(line_cover):
     k = int(np.flatnonzero(line_cover.centers == 5)[0])
     assert line_cover.radii[k] == 1.25
     balls = np.split(line_cover.members, line_cover.offsets[1:-1])
-    np.testing.assert_array_equal(balls[k], [4, 5, 6])
+    np.testing.assert_array_equal(balls[k], [5, 4, 6])  # in (distance, id) order
     assert line_cover.centers[0] == 5  # largest radius first
 
 
@@ -404,7 +404,7 @@ def test_balls_around_the_singleton_radius_are_the_strict_rows(kind, backend):
     for r in (np.nextafter(h, 0), h, np.nextafter(h, np.inf)):
         members, offsets = space.balls_members(centers, np.full(centers.size, r))
         assert members.dtype == np.intp
-        want = [np.flatnonzero(space.dist_row(c) < r) for c in centers]
+        want = [oracles.strict_ball(space.dist_row(c), r) for c in centers]
         for g, w in zip(np.split(members, offsets[1:-1]), want, strict=True):
             np.testing.assert_array_equal(g, w)
         assert (max(w.size for w in want) > 1) == (r > h)
@@ -412,7 +412,7 @@ def test_balls_around_the_singleton_radius_are_the_strict_rows(kind, backend):
     radii = np.where(np.random.default_rng(1).random(centers.size) < 0.5, h, 3.0 * h)
     members, offsets = space.balls_members(centers, radii)
     for c, r, g in zip(centers, radii, np.split(members, offsets[1:-1]), strict=True):
-        np.testing.assert_array_equal(g, np.flatnonzero(space.dist_row(c) < r))
+        np.testing.assert_array_equal(g, oracles.strict_ball(space.dist_row(c), r))
 
 
 @pytest.mark.parametrize("backend", ["coords", "matrix"])
@@ -489,6 +489,15 @@ def test_per_ball_sums_are_sequential_sums_bitwise():
     single = sizes == 1
     assert np.signbit(v_mu[cover.centers[single]]).any()
     np.testing.assert_array_equal(np.signbit(got[single]), np.signbit(v_mu[cover.centers[single]]))
+
+
+def test_ball_averages_take_one_value_per_point():
+    space, domain = square_domain(12)
+    cover = whitney_cover(space, domain)
+    for bad in (np.array([5.0]), np.ones(space.n - 1), np.ones((space.n, 1)), 5.0):
+        with pytest.raises(ValueError, match="defined on all of X"):
+            cover.ball_averages(bad)
+    np.testing.assert_array_equal(cover.ball_averages(np.full(space.n, 5.0)), 5.0)
 
 
 @pytest.mark.parametrize("backend", ["coords", "matrix"])
