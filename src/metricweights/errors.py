@@ -51,7 +51,7 @@ class ZeroFunction(DomainError):
 
 
 class NonpositiveG(DomainError):
-    """Multiplier g must be strictly positive."""
+    """Multiplier g must be strictly positive and finite."""
 
 
 class NonpositiveWeight(DomainError):

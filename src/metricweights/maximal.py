@@ -101,7 +101,7 @@ def coifman_rochberg_weight(
     """Build the A1-class weight g * (Mf)^eps and report its A1 constant.
 
     Requires 0 < eps < 1, f >= 0 on X and not identically zero, and g
-    strictly positive with 1/g bounded (finite spaces give that for free).
+    strictly positive and finite (so 1/g is bounded on a finite space).
     Returns (weight on X, A1 characteristic of the weight).
     """
     from .weights import ap_tilde_characteristic
@@ -121,8 +121,8 @@ def coifman_rochberg_weight(
         g = np.asarray(g, dtype=float)
         if g.shape != (space.n,):
             raise ValueError("g must be defined on all of X")
-        if np.any(g <= 0):
-            raise NonpositiveG("g must be strictly positive")
+        if not np.all((0 < g) & (g < np.inf)):
+            raise NonpositiveG("g must be strictly positive and finite")
 
     mf = maximal_fn(space, f, E=None)
     w = g * mf**eps

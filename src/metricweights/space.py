@@ -29,12 +29,6 @@ from .errors import InvalidParameter, SizeOverflow
 # beyond this many points; coordinate-backed row queries have no such limit.
 DENSE_CAP = 2048
 
-# A center has at most DENSE_CAP prefixes, so _CenterBlock.point_prefix,
-# whose entries are prefix numbers, fits in this type.
-PREFIX_DTYPE = np.int16
-if DENSE_CAP - 1 > np.iinfo(PREFIX_DTYPE).max:
-    raise ImportError("DENSE_CAP - 1 must fit PREFIX_DTYPE")
-
 # Hard cap for build_grid_space, protecting against runaway side**dim.
 GRID_POINT_CAP = 4_000_000
 
@@ -48,6 +42,13 @@ BALL_QUERY_BLOCK = 256
 # keep to CANONICAL_BLOCK_CELLS entries so that they stay in cache.
 CANONICAL_BLOCK = 64
 CANONICAL_BLOCK_CELLS = 32768
+
+# The canonical cache keeps its index tables in this type: a prefix number and
+# a point id lie below DENSE_CAP, and a flat index into a block's b x n tables
+# below b * n <= CANONICAL_BLOCK_CELLS.
+PREFIX_DTYPE = np.int16
+if max(CANONICAL_BLOCK_CELLS, DENSE_CAP) - 1 > np.iinfo(PREFIX_DTYPE).max:
+    raise ImportError("max(CANONICAL_BLOCK_CELLS, DENSE_CAP) - 1 must fit PREFIX_DTYPE")
 
 # Blanket relative tolerance for asserted equalities.
 REL_TOL = 1e-12
@@ -99,15 +100,16 @@ class _CenterBlock:
     """Distance-sorted prefix machinery for the ball centers [c0, c0 + b).
 
     order        b x n: point ids sorted by (distance to the center, id)
-    point_prefix b x n: for each point y, the smallest k with y in prefix k,
-                 in two bytes (PREFIX_DTYPE), as a center has at most
-                 n <= DENSE_CAP prefixes; maximal_fn subtracts it from intp.
-                 order and ends are take indices and stay intp, as narrow
-                 take indices are slower
+    point_prefix b x n: for each point y, the smallest k with y in prefix k;
+                 maximal_fn subtracts it from intp
     ends         per ball: flat index into the b x n tables of its last point
     values       per ball: its distinct distance (0.0 first for each center)
     mu_prefix    per ball: its mu-mass
     starts       each center's first ball in the per-ball arrays, then their size
+
+    order, point_prefix and ends are kept in two bytes (PREFIX_DTYPE): ids
+    and prefix numbers lie below n <= DENSE_CAP, flat indices below b * n <=
+    CANONICAL_BLOCK_CELLS.
 
     Balls run center after center, in prefix order, and every method gives
     one value per ball. center(i) is the i-th center alone in this layout,
@@ -138,7 +140,8 @@ class _CenterBlock:
         np.put_along_axis(point_prefix, order, prefix, axis=1)
         mu_prefix = _prefix_sums(space.mu, order, ends)
         starts = np.concatenate(([0], np.cumsum(change.sum(axis=1))))
-        return cls(c0, order, point_prefix, ends, sorted_d.ravel()[ends], mu_prefix, starts)
+        return cls(c0, order.astype(PREFIX_DTYPE), point_prefix, ends.astype(PREFIX_DTYPE),
+                   sorted_d.ravel()[ends], mu_prefix, starts)
 
     def center(self, i: int) -> "_CenterBlock":
         s, e = self.starts[i:i + 2]
@@ -588,7 +591,7 @@ def canonical_balls(space: MetricMeasureSpace, center: int) -> list[tuple[float,
     """
     data = space.canonical.center(int(point_ids(center, space.n, "ball centers")))
     return [
-        (float(r), data.order[:count].copy())
+        (float(r), data.order[:count].astype(np.intp))
         for r, count in zip(np.nextafter(data.values, np.inf), data.counts)
     ]
 

@@ -150,14 +150,19 @@ def reverse_holder_constant(
 
     Scope is every canonical ball when domain is None (w on X), otherwise
     only balls entirely contained in the domain (w on the domain ids).
-    Always >= 1 by the power mean inequality.
+    Always >= 1 by the power mean inequality. ExponentRange unless delta is
+    positive and finite and every w^{1+delta} is a finite float.
     """
-    if not delta > 0:
-        raise ExponentRange("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ExponentRange("delta must be positive and finite")
     ids, mask = as_subset(space, domain)
     w = _check_weight(w, ids.size)
+    with np.errstate(over="ignore"):
+        whi = w ** (1.0 + delta)
+    if not np.isfinite(whi).all():
+        raise ExponentRange("w ** (1 + delta) overflows; take a smaller delta")
     w_mu = scatter(space, ids, w) * space.mu
-    whi_mu = scatter(space, ids, w ** (1.0 + delta)) * space.mu
+    whi_mu = scatter(space, ids, whi) * space.mu
     inv = 1.0 / (1.0 + delta)
 
     def values(data) -> np.ndarray:

@@ -14,6 +14,7 @@ from metricweights import (
     ap_domain_characteristic,
     ap_tilde_characteristic,
     build_grid_space,
+    canonical_balls,
     doubling_constant,
     maximal_fn,
     restrict_weight_report,
@@ -186,10 +187,10 @@ def test_center_views_hold_each_centers_prefixes(blocks, size):
             np.testing.assert_array_equal(np.flatnonzero(data.point_prefix <= k), members)
 
 
-def test_the_cache_holds_an_index_table_a_two_byte_prefix_table_and_three_arrays_per_ball():
-    # A guard on the layout: order (intp) and point_prefix (two bytes) are the
-    # only n x n tables, and ends, values and mu_prefix the only per-ball
-    # arrays, plus starts.
+def test_the_cache_holds_two_byte_tables_and_three_arrays_per_ball():
+    # A guard on the layout: order and point_prefix (two bytes each) are the
+    # only b x n tables; ends (two bytes), values and mu_prefix the only
+    # per-ball arrays; and starts has one entry per center and one per block.
     space = build_grid_space(2, 45, 1 / 22)
     cb = space.canonical
     cb.ensure_all()
@@ -202,7 +203,8 @@ def test_the_cache_holds_an_index_table_a_two_byte_prefix_table_and_three_arrays
                 while array.base is not None:
                     array = array.base
                 owners[id(array)] = array.nbytes
-    assert sum(owners.values()) <= n * n * (8 + 2) + 4 * balls * 8
+    starts = (n + len(cb._blocks)) * 8
+    assert sum(owners.values()) == n * n * (2 + 2) + balls * (2 + 8 + 8) + starts
 
 
 def test_point_prefix_holds_every_prefix_of_a_space_of_dense_cap_points():
@@ -211,13 +213,42 @@ def test_point_prefix_holds_every_prefix_of_a_space_of_dense_cap_points():
     space = build_grid_space(1, space_mod.DENSE_CAP, 1.0)
     assert space.n == space_mod.DENSE_CAP
     data = space.canonical.center(0)
-    assert data.point_prefix.dtype == np.int16
+    assert data.point_prefix.dtype == data.order.dtype == data.ends.dtype == np.int16
     assert data.point_prefix.max() == space_mod.DENSE_CAP - 1
     row = space.dist_row(0)
     for k in (0, space_mod.DENSE_CAP // 2, space_mod.DENSE_CAP - 1):
         np.testing.assert_array_equal(
             np.flatnonzero(data.point_prefix <= k), np.flatnonzero(row <= data.values[k])
         )
+
+
+@pytest.mark.parametrize("n, rows", [(512, 64), (2048, 16)])
+def test_a_full_block_ends_at_the_largest_two_byte_index(n, rows):
+    # b * n = CANONICAL_BLOCK_CELLS: on a line every center's last ball ends
+    # its row, so the block's last flat end is 32767, the int16 maximum.
+    space = build_grid_space(1, n, 1.0)
+    cb = space.canonical
+    assert rows * n == space_mod.CANONICAL_BLOCK_CELLS
+    block = cb._block(len(cb._blocks) - 1)
+    assert block.order.shape == (rows, n) and block.c0 == n - rows
+    assert block.ends.dtype == np.int16
+    assert block.ends[-1] == np.iinfo(np.int16).max
+    # The narrow tables read as their intp values do.
+    order = np.vstack([np.argsort(space.dist_row(c), kind="stable") for c in range(n - rows, n)])
+    ends = block.ends.astype(np.intp)
+    np.testing.assert_array_equal(block.order, order)
+    np.testing.assert_array_equal(ends[block.starts[1:] - 1], np.arange(1, rows + 1) * n - 1)
+    f = np.random.default_rng(n).lognormal(size=n)
+    np.testing.assert_array_equal(block.prefix_sums(f), np.cumsum(f[order], axis=1).ravel()[ends])
+    np.testing.assert_array_equal(
+        block.prefix_mins(f), np.minimum.accumulate(f[order], axis=1).ravel()[ends]
+    )
+    np.testing.assert_array_equal(block.counts, ends % n + 1)
+    last = block.center(rows - 1)
+    assert last.counts[-1] == n and last.ends[-1] == n - 1
+    _, members = canonical_balls(space, n - 1)[-1]
+    assert members.dtype == np.intp
+    np.testing.assert_array_equal(members, order[-1])
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

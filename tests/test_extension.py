@@ -12,14 +12,15 @@ from metricweights import (
 )
 from metricweights.errors import ExponentRange, InvalidParameter, NonpositiveWeight
 from metricweights.maximal import as_subset
+from metricweights.space import REL_TOL
 from metricweights.studies import interval_space, unit_band_subset
 from metricweights.weights import power_weight
 
 P_GRID = [1.0, 1.5, 2.0, 3.0]
 
 
-def _random_fixture(rng, n_max=25):
-    n = int(rng.integers(2, n_max))
+def _random_fixture(rng, n_max=25, n_min=2):
+    n = int(rng.integers(n_min, n_max))
     space = oracles.random_metric_space(rng, n)
     e_mask = rng.random(n) < 0.6
     e_mask[int(rng.integers(0, n))] = True
@@ -87,6 +88,49 @@ def test_p_equal_one_pipeline(rng):
     np.testing.assert_allclose(
         rep.W, rep.g * m1**rep.delta, rtol=1e-12
     )
+
+
+def _reverse_factorization_bound(space, rep):
+    """sup g * sup(1/g) * [V1]_{A_1} * [V2]_{A_1}^{p-1}, V_i = (m_E v_i)^delta on X;
+    at p = 1, (sup g / inf g) * [V1]_{A_1}."""
+    fact = rep.factorization
+
+    def a1(m):
+        return ap_tilde_characteristic(space, None, m**rep.delta, 1.0).value
+
+    bound = rep.g.max() / rep.g.min() * a1(fact.m_v1)
+    return bound * a1(fact.m_v2) ** (rep.p - 1.0) if rep.p > 1 else bound
+
+
+def _assert_within_reverse_factorization_bound(space, rep, W):
+    # Both sides are maxima over the same canonical balls, so W = g V1 V2^{1-p}
+    # meets the bound in exact arithmetic. In floats the two sides can tie
+    # (measured at p = 1 with |E| of 1 or 2), and W, the V_i and every ball
+    # average each round by a few ulps per term over at most n terms, so the
+    # left side may pass the computed bound by some n * 1e-16: allow REL_TOL.
+    ap_w = ap_tilde_characteristic(space, None, W, rep.p).value
+    assert ap_w <= _reverse_factorization_bound(space, rep) * (1.0 + REL_TOL)
+
+
+def test_extension_meets_the_reverse_factorization_bound_on_random_fixtures(rng):
+    for p in P_GRID:
+        for _ in range(60):
+            space, e_mask, _, w = _random_fixture(rng, n_max=60, n_min=3)
+            rep = wolff_extend(space, e_mask, w, p, eps=0.5)
+            _assert_within_reverse_factorization_bound(space, rep, rep.W)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_extension_meets_the_reverse_factorization_bound_on_the_band(p):
+    space = interval_space(64)
+    e_ids = unit_band_subset(space)
+    rep = wolff_extend(space, e_ids, power_weight(space, 0.5, ids=e_ids), p, eps=0.5)
+    _assert_within_reverse_factorization_bound(space, rep, rep.W)
+    # The check sees a W raised past the bound at one point.
+    planted = rep.W.copy()
+    planted[space.n // 4] *= 1e3 * _reverse_factorization_bound(space, rep)
+    with pytest.raises(AssertionError):
+        _assert_within_reverse_factorization_bound(space, rep, planted)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])

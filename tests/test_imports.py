@@ -264,6 +264,33 @@ def test_only_space_sums_over_balls(module):
     assert _ordered_sums(module.read_text()) == []
 
 
+def _cache_table_reads(source: str) -> list[str]:
+    """The lines of a module that name an .order or .ends attribute."""
+    return sorted(
+        f"{node.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("order", "ends")
+    )
+
+
+def test_the_checker_finds_cache_table_reads():
+    source = (
+        "a = block.order[:3]\n"
+        "b = np.take(values, data.ends - 1)\n"
+        "order, ends = block.prefix_sums(f), block.counts\n"
+        "c = self.order.shape[1] + x.ends_of\n"
+    )
+    assert _cache_table_reads(source) == ["ends (line 2)", "order (line 1)", "order (line 4)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m.name != "space.py"],
+                         ids=lambda p: p.name)
+def test_only_space_reads_the_cache_index_tables(module):
+    # The canonical cache keeps order and ends in two bytes (PREFIX_DTYPE);
+    # other modules reach them only through _CenterBlock's methods and
+    # canonical_balls, which hand out sums, minima, counts and intp ids.
+    assert _cache_table_reads(module.read_text()) == []
+
+
 def _method_names(source: str, cls: str, method: str) -> set[str]:
     """Every name and attribute named inside cls.method of a module."""
     for node in ast.walk(ast.parse(source)):

@@ -1051,6 +1051,14 @@ def test_cli_rejects_non_finite_parameters(capsys, line8, argv, flag, bad):
     assert flag in _assert_error(rc, err, 2, "InvalidParameter")
 
 
+def test_cli_rhi_refuses_a_delta_whose_power_overflows(capsys, line8):
+    # 2.0 ** 1e6 is no float: a usage error, not a non-finite report (exit 4).
+    argv = ["rhi", "--space", line8["coords"], "--weight", line8["w"], "--delta", "1e6"]
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    assert "delta" in _assert_error(rc, err, 2, "ExponentRange")
+
+
 @pytest.mark.parametrize("cap", ["-1", "0", "nan"])
 def test_cli_maximal_rejects_a_nonpositive_radius_cap(capsys, line8, cap):
     argv = ["maximal", "--space", line8["coords"], "--function", line8["w"], "--radius-cap"]

@@ -135,8 +135,10 @@ def test_power_of_maximal_rejects_bad_exponent_and_g(s3):
         coifman_rochberg_weight(s3, f, eps=1.0)
     with pytest.raises(ExponentRange):
         coifman_rochberg_weight(s3, f, eps=0.0)
-    with pytest.raises(NonpositiveG):
-        coifman_rochberg_weight(s3, f, eps=0.5, g=np.array([1.0, 0.0, 1.0]))
+    # NaN passes a "g <= 0" test; it and inf are g's fault, not the weight's.
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(NonpositiveG):
+            coifman_rochberg_weight(s3, f, eps=0.5, g=np.array([1.0, bad, 1.0]))
 
 
 def test_generated_weights_satisfy_the_pointwise_sandwich(rng):

@@ -91,6 +91,8 @@ def test_every_canonical_radius_gives_exactly_its_listed_members(space):
     # where a midpoint between them rounds onto the smaller one.
     for c in range(space.n):
         radii, members = zip(*canonical_balls(space, c))
+        # ids come out as intp, whatever type the cache keeps them in
+        assert {m.dtype for m in members} == {np.dtype(np.intp)}
         got, offsets = space.balls_members([c] * len(radii), radii)
         for ball, want in zip(np.split(got, offsets[1:-1]), members, strict=True):
             np.testing.assert_array_equal(ball, want)

@@ -6,6 +6,7 @@ import oracles
 from metricweights import (
     ap_domain_characteristic,
     ap_tilde_characteristic,
+    build_grid_space,
     conjugate_exponent,
     power_weight,
     reverse_holder_constant,
@@ -268,6 +269,12 @@ def test_reverse_holder_domain_scope(s3):
 def test_reverse_holder_rejects_zero_delta(s2):
     with pytest.raises(ExponentRange):
         reverse_holder_constant(s2, np.array([1.0, 4.0]), 0.0)
+    # An infinite delta, and one whose w ** (1 + delta) overflows (3.0 ** 1e6),
+    # are refused too rather than read as 2.0 or inf.
+    space, w = build_grid_space(1, 9, 1.0), np.linspace(0.5, 3.0, 9)
+    for delta in (np.inf, 1e6):
+        with pytest.raises(ExponentRange):
+            reverse_holder_constant(space, w, delta)
 
 
 NAN = float("nan")
