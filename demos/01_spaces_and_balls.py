@@ -31,7 +31,7 @@ dist = np.array(
 mu = np.array([1.0, 2.0, 1.0])
 s3 = space_from_matrix(dist, mu, meta="three points on a line")
 report = validate_space(s3)
-print(f"matrix space: n={s3.n}, total mass={s3.total_mass()}, valid={report.ok}")
+print(f"matrix space: n={s3.n}, total mass={s3.mu.sum()}, valid={report.ok}")
 
 # -- canonical enumeration around one center ----------------------------------
 

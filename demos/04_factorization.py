@@ -6,9 +6,9 @@ Any weight v with a finite induced characteristic splits as v = v1 * v2^(1-p)
 with both factors in the A1-type class. The algorithm builds the operator
 T f = (v^(-1/p) m_E(v^(1/p) f^(p-1)))^(1/(p-1)) + v^(1/p) m_E(v^(-1/p) f),
 estimates its norm bound c from warmup iterations, and sums the series
-eta = sum_k (2c)^(-k) T^k 1 only until a partial sum (8, 16, 32, ... terms)
-passes its certificates. The factors fall out of eta, and every claimed
-inequality is verified pointwise before the result is returned.
+eta = sum_k (2c)^(-k) T^k 1 only to 8 terms, whose partial sum passes its
+certificates (c doubles if it does not). The factors fall out of eta, and
+every claimed inequality is verified pointwise before the result is returned.
 """
 
 import numpy as np

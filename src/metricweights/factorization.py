@@ -18,16 +18,20 @@ exponent p' and the factors swap. For p = 1 the factorization is trivial.
 
 The growth constant c is estimated from norm ratios of the first 8 iterates.
 The series is not summed to convergence, since only the certificates are
-needed: by subadditivity T eta_K <= 2c eta_K holds for a partial sum as soon
-as (2c)^{-K} T^{K+1} 1 stays below T 1, which a short sum already gives. The
-partial sums at K = 8, 16, 32, ... are checked and the first one whose
-certificates verify is accepted. The series never runs past the first term
-whose tail falls below _TAIL_TOL relative to the partial sum, and it is
-checked there too. If that check fails, c doubles (at most 10 times).
-Every bound is verified pointwise, a posteriori, in the arithmetic the
-caller re-checks. eta is returned scaled to maximum 1; T is positively
-homogeneous, so the scale changes neither the certificates nor
-v1 * v2^{1-p}.
+needed. By subadditivity and homogeneity the partial sum eta_K of K terms has
+
+    T eta_K <= sum_{k=1}^K (2c)^{-k} T^{k+1} 1 = 2c eta_K - T 1 + (2c)^{-K} T^{K+1} 1,
+
+so T eta_K <= 2c eta_K as soon as the tail (2c)^{-K} T^{K+1} 1 stays below
+T 1. Each attempt certifies one partial sum: K = 8, which reuses the warm-up
+iterates, or the first K < 8 whose next term falls below _TAIL_TOL times the
+sum. If a certificate fails, c doubles (at most _MAX_DOUBLINGS times). Each
+doubling divides the K = 8 tail by 2^8 = 256 and leaves T 1 as it is, so
+this one fallback ends, certified or in NoConvergence; so does a factor
+bound that overflows, as a doubling only makes it larger. Every bound is
+verified pointwise, a posteriori, in the arithmetic the caller re-checks.
+eta is returned scaled to maximum 1; T is positively homogeneous, so the
+scale changes neither the certificates nor v1 * v2^{1-p}.
 """
 
 from __future__ import annotations
@@ -41,22 +45,24 @@ from .maximal import as_subset, maximal_fn
 from .space import MetricMeasureSpace
 from .weights import _check_weight, ap_tilde_characteristic, conjugate_exponent
 
-# Iteration budget all told: estimation warmup, series truncation, doublings.
+# Iteration budget all told: the warm-up, which is also the longest partial
+# sum, and the doublings of c.
 _WARMUP_ITERS = 8
 _MAX_DOUBLINGS = 10
-_MAX_TERMS = 400
-# Relative tail at which the series stops even if no earlier partial sum
-# verified. Every measured input verifies at K = 8, long before such a tail.
+# Relative size of the next term at which a partial sum shorter than 8 terms
+# is certified. Every measured input verifies at K = 8, long before such a term.
 _TAIL_TOL = 1e-12
 
 
 def a1_bounds(c: float, p: float) -> tuple[float, float]:
-    """The verified pointwise constants: m_E v1 <= k1 v1 and m_E v2 <= k2 v2."""
+    """The verified pointwise constants: m_E v1 <= k1 v1 and m_E v2 <= k2 v2.
+    A constant that overflows is inf."""
     k2 = 2.0 * c
     if p == 1:
         return k2, k2
-    k1 = k2 ** (p / conjugate_exponent(p))
-    return k1, k2
+    with np.errstate(over="ignore"):
+        k1 = np.float64(k2) ** (p / conjugate_exponent(p))
+    return float(k1), k2
 
 
 @dataclass
@@ -133,6 +139,23 @@ def _weighted_norm(values: np.ndarray, mu_e: np.ndarray, q: float) -> float:
     return float(np.sum(values**q * mu_e) ** (1.0 / q))
 
 
+def _result(space, E, v, p, v1, v2, m_v1, m_v2, **run) -> FactorizationResult:
+    """The FactorizationResult of v = v1 * v2^{1-p}: its residual and A1
+    characteristics; run holds the fields of the iteration."""
+    residual = float(np.max(np.abs(v1 * v2 ** (1.0 - p) / v - 1.0)))
+    return FactorizationResult(
+        v1=v1,
+        v2=v2,
+        residual=residual,
+        p=float(p),
+        a1_char_v1=ap_tilde_characteristic(space, E, v1, 1.0).value,
+        a1_char_v2=ap_tilde_characteristic(space, E, v2, 1.0).value,
+        m_v1=m_v1,
+        m_v2=m_v2,
+        **run,
+    )
+
+
 def jones_factorize(
     space: MetricMeasureSpace,
     E,
@@ -141,10 +164,10 @@ def jones_factorize(
 ) -> FactorizationResult:
     """Split v (exponent p >= 1, on E) into verified A1-class factors.
 
-    The series stops at the first partial sum, K = 8, 16, 32, ... terms,
-    whose certificates verify, and never later than the first term whose
-    tail is below _TAIL_TOL times the partial sum; k_max records the K
-    accepted.
+    Each attempt, at c = c_hat * 2^j for j = 0, .., _MAX_DOUBLINGS, certifies
+    one partial sum: K = 8 terms, or the first K < 8 whose next term is below
+    _TAIL_TOL times the sum; k_max records the K accepted. NoConvergence when
+    no attempt verifies or a factor bound is not finite.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
@@ -154,21 +177,9 @@ def jones_factorize(
 
     if p == 1:
         ones = np.ones(m)
-        return FactorizationResult(
-            v1=v.copy(),
-            v2=ones,
-            eta=ones.copy(),
-            c=1.0,
-            k_max=0,
-            residual=0.0,
-            branch="p=1",
-            p=1.0,
-            base_p=1.0,
-            base_weight=v.copy(),
-            a1_char_v1=ap_tilde_characteristic(space, E, v, 1.0).value,
-            a1_char_v2=ap_tilde_characteristic(space, E, ones, 1.0).value,
-            m_v1=maximal_fn(space, v, E),
-            m_v2=maximal_fn(space, ones, E),
+        return _result(
+            space, E, v, 1.0, v.copy(), ones, maximal_fn(space, v, E), maximal_fn(space, ones, E),
+            eta=ones.copy(), c=1.0, k_max=0, branch="p=1", base_p=1.0, base_weight=v.copy(),
         )
 
     if p >= 2:
@@ -177,96 +188,64 @@ def jones_factorize(
         branch, q = "1<p<2", conjugate_exponent(p)
         vv = v ** (1.0 - q)
     root = vv ** (1.0 / q)
-
-    def apply_t(f: np.ndarray) -> np.ndarray:
-        return rdf_apply_T(space, E, vv, q, f)
-
     mu_e = space.mu[ids]
 
-    # Normalized iterates: terms[k] has sup 1 and T^k f = terms[k] * exp(logscale[k]).
+    # Normalized iterates: terms[k] has sup 1 and T^k 1 = terms[k] * exp(logscale[k]).
     # T is positively homogeneous, so rescaling commutes with iteration and
     # keeps growing iterates inside float range.
     terms: list[np.ndarray] = [np.ones(m)]
     logscale: list[float] = [0.0]
     norms: list[float] = [_weighted_norm(terms[0], mu_e, q)]
-
-    def extend() -> None:
-        raw = apply_t(terms[-1])
+    for _ in range(_WARMUP_ITERS):
+        raw = rdf_apply_T(space, E, vv, q, terms[-1])
         peak = float(raw.max())
         if not np.isfinite(peak) or peak <= 0:
             raise NoConvergence("iteration produced a degenerate iterate")
         terms.append(raw / peak)
         logscale.append(logscale[-1] + float(np.log(peak)))
         norms.append(_weighted_norm(terms[-1], mu_e, q))
-
-    for _ in range(_WARMUP_ITERS):
-        extend()
     ratios = [
         np.exp(logscale[k + 1] - logscale[k]) * norms[k + 1] / norms[k]
         for k in range(_WARMUP_ITERS)
     ]
     c_hat = float(max(ratios))
 
-    def certify(partial: np.ndarray, c: float, k_max: int) -> FactorizationResult | None:
-        eta = partial / partial.max()
+    for attempt in range(_MAX_DOUBLINGS + 1):
+        c = c_hat * 2.0**attempt
+        # the swapped branch reports the bound translated back to exponent p
+        with np.errstate(over="ignore"):
+            c_rep = c if branch == "p>=2" else float(0.5 * np.float64(2.0 * c) ** (q / p))
+        k1, k2 = a1_bounds(c_rep, p)
+        if not np.isfinite([k1, k2]).all():
+            raise NoConvergence(f"the factor bounds overflow at c = {c}")
+
+        log2c = np.log(2.0 * c)
+        eta = np.zeros(m)
+        for k in range(1, _WARMUP_ITERS + 1):
+            eta = eta + np.exp(logscale[k] - k * log2c) * terms[k]
+            if k < _WARMUP_ITERS and (
+                np.exp(logscale[k + 1] - (k + 1) * log2c) < _TAIL_TOL * float(eta.max())
+            ):
+                break
+        eta = eta / eta.max()
+
         t_eta, m_first, m_second = _rdf_parts(space, E, ids, root, q, eta)
         v1q = root * eta ** (q - 1.0)
         v2q = eta / root
         if branch == "p>=2":
-            v1, v2, m1, m2, c_rep = v1q, v2q, m_first, m_second, c
+            v1, v2, m1, m2 = v1q, v2q, m_first, m_second
         else:
             v1, v2, m1, m2 = v2q, v1q, m_second, m_first
-            c_rep = 0.5 * (2.0 * c) ** (q / p)
-
-        k1, k2 = a1_bounds(c_rep, p)
-        ok = (
+        if (
             np.all(t_eta <= 2.0 * c * eta)
             and np.all(t_eta <= 2.0 * c_rep * eta)
             and np.all(m1[ids] <= k1 * v1)
             and np.all(m2[ids] <= k2 * v2)
-        )
-        if not ok:
-            return None
-
-        recomposed = v1 * v2 ** (1.0 - p)
-        residual = float(np.max(np.abs(recomposed / v - 1.0)))
-        return FactorizationResult(
-            v1=v1,
-            v2=v2,
-            eta=eta,
-            c=c_rep,
-            k_max=k_max,
-            residual=residual,
-            branch=branch,
-            p=float(p),
-            base_p=q,
-            base_weight=vv,
-            a1_char_v1=ap_tilde_characteristic(space, E, v1, 1.0).value,
-            a1_char_v2=ap_tilde_characteristic(space, E, v2, 1.0).value,
-            m_v1=m1,
-            m_v2=m2,
-        )
-
-    for attempt in range(_MAX_DOUBLINGS + 1):
-        c = c_hat * 2.0**attempt
-        log2c = np.log(2.0 * c)
-
-        eta = np.zeros(m)
-        for k in range(1, _MAX_TERMS + 1):
-            eta = eta + np.exp(logscale[k] - k * log2c) * terms[k]
-            # candidate stops K = 8, 16, 32, ...; the first reuses the warm-up iterates
-            candidate = k >= _WARMUP_ITERS and k & (k - 1) == 0
-            if candidate and (fact := certify(eta, c, k)) is not None:
-                return fact
-            if len(terms) == k + 1:
-                extend()
-            tail = np.exp(logscale[k + 1] - (k + 1) * log2c)
-            if tail < _TAIL_TOL * float(eta.max()):
-                if not candidate and (fact := certify(eta, c, k)) is not None:
-                    return fact
-                break
-        else:
-            raise NoConvergence("series truncation did not settle")
+        ):
+            return _result(
+                space, E, v, p, v1, v2, m1, m2,
+                eta=eta, c=c_rep, k_max=k, branch=branch, base_p=q, base_weight=vv,
+            )
 
     raise NoConvergence(
         f"no verified operator bound within {_MAX_DOUBLINGS} doublings of {c_hat}"

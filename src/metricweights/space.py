@@ -256,9 +256,11 @@ class MetricMeasureSpace:
     ----------
     mu : positive mass per point, length n.
     dist : full n x n matrix, or None for coordinate-backed spaces.
-    coords : lattice coordinates (n x dim, dim >= 1) for Euclidean row computation.
+    coords : lattice coordinates (n x dim, dim >= 1) for Euclidean row
+        computation, or None; exactly one of dist and coords is given.
     edges : optional (u, v, length) triples, or an (m, 3) array of them;
-        lengths must dominate distances. Kept as three read-only arrays.
+        lengths are finite and must dominate distances. Kept as three
+        read-only arrays.
     meta : free-form description string, round-tripped by save/load.
     """
 
@@ -274,8 +276,8 @@ class MetricMeasureSpace:
         if self.mu.ndim != 1 or self.mu.shape[0] == 0:
             raise ValueError("mu must be a nonempty 1-d array")
         self.n = int(self.mu.shape[0])
-        if dist is None and coords is None:
-            raise ValueError("need a distance matrix or coordinates")
+        if (dist is None) == (coords is None):
+            raise ValueError("need exactly one of a distance matrix and coordinates")
         self._dist = None
         self._coords = None
         if dist is not None:
@@ -294,6 +296,8 @@ class MetricMeasureSpace:
             if triples.ndim != 2 or triples.shape[1] != 3:
                 raise ValueError("edges must be (u, v, length) triples")
             ends = point_ids(triples[:, :2].T, self.n, "edge endpoints")
+            if not np.isfinite(triples[:, 2]).all():
+                raise InvalidParameter("edge lengths must be finite")
             self._edges = (ends[0], ends[1], triples[:, 2].copy())
             for column in self._edges:
                 column.flags.writeable = False
@@ -311,13 +315,8 @@ class MetricMeasureSpace:
             return self._dist[i]
         return _norms(self._coords - self._coords[i])
 
-    def dists_from(self, i: int, ids: np.ndarray) -> np.ndarray:
-        if self._dist is not None:
-            return self._dist[i, ids]
-        return _norms(self._coords[ids] - self._coords[i])
-
     def pair_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """d(us[k], vs[k]) for each k, by the formula of dist_row."""
+        """d(us[k], vs[k]) for each k, by the formula of dist_row; us may be one id."""
         if self._dist is not None:
             return self._dist[us, vs]
         return _norms(self._coords[vs] - self._coords[us])
@@ -375,9 +374,6 @@ class MetricMeasureSpace:
         return self._edges
 
     # -- masses and resolution -------------------------------------------------
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.mu))
 
     def min_positive_distance(self) -> float:
         """Resolution h: the smallest positive pairwise distance by the
@@ -738,7 +734,11 @@ def build_grid_space(dim: int, side: int, spacing: float) -> MetricMeasureSpace:
     axes = [np.arange(side)] * dim
     lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
     coords = lattice.astype(float) * spacing
-    mu = np.full(n, float(spacing) ** dim)
+    with np.errstate(over="ignore", under="ignore"):
+        mass = float(np.float64(spacing) ** dim)
+    if not (0 < mass < np.inf and coords_in_range(coords)):
+        raise InvalidParameter("spacing must give positive finite masses and coordinates in range")
+    mu = np.full(n, mass)
 
     # Axis by axis, each point joined to its successor along that axis
     # (every axis has the same number of such points).

@@ -411,7 +411,7 @@ def witness_intersection_ball(
     else:
         path = _edge_path(space, b.center, bp.center)
         path_ids = np.array(path, dtype=np.intp)
-        d_to_z = space.dists_from(b.center, path_ids)
+        d_to_z = space.pair_dists(b.center, path_ids)
         p_idx = int(np.argmin(np.abs(d_to_z - b.radius / 2.0)))
         target = d_to_z[p_idx] / 2.0
         q_idx = int(np.argmin(np.abs(d_to_z[: p_idx + 1] - target)))
@@ -422,8 +422,8 @@ def witness_intersection_ball(
         case = 2
 
     mem = witness.members(space)
-    in_b = space.dists_from(b.center, mem) < b.radius
-    in_bp = space.dists_from(bp.center, mem) < bp.radius
+    in_b = space.pair_dists(b.center, mem) < b.radius
+    in_bp = space.pair_dists(bp.center, mem) < bp.radius
     if not (in_b.all() and in_bp.all()):
         raise InclusionFail("witness ball escapes the intersection")
     return WitnessBallReport(witness, case, witness.radius / b.radius)

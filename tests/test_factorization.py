@@ -4,6 +4,7 @@ import pytest
 import oracles
 from metricweights import (
     FactorizationResult,
+    MetricMeasureSpace,
     a1_bounds,
     conjugate_exponent,
     jones_factorize,
@@ -11,8 +12,9 @@ from metricweights import (
     rdf_apply_T,
 )
 from metricweights import factorization
-from metricweights.errors import ExponentRange, NonpositiveWeight
+from metricweights.errors import ExponentRange, NoConvergence, NonpositiveWeight
 from metricweights.maximal import as_subset
+from metricweights.studies import interval_space
 
 
 def _recovered_base_bound(fact):
@@ -157,6 +159,70 @@ def test_series_stops_at_the_first_verified_partial_sum(line11, rng, p, monkeypa
     assert capped.k_max < 8
     assert capped.c == fact.c
     _check_certificates(line11, None, v, capped)
+
+
+def _count_applications(monkeypatch, failed):
+    """Count the operator applications of the factorization, one list entry
+    each. The first `failed` after the 8 warm-up applications are
+    certifications; their T eta is scaled by 1e6, so that they fail."""
+    calls = []
+    parts = factorization._rdf_parts
+
+    def counted(*args):
+        t_f, m_first, m_second = parts(*args)
+        calls.append(None)
+        if factorization._WARMUP_ITERS < len(calls) <= factorization._WARMUP_ITERS + failed:
+            t_f = 1e6 * t_f
+        return t_f, m_first, m_second
+
+    monkeypatch.setattr(factorization, "_rdf_parts", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_failed_certificate_doubles_c(line11, rng, p, monkeypatch):
+    v = oracles.random_weight(rng, line11.n)
+    plain = jones_factorize(line11, None, v, p)
+    calls = _count_applications(monkeypatch, failed=1)
+    fact = jones_factorize(line11, None, v, p)
+    # the one fallback: the same 8 terms at twice the base c, one more application
+    assert len(calls) == 10
+    assert fact.k_max == 8
+    # the swapped branch reports (2 * 2c)^{p'/p} / 2, 2^{p'/p} times the plain bound
+    assert fact.c == 2.0 ** (fact.base_p / p) * plain.c
+    monkeypatch.undo()
+    _check_certificates(line11, None, v, fact)
+
+
+def test_no_convergence_when_every_certificate_fails(line11, rng, monkeypatch):
+    v = oracles.random_weight(rng, line11.n)
+    calls = _count_applications(monkeypatch, failed=np.inf)
+    with pytest.raises(NoConvergence, match="doublings"):
+        jones_factorize(line11, None, v, 2.0)
+    # the warm-up, then one certificate per c: c_hat and its 10 doublings
+    assert len(calls) == 8 + 11
+
+
+def test_random_factorizations_verify_on_their_first_certificate(monkeypatch):
+    rng = np.random.default_rng(22)
+    calls = _count_applications(monkeypatch, failed=0)
+    for _ in range(200):
+        n = int(rng.integers(3, 31))
+        space = MetricMeasureSpace(mu=rng.lognormal(sigma=0.5, size=n),
+                                   coords=rng.uniform(size=(n, 2)))
+        p = float(rng.choice([1.2, 1.5, 2.0, 3.0, 6.0]))
+        v = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        calls.clear()
+        jones_factorize(space, None, v, p)
+        assert len(calls) == 9, (n, p)
+
+
+def test_a_factor_bound_that_overflows_is_no_convergence():
+    assert a1_bounds(1e300, 12.0) == (np.inf, 2e300)
+    # at p = 1.02 the reported bound is (2c)^{p'/p} / 2 with p'/p = 50
+    v = 10.0 ** np.linspace(-4, 4, 5)
+    with pytest.raises(NoConvergence, match="overflow"):
+        jones_factorize(interval_space(2), None, v, 1.02)
 
 
 def test_swapped_branch_bookkeeping(line11, rng):

@@ -530,6 +530,28 @@ def test_cli_space_build_stdout(capsys):
     assert doc["metric"]["type"] == "coords"
 
 
+@pytest.mark.parametrize("spacing", ["1e200", "1e-200"])
+def test_cli_space_build_refuses_a_spacing_out_of_float_range(capsys, spacing):
+    # 1e200 overflowed the point mass, 1e-200 wrote masses of 0.0
+    rc, out, err = _run(capsys, ["space", "build", "--dim", "2", "--side", "3",
+                                 "--spacing", spacing])
+    assert out == ""
+    assert "spacing" in _assert_error(rc, err, 2, "InvalidParameter")
+
+
+def test_cli_factorize_reports_a_factor_bound_that_overflows(capsys, tmp_path):
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, interval_space(2))
+    argv = ["factorize", "--space", str(space), "--weight", str(weight), "--p", "1.05"]
+    io.save_function(weight, 10.0 ** np.linspace(-8, 8, 5))
+    assert _run(capsys, argv)[0] == 0
+    # at p = 1.05 the reported bound is (2c)^20 / 2; on the wider weight it overflows
+    io.save_function(weight, 10.0 ** np.linspace(-9, 9, 5))
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    assert "overflow" in _assert_error(rc, err, 3, "NoConvergence")
+
+
 def test_cli_maximal_restricts_to_the_subset(capsys, tmp_path, line11, artifacts):
     f = 1.0 + np.sin(np.arange(11))
     f_path = tmp_path / "f.json"

@@ -24,6 +24,9 @@ def test_two_point_space_passes_validation(s2):
     assert report.to_dict()["mode"] == "full"
 
 
+_PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(mu=np.ones(0), coords=np.zeros((0, 1))),
     dict(mu=np.ones(3)),
@@ -32,8 +35,12 @@ def test_two_point_space_passes_validation(s2):
     dict(mu=np.ones(3), coords=np.zeros(3)),
     dict(mu=np.ones(3), coords=np.zeros((3, 0))),  # a KD-tree fails on no columns
     dict(mu=np.ones(3), coords=np.eye(3), edges=[(0, 1)]),
+    # the matrix would give every distance, the coordinates every verdict
+    dict(mu=np.ones(3), dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]], coords=[[0], [1], [2]]),
+    dict(mu=np.ones(3), dist=_PATH3, edges=[(0, 1, np.nan), (1, 2, 1.0)]),
+    dict(mu=np.ones(3), dist=_PATH3, edges=[(0, 1, np.inf), (1, 2, 1.0)]),
 ], ids=["empty_mu", "no_metric", "matrix_shape", "coords_rows", "coords_1d",
-        "coords_no_columns", "edge_pairs"])
+        "coords_no_columns", "edge_pairs", "matrix_and_coords", "edge_nan", "edge_inf"])
 def test_constructor_rejects_malformed_shapes(kwargs):
     with pytest.raises(ValueError):
         MetricMeasureSpace(**kwargs)
@@ -261,11 +268,16 @@ def test_validation_reports_zero_distance_for_distinct_points():
 
 
 def test_validation_flags_edge_shorter_than_distance(s2):
-    space = MetricMeasureSpace(
-        mu=[1.0, 1.0], dist=s2.dist_matrix(), edges=[(0, 1, 0.5)]
-    )
-    report = validate_space(space)
-    assert report.kind == "EdgeTooShort"
+    for length in (0.5, 0.0, -1.0):
+        space = MetricMeasureSpace(
+            mu=[1.0, 1.0], dist=s2.dist_matrix(), edges=[(0, 1, length)]
+        )
+        report = validate_space(space)
+        assert report.kind == "EdgeTooShort"
+    # a length no verdict can compare is refused when the space is made
+    for length in (np.nan, np.inf):
+        with pytest.raises(InvalidParameter, match="edge lengths"):
+            MetricMeasureSpace(mu=[1.0, 1.0], dist=s2.dist_matrix(), edges=[(0, 1, length)])
 
 
 def test_validation_flags_disconnected_edge_graph():
@@ -288,6 +300,13 @@ def test_grid_space_masses_scale_with_spacing():
     grid = build_grid_space(2, 3, 0.5)
     assert np.allclose(grid.mu, 0.25)
     assert grid.min_positive_distance() == 0.5
+
+
+@pytest.mark.parametrize("dim, spacing", [(2, 1e200), (2, 1e-200), (1, 1e300)],
+                         ids=["mass_overflows", "mass_underflows", "coords_out_of_range"])
+def test_grid_space_refuses_a_spacing_out_of_float_range(dim, spacing):
+    with pytest.raises(InvalidParameter, match="spacing"):
+        build_grid_space(dim, 3, spacing)
 
 
 def test_grid_sampled_validation_mode():

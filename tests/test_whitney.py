@@ -264,8 +264,8 @@ def test_offset_witness_radius_is_an_eighth():
     assert rep.radius_ratio == pytest.approx(0.125, rel=1e-12)
     mem = rep.ball.members(space)
     assert mem.size > 0
-    assert np.all(space.dists_from(b.center, mem) < b.radius)
-    assert np.all(space.dists_from(bp.center, mem) < bp.radius)
+    assert np.all(space.pair_dists(b.center, mem) < b.radius)
+    assert np.all(space.pair_dists(bp.center, mem) < bp.radius)
 
 
 def test_witness_parameter_validation():
