@@ -28,8 +28,9 @@ iterates, or the first K < 8 whose next term falls below _TAIL_TOL times the
 sum. If a certificate fails, c doubles (at most _MAX_DOUBLINGS times). Each
 doubling divides the K = 8 tail by 2^8 = 256 and leaves T 1 as it is, so
 this one fallback ends, certified or in NoConvergence; so does a factor
-bound that overflows, as a doubling only makes it larger. Every bound is
-verified pointwise, a posteriori, in the arithmetic the caller re-checks.
+bound that overflows, or a bound times its factor, as a doubling only makes
+it larger. Every bound is verified pointwise, a posteriori, in the
+arithmetic the caller re-checks.
 eta is returned scaled to maximum 1; T is positively homogeneous, so the
 scale changes neither the certificates nor v1 * v2^{1-p}.
 """
@@ -167,7 +168,8 @@ def jones_factorize(
     Each attempt, at c = c_hat * 2^j for j = 0, .., _MAX_DOUBLINGS, certifies
     one partial sum: K = 8 terms, or the first K < 8 whose next term is below
     _TAIL_TOL times the sum; k_max records the K accepted. NoConvergence when
-    no attempt verifies or a factor bound is not finite.
+    no attempt verifies, or when a factor bound, or a bound times its factor
+    at a point of E, is not finite.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
@@ -236,11 +238,16 @@ def jones_factorize(
             v1, v2, m1, m2 = v1q, v2q, m_first, m_second
         else:
             v1, v2, m1, m2 = v2q, v1q, m_second, m_first
+        # A right side of inf would hold vacuously, and doubling c only raises it.
+        with np.errstate(over="ignore"):
+            bound1, bound2 = k1 * v1, k2 * v2
+        if not (np.isfinite(bound1).all() and np.isfinite(bound2).all()):
+            raise NoConvergence(f"a factor bound times its factor overflows at c = {c}")
         if (
             np.all(t_eta <= 2.0 * c * eta)
             and np.all(t_eta <= 2.0 * c_rep * eta)
-            and np.all(m1[ids] <= k1 * v1)
-            and np.all(m2[ids] <= k2 * v2)
+            and np.all(m1[ids] <= bound1)
+            and np.all(m2[ids] <= bound2)
         ):
             return _result(
                 space, E, v, p, v1, v2, m1, m2,

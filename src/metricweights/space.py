@@ -111,6 +111,11 @@ class _CenterBlock:
     and prefix numbers lie below n <= DENSE_CAP, flat indices below b * n <=
     CANONICAL_BLOCK_CELLS.
 
+    build takes the block's rows from one dist_rows call and sorts them with
+    numpy's default argsort, which leaves ties in any order; one sort of the
+    int32 key (run of equal distances, id) then restores id order within
+    each run. Every table equals that of a stable argsort of each dist_row.
+
     Balls run center after center, in prefix order, and every method gives
     one value per ball. center(i) is the i-th center alone in this layout,
     with 1-d order and point_prefix, so that its ends index one row.
@@ -126,8 +131,12 @@ class _CenterBlock:
 
     @classmethod
     def build(cls, space: "MetricMeasureSpace", c0: int, c1: int) -> "_CenterBlock":
-        rows = np.vstack([space.dist_row(c) for c in range(c0, c1)])
-        order = np.argsort(rows, axis=1, kind="stable")
+        rows = space.dist_rows(c0, c1)
+        n = rows.shape[1]
+        # numpy's default argsort (a SIMD quicksort where the CPU has one)
+        # leaves ties in any order; on a 2-D grid's rows it is about 3x
+        # faster than the stable sort.
+        order = np.argsort(rows, axis=1)
         sorted_d = np.take_along_axis(rows, order, axis=1)
         change = np.ones(rows.shape, dtype=bool)
         np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=change[:, :-1])
@@ -136,12 +145,33 @@ class _CenterBlock:
         # distance changes before it; scatter it back to the point ids.
         prefix = np.zeros(rows.shape, dtype=PREFIX_DTYPE)
         np.cumsum(change[:, :-1], axis=1, out=prefix[:, 1:])
+        # Ties only permute inside a run of equal distances, so one sort of
+        # the unique key (run, id) puts each run in id order. NaN != NaN makes
+        # every NaN a ball of its own, but the NaNs, sorted last, are one run.
+        run = prefix
+        if np.isnan(sorted_d[:, -1]).any():
+            run = np.zeros(rows.shape, dtype=PREFIX_DTYPE)
+            nans = np.isnan(sorted_d)
+            np.cumsum(change[:, :-1] & ~(nans[:, 1:] & nans[:, :-1]), axis=1, out=run[:, 1:])
+        bits = (n - 1).bit_length()
+        key = run.astype(np.int32)
+        key <<= bits
+        key |= order
+        key.sort(axis=1)
+        key &= (1 << bits) - 1
+        order = key.astype(PREFIX_DTYPE)
         point_prefix = np.empty(rows.shape, dtype=PREFIX_DTYPE)
         np.put_along_axis(point_prefix, order, prefix, axis=1)
         mu_prefix = _prefix_sums(space.mu, order, ends)
         starts = np.concatenate(([0], np.cumsum(change.sum(axis=1))))
-        return cls(c0, order.astype(PREFIX_DTYPE), point_prefix, ends.astype(PREFIX_DTYPE),
-                   sorted_d.ravel()[ends], mu_prefix, starts)
+        # A ball's distance is that of its last point. Equal distances have
+        # equal bits, but for a tie of 0.0 and -0.0 and for NaN payloads: read
+        # those off the last point in id order.
+        values = sorted_d.ravel()[ends]
+        odd = np.flatnonzero((values == 0) | np.isnan(values))
+        last = ends[odd]
+        values[odd] = rows.ravel()[last - last % n + order.ravel()[last]]
+        return cls(c0, order, point_prefix, ends.astype(PREFIX_DTYPE), values, mu_prefix, starts)
 
     def center(self, i: int) -> "_CenterBlock":
         s, e = self.starts[i:i + 2]
@@ -311,15 +341,19 @@ class MetricMeasureSpace:
     # -- distances -----------------------------------------------------------
 
     def dist_row(self, i: int) -> np.ndarray:
+        return self.dist_rows(i, i + 1)[0]
+
+    def dist_rows(self, i0: int, i1: int) -> np.ndarray:
+        """The rows dist_row(i) for i in [i0, i1), as one (i1 - i0) x n array."""
         if self._dist is not None:
-            return self._dist[i]
-        return _norms(self._coords - self._coords[i])
+            return self._dist[i0:i1]
+        return _distances(self._coords, self._coords[i0:i1, None])
 
     def pair_dists(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """d(us[k], vs[k]) for each k, by the formula of dist_row; us may be one id."""
         if self._dist is not None:
             return self._dist[us, vs]
-        return _norms(self._coords[vs] - self._coords[us])
+        return _distances(self._coords[vs], self._coords[us])
 
     def nearest_distances(self, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """min over t in targets of d(x, t) for each x in ids, by the formula of dist_row.
@@ -335,11 +369,11 @@ class MetricMeasureSpace:
         points = self._coords[ids]
         tree = cKDTree(self._coords[targets])
         near, first = tree.query(points, k=2)
-        out = _norms(self._coords[targets[first[:, 0]]] - points)
+        out = _distances(self._coords[targets[first[:, 0]]], points)
         tied = np.flatnonzero(near[:, 1] <= near[:, 0] * (1 + 1e-9))
         if tied.size:
             cands, sizes = _flat(tree.query_ball_point(points[tied], near[tied, 0] * (1 + 1e-9)))
-            dists = _norms(self._coords[targets[cands]] - np.repeat(points[tied], sizes, axis=0))
+            dists = _distances(self._coords[targets[cands]], np.repeat(points[tied], sizes, axis=0))
             out[tied] = np.minimum.reduceat(dists, np.cumsum(sizes) - sizes)
         return out
 
@@ -354,7 +388,7 @@ class MetricMeasureSpace:
             return self._dist
         if self.n > DENSE_CAP:
             raise SizeOverflow(f"refusing to materialize a {self.n}x{self.n} distance matrix")
-        return np.vstack([self.dist_row(i) for i in range(self.n)])
+        return self.dist_rows(0, self.n)
 
     @property
     def coords(self) -> np.ndarray | None:
@@ -402,7 +436,7 @@ class MetricMeasureSpace:
                     tree = cKDTree(points)
                     near = tree.query(points, k=2)[0][:, 1]
                 pairs = tree.query_pairs(near.min() * (1 + 1e-9), output_type="ndarray")
-                d = _norms(points[pairs[:, 1]] - points[pairs[:, 0]])
+                d = _distances(points[pairs[:, 1]], points[pairs[:, 0]])
                 m = d[d > 0].min(initial=np.inf)
             self._min_positive = float(m) if np.isfinite(m) else 0.0
         return self._min_positive
@@ -498,7 +532,7 @@ class MetricMeasureSpace:
             cands, sizes = _flat(self._tree().query_ball_point(
                 self._coords[centers], radii * (1 + 1e-9), return_sorted=False
             ))
-            dist = _norms(self._coords[cands] - np.repeat(self._coords[centers], sizes, axis=0))
+            dist = _distances(self._coords[cands], np.repeat(self._coords[centers], sizes, axis=0))
             keep = dist < np.repeat(radii, sizes)
             ball, ids, dist = np.repeat(np.arange(centers.size), sizes)[keep], cands[keep], dist[keep]
         if centers.size * dist.size * self.n >= 2**63:
@@ -542,14 +576,22 @@ def point_ids(ids, n: int | None, what: str) -> np.ndarray:
 
 def coords_in_range(coords: np.ndarray) -> bool:
     """True when every coordinate is finite and at most sqrt(max float / dim) / 4
-    in size; then no difference, square or sum of squares of _norms overflows."""
+    in size; then no difference, square or sum of squares of _distances overflows."""
     bound = np.sqrt(np.finfo(float).max / coords.shape[1]) / 4
     return bool(np.isfinite(coords).all() and np.abs(coords).max(initial=0.0) <= bound)
 
 
-def _norms(delta: np.ndarray) -> np.ndarray:
-    """Euclidean row lengths: the one distance formula of coordinate spaces."""
-    return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| for arrays of points, over the last axis and broadcast over the
+    others: the one distance formula of coordinate spaces. The squared
+    differences are added one axis at a time, left to right, in place (a
+    fresh array per operation makes a block's rows about 3x slower)."""
+    total = np.subtract(a[..., 0], b[..., 0])
+    np.square(total, out=total)
+    for k in range(1, a.shape[-1]):
+        step = np.subtract(a[..., k], b[..., k])
+        total += np.square(step, out=step)
+    return np.sqrt(total, out=total)
 
 
 def _prefix_sums(values: np.ndarray, order: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -641,20 +683,21 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
 
     Coordinates that pass coords_in_range, with dim <= ROUNDING_DIM and
     min_positive_distance() >= ROUNDING_FLOOR = 2^-480, are decided in
-    O(n log n). Proof, for d = |a - b| exact, d^ = _norms(a - b), u = 2^-53:
+    O(n log n). Proof, for d = |a - b| exact, d^ = _distances(a, b) and u =
+    2^-53:
     - d^ is exactly symmetric (fl(a_i - b_i) = -fl(b_i - a_i)), exactly 0 for
       a = b, and finite, as nothing overflows. So only distinct points at
       d^ = 0 can fail a pair axiom: those whose squares are all 0, in any
       summation order, which the KD-tree's query_pairs(0.0) finds.
-    - Squares summing below 2^-962 (d < 2^-481) in _norms sum below that in
-      the tree too, so its nearest distance is below 2^-481 (1 + 2^-40) and
-      each candidate of min_positive_distance() below 2^-480 (with none, it
-      reads 0.0). Past the floor every distinct pair has d^2 >= 2^-962,
-      2^60 times the smallest normal 2^-1022.
+    - Squares summing below 2^-962 (d < 2^-481) in _distances sum below
+      that in the tree too, so its nearest distance is below 2^-481 (1 +
+      2^-40) and each candidate of min_positive_distance() below 2^-480
+      (with none, it reads 0.0). Past the floor every distinct pair has d^2
+      >= 2^-962, 2^60 times the smallest normal 2^-1022.
     - Each difference rounds by a factor 1 + e, |e| <= u, each square by one
-      or by at most 2^-1075 if subnormal, a sum of dim nonnegative terms by
-      gamma_(dim-1) (Higham, Accuracy and Stability of Numerical Algorithms,
-      ch. 3). So the sum is d^2 (1 + s), |s| <= gamma_(dim+2) + dim 2^-112,
+      or by at most 2^-1075 if subnormal, a sum of dim nonnegative terms in
+      any order (left to right here) by gamma_(dim-1) (Higham, Accuracy and
+      Stability of Numerical Algorithms, ch. 3). So the sum is d^2 (1 + s), |s| <= gamma_(dim+2) + dim 2^-112,
       and |d^ - d| <= (dim/2 + 2) u d (1 + O(dim u)) <= e d, e = (dim + 4) u.
     - Then d^(x, z) <= t (1 + e)/((1 - e)(1 - u)) for the normal t =
       fl(d^(x, y) + d^(y, z)), and the exact loop flags only d^(x, z) > t (1

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceededAtZero, ExponentRange, InvalidParameter, NonpositiveWeight
 from .maximal import as_subset, scatter
-from .space import MetricMeasureSpace, _norms
+from .space import MetricMeasureSpace, _distances
 
 
 def conjugate_exponent(p: float) -> float:
@@ -151,7 +151,8 @@ def reverse_holder_constant(
     Scope is every canonical ball when domain is None (w on X), otherwise
     only balls entirely contained in the domain (w on the domain ids).
     Always >= 1 by the power mean inequality. ExponentRange unless delta is
-    positive and finite and every w^{1+delta} is a finite float.
+    positive and finite and every w^{1+delta}, and every ball's sum of it and
+    of w (times mu), is a finite float.
     """
     if not 0 < delta < np.inf:
         raise ExponentRange("delta must be positive and finite")
@@ -159,16 +160,19 @@ def reverse_holder_constant(
     w = _check_weight(w, ids.size)
     with np.errstate(over="ignore"):
         whi = w ** (1.0 + delta)
+        w_mu = scatter(space, ids, w) * space.mu
+        whi_mu = scatter(space, ids, whi) * space.mu
     if not np.isfinite(whi).all():
         raise ExponentRange("w ** (1 + delta) overflows; take a smaller delta")
-    w_mu = scatter(space, ids, w) * space.mu
-    whi_mu = scatter(space, ids, whi) * space.mu
     inv = 1.0 / (1.0 + delta)
 
     def values(data) -> np.ndarray:
-        return (data.prefix_sums(whi_mu) / data.mu_prefix) ** inv / (
-            data.prefix_sums(w_mu) / data.mu_prefix
-        )
+        with np.errstate(over="ignore"):
+            high, low = data.prefix_sums(whi_mu), data.prefix_sums(w_mu)
+        # Terms of inf (w or w ** (1 + delta) times mu) overflow the sums too.
+        if not (np.isfinite(high).all() and np.isfinite(low).all()):
+            raise ExponentRange("a ball's sum of w ** (1 + delta) or of w overflows")
+        return (high / data.mu_prefix) ** inv / (low / data.mu_prefix)
 
     value, _ = space.canonical.sup(values, None if domain is None else mask)
     return value
@@ -238,7 +242,8 @@ def power_weight(
     """
     if space.coords is None:
         raise ValueError("power weights need a coordinate-backed space")
-    r = _norms(space.coords if ids is None else space.coords[ids])
+    points = space.coords if ids is None else space.coords[ids]
+    r = _distances(points, np.zeros(points.shape[1]))
     half = 0.5 * space.min_positive_distance()
     r = np.where(r == 0.0, half, r)
     return r**exponent

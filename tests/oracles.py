@@ -30,6 +30,29 @@ def strict_ball(row, r):
     return ids[np.argsort(row[ids], kind="stable")]
 
 
+def stable_block_tables(space, c0, c1):
+    """The canonical cache's tables for the centers [c0, c1), from the rows
+    dist_row(c) and a stable argsort: points in (distance, id) order, NaNs
+    last and in id order, each distance change (every NaN too) a new ball."""
+    rows = np.vstack([space.dist_row(c) for c in range(c0, c1)])
+    order = np.argsort(rows, axis=1, kind="stable")
+    sorted_d = np.take_along_axis(rows, order, axis=1)
+    change = np.ones(rows.shape, dtype=bool)
+    change[:, :-1] = sorted_d[:, 1:] != sorted_d[:, :-1]
+    prefix = np.cumsum(change, axis=1) - change
+    point_prefix = np.empty_like(prefix)
+    np.put_along_axis(point_prefix, order, prefix, axis=1)
+    ends = np.flatnonzero(change)
+    return {
+        "order": order,
+        "point_prefix": point_prefix,
+        "ends": ends,
+        "values": sorted_d.ravel()[ends],
+        "mu_prefix": np.cumsum(space.mu[order], axis=1).ravel()[ends],
+        "starts": np.concatenate(([0], np.cumsum(change.sum(axis=1)))),
+    }
+
+
 def ball_system(space):
     """Every distinct ball as (center, radius, member ids).
 

@@ -222,6 +222,58 @@ def test_point_prefix_holds_every_prefix_of_a_space_of_dense_cap_points():
         )
 
 
+def _nan_inf_matrix():
+    """An unvalidated 40-point matrix of few integer values, NaNs of distinct
+    payloads, infinities and -0.0: the sort leaves such ties in any order."""
+    rng = np.random.default_rng(23)
+    d = rng.integers(0, 6, size=(40, 40)).astype(float)
+    for value, share in ((np.nan, 0.2), (np.inf, 0.1), (-np.inf, 0.05), (-0.0, 0.1)):
+        d[rng.random(d.shape) < share] = value
+    nans = np.isnan(d)
+    d.view(np.int64)[nans] |= rng.integers(0, 1024, size=nans.sum())
+    return space_from_matrix(d, rng.lognormal(size=40), meta="nan-inf")
+
+
+def _tie_spaces():
+    rng = np.random.default_rng(2048)
+    return [
+        build_grid_space(1, space_mod.DENSE_CAP, 1.0),  # the key's 11 id bits all in use
+        build_grid_space(2, 30, 1 / 7),
+        build_grid_space(3, 9, 0.7),
+        space_from_matrix(rng.integers(0, 5, size=(300, 300)).astype(float),
+                          rng.lognormal(size=300), meta="integers"),
+        MetricMeasureSpace(mu=rng.lognormal(size=200),
+                           coords=rng.integers(0, 4, size=(200, 2)).astype(float),
+                           meta="repeated points"),
+        _nan_inf_matrix(),
+    ]
+
+
+@pytest.mark.parametrize("space", _tie_spaces(), ids=lambda s: s.meta)
+def test_every_table_equals_the_stable_sort_oracle(space):
+    # The build sorts with an unstable argsort and restores id order in
+    # ties with a (run, id) key; every table, bit for bit, is the one a
+    # stable argsort of each dist_row gives.
+    for block in space.canonical:
+        want = oracles.stable_block_tables(space, block.c0, block.c0 + block.order.shape[0])
+        for name, table in want.items():
+            got = getattr(block, name)
+            if table.dtype.kind == "f":
+                got, table = got.view(np.int64), table.view(np.int64)
+            np.testing.assert_array_equal(got, table, err_msg=f"{name} at c0 = {block.c0}")
+
+
+def test_the_nan_ties_of_a_center_come_in_id_order():
+    # Center 3 of the matrix has 8 NaNs, 14 to 37: each is a ball of its
+    # own, last, in id order, which an unstable argsort alone does not keep.
+    space = _nan_inf_matrix()
+    row = space.dist_row(3)
+    nans = np.flatnonzero(np.isnan(row))
+    data = space.canonical.center(3)
+    np.testing.assert_array_equal(data.order[-nans.size:], nans)
+    assert np.isnan(data.values[-nans.size:]).all() and data.counts[-1] == space.n
+
+
 @pytest.mark.parametrize("n, rows", [(512, 64), (2048, 16)])
 def test_a_full_block_ends_at_the_largest_two_byte_index(n, rows):
     # b * n = CANONICAL_BLOCK_CELLS: on a line every center's last ball ends

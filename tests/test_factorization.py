@@ -225,6 +225,15 @@ def test_a_factor_bound_that_overflows_is_no_convergence():
         jones_factorize(interval_space(2), None, v, 1.02)
 
 
+def test_a_certificate_whose_right_side_overflows_is_no_convergence():
+    # k2 * v2 overflowed here, so the check held against inf, and c =
+    # 2.25e303 came back certified.
+    space = MetricMeasureSpace(mu=np.ones(9), coords=np.arange(9.0)[:, None])
+    v = 10.0 ** np.array([6.67, -1.21, 1.83, -1.66, -3.51, -7.75, -7.92, 7.88, 7.99])
+    with pytest.raises(NoConvergence, match="times its factor overflows"):
+        jones_factorize(space, None, v, 1.05)
+
+
 def test_swapped_branch_bookkeeping(line11, rng):
     v = oracles.random_weight(rng, line11.n)
     fact = jones_factorize(line11, None, v, 1.5)

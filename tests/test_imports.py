@@ -302,7 +302,8 @@ def _method_names(source: str, cls: str, method: str) -> set[str]:
     raise LookupError(f"{cls}.{method} not found")
 
 
-ORDER_MACHINERY = {"pair_dists", "dist_row", "_norms", "argsort", "lexsort", "sort"}
+ORDER_MACHINERY = {"pair_dists", "dist_row", "dist_rows", "_distances", "argsort", "lexsort",
+                   "sort"}
 
 
 def test_the_checker_sees_order_machinery_in_a_method():
@@ -310,12 +311,12 @@ def test_the_checker_sees_order_machinery_in_a_method():
         "class S:\n"
         "    def ball_sums(self, values, members, offsets):\n"
         "        order = np.argsort(self.pair_dists(members, members))\n"
-        "        return _norms(values[order])\n"
+        "        return _distances(values[order], 0.0)\n"
         "    def other(self):\n"
         "        return np.lexsort(self.dist_row(0)) + np.sort(values)\n"
     )
     assert _method_names(source, "S", "ball_sums") & ORDER_MACHINERY == {
-        "argsort", "pair_dists", "_norms"}
+        "argsort", "pair_dists", "_distances"}
     assert _method_names(source, "S", "other") & ORDER_MACHINERY == {"lexsort", "dist_row", "sort"}
     with pytest.raises(LookupError):
         _method_names(source, "S", "missing")

@@ -552,6 +552,27 @@ def test_cli_factorize_reports_a_factor_bound_that_overflows(capsys, tmp_path):
     assert "overflow" in _assert_error(rc, err, 3, "NoConvergence")
 
 
+def test_cli_factorize_reports_a_certificate_that_overflows(capsys, tmp_path):
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, MetricMeasureSpace(mu=np.ones(9), coords=np.arange(9.0)[:, None]))
+    io.save_function(weight, 10.0 ** np.array(
+        [6.67, -1.21, 1.83, -1.66, -3.51, -7.75, -7.92, 7.88, 7.99]))
+    rc, out, err = _run(capsys, ["factorize", "--space", str(space), "--weight", str(weight),
+                                 "--p", "1.05"])
+    assert out == ""
+    assert "overflows" in _assert_error(rc, err, 3, "NoConvergence")
+
+
+def test_cli_rhi_reports_a_ball_sum_that_overflows(capsys, tmp_path):
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, build_grid_space(1, 9, 1.0))
+    io.save_function(weight, np.full(9, 1e300))
+    rc, out, err = _run(capsys, ["rhi", "--space", str(space), "--weight", str(weight),
+                                 "--delta", "0.0267"])
+    assert out == ""
+    assert "overflows" in _assert_error(rc, err, 2, "ExponentRange")
+
+
 def test_cli_maximal_restricts_to_the_subset(capsys, tmp_path, line11, artifacts):
     f = 1.0 + np.sin(np.arange(11))
     f_path = tmp_path / "f.json"

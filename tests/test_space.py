@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from metricweights import io
 from metricweights import space as space_mod
 from metricweights.space import BALL_QUERY_BLOCK, DENSE_CAP, REL_TOL, ValidationReport
 from metricweights.studies import interval_space
+from metricweights.weights import power_weight
 
 
 def test_two_point_space_passes_validation(s2):
@@ -63,6 +66,43 @@ def test_dist_uses_the_dist_row_formula(dim):
     for i in range(0, space.n, 7):
         row = space.dist_row(i)
         assert all(space.dist(i, j) == row[j] for j in range(space.n))
+
+
+def _axis_sum_distance(a, b, axes):
+    """|a - b| with the squared differences added in the given axis order."""
+    total = 0.0
+    for k in axes:
+        step = float(a[k]) - float(b[k])
+        total += step * step
+    return math.sqrt(total)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_every_coordinate_distance_is_the_left_to_right_axis_sum(dim):
+    rng = np.random.default_rng(60 + dim)
+    coords = rng.normal(size=(60, dim)) * 10.0 ** rng.integers(-3, 4, size=(60, dim))
+    space = MetricMeasureSpace(mu=np.ones(60), coords=coords)
+    want = np.array([[_axis_sum_distance(a, b, range(dim)) for b in coords] for a in coords])
+    np.testing.assert_array_equal(space.dist_matrix(), want)
+    np.testing.assert_array_equal(space.dist_rows(10, 17), want[10:17])
+    np.testing.assert_array_equal(space.dist_row(59), want[59])
+    us, vs = rng.integers(0, 60, size=(2, 200))
+    np.testing.assert_array_equal(space.pair_dists(us, vs), want[us, vs])
+    np.testing.assert_array_equal(space.pair_dists(7, vs), want[7, vs])
+    ids, targets = np.arange(0, 60, 2), np.arange(1, 60, 2)
+    np.testing.assert_array_equal(space.nearest_distances(ids, targets),
+                                  want[np.ix_(ids, targets)].min(axis=1))
+    assert space.min_positive_distance() == want[want > 0].min()
+    norms = [_axis_sum_distance(a, np.zeros(dim), range(dim)) for a in coords]
+    np.testing.assert_array_equal(power_weight(space, 1.0), norms)
+    if dim >= 3:
+        # The order is pinned: adding the axes right to left moves some bits.
+        backward = [_axis_sum_distance(coords[0], b, range(dim - 1, -1, -1)) for b in coords]
+        assert np.any(want[0] != backward)
+    else:
+        # With at most two terms the sum is an einsum sum of squares, bit for bit.
+        delta = coords[:, None, :] - coords[None, :, :]
+        np.testing.assert_array_equal(want, np.sqrt(np.einsum("ijk,ijk->ij", delta, delta)))
 
 
 def test_canonical_prefixes_two_points(s2):

@@ -277,6 +277,15 @@ def test_reverse_holder_rejects_zero_delta(s2):
             reverse_holder_constant(space, w, delta)
 
 
+def test_reverse_holder_refuses_a_ball_sum_that_overflows():
+    # Each w ** (1 + delta) is about 1.0e308, finite, but two of them sum
+    # past max float; the constant came back inf.
+    space, w = build_grid_space(1, 9, 1.0), np.full(9, 1e300)
+    assert reverse_holder_constant(space, w, 0.02) == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(ExponentRange, match="sum .* overflows"):
+        reverse_holder_constant(space, w, 0.0267)
+
+
 NAN = float("nan")
 
 
