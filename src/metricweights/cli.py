@@ -5,8 +5,8 @@ one library operation, and emits a deterministic JSON report either to
 stdout or, with --out DIR, to <out>/<command>.json next to a metadata file
 carrying the non-deterministic context (timestamp, host, argv).
 
-Exit codes: 0 ok, 2 validation or precondition error, 3 convergence error,
-4 parse or format error.
+Exit codes: 0 ok, else the exit_code of the error (errors.py): 2 validation
+or precondition error, 3 convergence error, 4 parse or format error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io, studies
-from .errors import (
-    ConvergenceError,
-    FormatError,
-    InvalidParameter,
-    MetricWeightsError,
-    ParseError,
-)
+from .errors import FormatError, InvalidParameter, MetricWeightsError, ParseError
 from .extension import check_extension_condition, restrict_weight_report, wolff_extend
 from .factorization import jones_factorize
 from .maximal import maximal_fn
@@ -392,14 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code(exc: MetricWeightsError) -> int:
-    if isinstance(exc, FormatError):
-        return 4
-    if isinstance(exc, ConvergenceError):
-        return 3
-    return 2
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(_number_values(sys.argv[1:] if argv is None else argv))
     try:
@@ -411,16 +397,15 @@ def main(argv=None) -> int:
                 _emit(args, *report)
         return 0
     except MetricWeightsError as exc:
-        code = _exit_code(exc)
         error = {
             "error": {
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "exit_code": code,
+                "exit_code": exc.exit_code,
             }
         }
         sys.stderr.write(io._dumps(error, sort_keys=True) + "\n")
-        return code
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exception hierarchy.
 
-Three families, matching the CLI exit-code contract:
+Three families, each with the CLI exit code of its errors as ``exit_code``:
 
 * ``DomainError`` (exit 2): invalid inputs or violated preconditions.
 * ``ConvergenceError`` (exit 3): an iteration or search failed to settle.
@@ -13,6 +13,8 @@ from __future__ import annotations
 class MetricWeightsError(Exception):
     """Base class for every error raised by this package."""
 
+    exit_code = 2
+
 
 class DomainError(MetricWeightsError):
     """Invalid input data or a violated precondition."""
@@ -21,9 +23,13 @@ class DomainError(MetricWeightsError):
 class ConvergenceError(MetricWeightsError):
     """An iterative procedure did not converge within its budget."""
 
+    exit_code = 3
+
 
 class FormatError(MetricWeightsError):
     """A file could not be parsed or written in the expected format."""
+
+    exit_code = 4
 
 
 # -- space construction and validation --------------------------------------

@@ -11,7 +11,7 @@ belongs to the global class with the same exponent:
    V_i = (m_E v_i)^delta on X, with delta = 1/(1 + eps/2);
 4. correct on E so the product collapses back to w there:
    g = (v1/m_E v1)^delta * (v2/m_E v2)^{delta (1-p)} on E and g = 1 off E;
-5. W = g * V1 * V2^{1-p} (for p = 1 there is no second factor: W = g * V1).
+5. W = g * V1 * V2^{1-p}, at every p >= 1 (at p = 1, v2 = 1 and V2^0 = 1).
 
 On E the chain cancels algebraically, W = (v1 v2^{1-p})^delta = v^delta = w,
 so the agreement error is pure floating-point noise. g and 1/g are bounded,
@@ -85,18 +85,12 @@ def wolff_extend(
     fact = jones_factorize(space, E, v, p)
     delta = 1.0 / (1.0 + eps / 2.0)
 
-    # the factorization hands over the maximal functions it verified with
-    m1 = fact.m_v1
-    g1 = fact.v1 / m1[ids]
+    # the factorization hands over the maximal functions it verified with;
+    # at p = 1 the second factors are powers 0.0 of positive floats, so 1.0
+    m1, m2 = fact.m_v1, fact.m_v2
     g = np.ones(space.n)
-    if p > 1:
-        m2 = fact.m_v2
-        g2 = fact.v2 / m2[ids]
-        g[ids] = g1**delta * g2 ** (delta * (1.0 - p))
-        W = g * m1**delta * m2 ** (delta * (1.0 - p))
-    else:
-        g[ids] = g1**delta
-        W = g * m1**delta
+    g[ids] = (fact.v1 / m1[ids]) ** delta * (fact.v2 / m2[ids]) ** (delta * (1.0 - p))
+    W = g * m1**delta * m2 ** (delta * (1.0 - p))
 
     agreement = float(np.max(np.abs(W[ids] / w - 1.0)))
     ap_w = ap_tilde_characteristic(space, None, W, p).value

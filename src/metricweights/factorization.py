@@ -51,7 +51,8 @@ from .weights import _check_weight, ap_tilde_characteristic, conjugate_exponent
 _WARMUP_ITERS = 8
 _MAX_DOUBLINGS = 10
 # Relative size of the next term at which a partial sum shorter than 8 terms
-# is certified. Every measured input verifies at K = 8, long before such a term.
+# is certified. Moderate weights verify at K = 8, long before such a term;
+# extreme ones (weights spanning 10^±8, p near 1) can stop at K = 1 to 7.
 _TAIL_TOL = 1e-12
 
 
@@ -167,9 +168,10 @@ def jones_factorize(
 
     Each attempt, at c = c_hat * 2^j for j = 0, .., _MAX_DOUBLINGS, certifies
     one partial sum: K = 8 terms, or the first K < 8 whose next term is below
-    _TAIL_TOL times the sum; k_max records the K accepted. NoConvergence when
-    no attempt verifies, or when a factor bound, or a bound times its factor
-    at a point of E, is not finite.
+    _TAIL_TOL times the sum; k_max records the K accepted. ExponentRange when
+    1 < p < 2 and the dual weight v^{1-p'} is not a positive finite float.
+    NoConvergence when no attempt verifies, or when a factor bound, or a bound
+    times its factor at a point of E, is not finite.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
@@ -188,7 +190,10 @@ def jones_factorize(
         branch, q, vv = "p>=2", float(p), v
     else:
         branch, q = "1<p<2", conjugate_exponent(p)
-        vv = v ** (1.0 - q)
+        with np.errstate(over="ignore"):
+            vv = v ** (1.0 - q)
+        if not (np.isfinite(vv).all() and (vv > 0).all()):
+            raise ExponentRange(f"the dual weight v ** (1 - p') over- or underflows at p = {p}")
     root = vv ** (1.0 / q)
     mu_e = space.mu[ids]
 

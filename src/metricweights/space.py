@@ -37,10 +37,9 @@ GRID_POINT_CAP = 4_000_000
 # blocks save little time and cost memory.
 BALL_QUERY_BLOCK = 256
 
-# The canonical cache is built, stored and scanned in blocks of at most
-# CANONICAL_BLOCK centers, one numpy call per block, whose b x n transients
-# keep to CANONICAL_BLOCK_CELLS entries so that they stay in cache.
-CANONICAL_BLOCK = 64
+# The canonical cache is built, stored and scanned in blocks of centers, one
+# numpy call per block, whose b x n transients keep to CANONICAL_BLOCK_CELLS
+# entries so that they stay in cache.
 CANONICAL_BLOCK_CELLS = 32768
 
 # The canonical cache keeps its index tables in this type: a prefix number and
@@ -198,7 +197,7 @@ class _CenterBlock:
 
 class CanonicalBallSet:
     """Lazy cache of the canonical ball enumeration of a space, built in
-    blocks of centers (see CANONICAL_BLOCK)."""
+    blocks of centers (see CANONICAL_BLOCK_CELLS)."""
 
     def __init__(self, space: "MetricMeasureSpace") -> None:
         if space.n > DENSE_CAP:
@@ -209,7 +208,7 @@ class CanonicalBallSet:
         # are freed as soon as the space is dropped, not at the next full
         # garbage collection.
         self._space = weakref.proxy(space)
-        self._rows = min(CANONICAL_BLOCK, max(1, CANONICAL_BLOCK_CELLS // space.n))
+        self._rows = max(1, CANONICAL_BLOCK_CELLS // space.n)
         self._blocks: list[_CenterBlock | None] = [None] * -(-space.n // self._rows)
 
     def _block(self, k: int) -> _CenterBlock:
@@ -371,10 +370,9 @@ class MetricMeasureSpace:
         near, first = tree.query(points, k=2)
         out = _distances(self._coords[targets[first[:, 0]]], points)
         tied = np.flatnonzero(near[:, 1] <= near[:, 0] * (1 + 1e-9))
-        if tied.size:
-            cands, sizes = _flat(tree.query_ball_point(points[tied], near[tied, 0] * (1 + 1e-9)))
-            dists = _distances(self._coords[targets[cands]], np.repeat(points[tied], sizes, axis=0))
-            out[tied] = np.minimum.reduceat(dists, np.cumsum(sizes) - sizes)
+        cands, sizes = _flat(tree.query_ball_point(points[tied], near[tied, 0] * (1 + 1e-9)))
+        dists = _distances(self._coords[targets[cands]], np.repeat(points[tied], sizes, axis=0))
+        out[tied] = np.minimum.reduceat(dists, np.cumsum(sizes) - sizes)
         return out
 
     def dist(self, i: int, j: int) -> float:
@@ -497,25 +495,21 @@ class MetricMeasureSpace:
         """values summed over each ball of a (members, offsets) family, each in
         (distance, id) order as balls_members gives it. The one rule of every ball
         integral: a ball adds its members one at a time in that order, as the
-        canonical prefix sums do, so its mu sum is its mu_prefix bit for bit. A
-        singleton is its value read off (-0.0 stays -0.0, as in a cumsum); the
-        others are summed in padded blocks of at most BALL_QUERY_BLOCK balls and,
+        canonical prefix sums do, so its mu sum is its mu_prefix bit for bit. The
+        balls are summed in padded blocks of at most BALL_QUERY_BLOCK balls and,
         unless one ball is wider, CANONICAL_BLOCK_CELLS entries, as the cache's."""
         values = np.asarray(values, dtype=float)
         sizes = np.diff(offsets)
         out = np.empty(sizes.size)
-        single = sizes == 1
-        out[single] = values[members[offsets[:-1][single]]]
-        wide = np.flatnonzero(~single)
         start = 0
-        while start < wide.size:
-            widest = int(sizes[wide[start:start + BALL_QUERY_BLOCK]].max())
-            block = wide[start:start + min(BALL_QUERY_BLOCK, max(1, CANONICAL_BLOCK_CELLS // widest))]
-            start += block.size
-            counts, first = sizes[block], offsets[block, None]
+        while start < sizes.size:
+            widest = int(sizes[start:start + BALL_QUERY_BLOCK].max())
+            block = slice(start, start + min(BALL_QUERY_BLOCK, max(1, CANONICAL_BLOCK_CELLS // widest)))
+            counts, first = sizes[block], offsets[:-1][block, None]
             # A row pads with its ball's last member, past the column read.
             order = members[np.minimum(first + np.arange(int(counts.max())), first + counts[:, None] - 1)]
-            out[block] = _prefix_sums(values, order, np.arange(block.size) * order.shape[1] + counts - 1)
+            out[block] = _prefix_sums(values, order, np.arange(counts.size) * order.shape[1] + counts - 1)
+            start += counts.size
         return out
 
     def _block_members(self, centers: np.ndarray, radii: np.ndarray):

@@ -220,13 +220,8 @@ def chain_growth_study(side: int, seed: int = 0) -> dict:
     w_on_x = np.where(domain.mask, domain.boundary_dist, 1.0) ** GROWTH_W_EXPONENT
     averages = cover.ball_averages(np.where(domain.mask, w_on_x, 0.0))
 
-    if cover.edges.size:
-        edge_log = np.abs(
-            np.log(averages[cover.edges[:, 0]] / averages[cover.edges[:, 1]])
-        )
-        alpha = float(edge_log.max())
-    else:
-        alpha = 0.0
+    edge_log = np.abs(np.log(averages[cover.edges[:, 0]] / averages[cover.edges[:, 1]]))
+    alpha = float(edge_log.max(initial=0.0))
     beta = 0.0
 
     sources, rows, targets, k_tildes = _chain_pairs(cover, seed, GROWTH_SOURCES, GROWTH_TARGETS)

@@ -248,21 +248,17 @@ def _max_edge_ratio(values: np.ndarray, edges: np.ndarray) -> float:
 
     Two edge-length arrays at a time, however many edges there are.
     """
-    if edges.size == 0:
-        return 1.0
     ratios = values[edges[:, 0]]
     ratios /= values[edges[:, 1]]
-    top = ratios.max()
+    top = ratios.max(initial=1.0)
     np.divide(1.0, ratios, out=ratios)
-    return float(max(top, ratios.max()))
+    return float(max(top, ratios.max(initial=1.0)))
 
 
 # -- chains ---------------------------------------------------------------------
 
 def chain_distances(cover: WhitneyCover, sources: np.ndarray) -> np.ndarray:
     """Chain lengths (edge counts) from each source ball to every ball."""
-    if len(cover) == 0:
-        return np.empty((len(sources), 0))
     return dijkstra(cover.adjacency(), unweighted=True, indices=sources)
 
 
@@ -324,15 +320,6 @@ class ChainRatioReport:
     qh_centers: float
     step_ratios: tuple[float, ...]
     p: float
-
-    def to_dict(self) -> dict:
-        return {
-            "ratio": self.ratio,
-            "k_tilde": self.k_tilde,
-            "qh_centers": self.qh_centers,
-            "step_ratios": list(self.step_ratios),
-            "p": self.p,
-        }
 
 
 def chain_weight_ratio(

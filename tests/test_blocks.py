@@ -2,8 +2,8 @@
 
 Every kernel that walks the cache (maximal_fn, CanonicalBallSet.sup and the
 functionals on top of it, doubling_constant) runs one block at a time. These
-tests pin them against the naive oracles on spaces whose size puts centers on
-both sides of a block boundary, also with blocks shrunk to a few centers.
+tests pin them against the naive oracles with blocks as configured and with
+blocks shrunk to 7 centers, so that a small space spans many blocks.
 """
 
 import numpy as np
@@ -65,7 +65,7 @@ def blocks(monkeypatch):
 
     def rebuild(space, size=None):
         if size is not None:
-            monkeypatch.setattr(space_mod, "CANONICAL_BLOCK", size)
+            monkeypatch.setattr(space_mod, "CANONICAL_BLOCK_CELLS", size * space.n)
         space._canonical = None
         return space
 
@@ -150,13 +150,13 @@ def _planted(plants):
 def test_equal_maxima_in_two_blocks_go_to_the_first_center(blocks, size):
     space = blocks(build_grid_space(1, 130, 1.0), size)
     cb = space.canonical
-    # blocks of 64 (or 7) centers put 70 and 129 in different blocks
+    # blocks of 7 centers put 70 and 129 in different blocks
     plants = [(129, 2, 5.0), (70, 3, 5.0), (100, 1, 4.0)]
     assert cb.sup(_planted(plants)) == (5.0, (70, 3))
     domain = np.ones(space.n, dtype=bool)
     domain[[69, 70, 71, 72]] = False  # every ball of 70 leaves the domain
     assert cb.sup(_planted(plants), domain) == (5.0, (129, 2))
-    # a block whose first center (64, or 98 in blocks of 7) is outside D still counts
+    # a block whose first center (98 in blocks of 7) is outside D still counts
     domain = np.ones(space.n, dtype=bool)
     domain[[64, 70, 98]] = False
     assert cb.sup(_planted([(100, 1, 5.0), (129, 2, 5.0), (70, 3, 6.0)]), domain) == (

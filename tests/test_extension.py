@@ -40,6 +40,28 @@ def test_singleton_subset_extension_pins_the_value(s3):
     assert rep.agreement_error <= 1e-12
 
 
+@pytest.mark.parametrize("kind", ["line", "grid", "matrix"])
+def test_at_p_1_W_is_g_times_the_damped_maximal_function_bit_for_bit(kind):
+    # p = 1 takes the formula of every p: the v2 factors are powers 0.0, so 1.0
+    rng = np.random.default_rng(7)
+    space = {
+        "line": lambda: interval_space(8),
+        "grid": lambda: metricweights.build_grid_space(2, 6, 0.5),
+        "matrix": lambda: oracles.random_metric_space(rng, 23),
+    }[kind]()
+    e_mask = rng.random(space.n) < 0.5
+    e_mask[0] = True
+    ids = np.flatnonzero(e_mask)
+    rep = wolff_extend(space, e_mask, oracles.random_weight(rng, ids.size), 1.0, eps=0.5)
+    fact = rep.factorization
+    assert fact.branch == "p=1"
+    np.testing.assert_array_equal(fact.v2, 1.0)
+    assert rep.W.tobytes() == (rep.g * fact.m_v1**rep.delta).tobytes()
+    g = np.ones(space.n)
+    g[ids] = (fact.v1 / fact.m_v1[ids]) ** rep.delta
+    assert rep.g.tobytes() == g.tobytes()
+
+
 def test_agreement_on_random_fixtures(rng):
     for p in P_GRID:
         for _ in range(3):

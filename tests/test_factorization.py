@@ -159,6 +159,24 @@ def test_series_stops_at_the_first_verified_partial_sum(line11, rng, p, monkeypa
     assert capped.k_max < 8
     assert capped.c == fact.c
     _check_certificates(line11, None, v, capped)
+    monkeypatch.undo()
+    # extreme weights reach such a tail with no patch: at c ~ 3.1e16 the
+    # sixth term is below 1e-12 times the sum of five
+    line5 = interval_space(2)
+    v = 10.0 ** np.random.default_rng(0).uniform(-8, 8, line5.n)
+    early = jones_factorize(line5, None, v, 1.5)
+    assert early.k_max == 5 and early.c == pytest.approx(3.1257e16, rel=1e-4)
+    _check_certificates(line5, None, v, early)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weight", [[1e-8, 1, 1, 1, 1], [1e8, 1, 1, 1, 1]])
+def test_a_dual_weight_out_of_float_range_is_an_exponent_range(weight):
+    # at p = 1.02 the dual weight is v ** -50: 1e400 overflows, 1e-400 underflows to 0
+    with pytest.raises(ExponentRange, match=r"dual weight v \*\* \(1 - p'\).* p = 1.02"):
+        jones_factorize(interval_space(2), None, weight, 1.02)
+    # the same weight factorizes at p = 2, which needs no dual weight
+    assert jones_factorize(interval_space(2), None, weight, 2.0).branch == "p>=2"
 
 
 def _count_applications(monkeypatch, failed):

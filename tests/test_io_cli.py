@@ -24,6 +24,7 @@ from metricweights import (
     reverse_holder_constant,
     space_from_matrix,
 )
+from metricweights import errors
 from metricweights.errors import (
     FormatError,
     GraphDisconnected,
@@ -33,6 +34,7 @@ from metricweights.errors import (
     VersionMismatch,
 )
 from metricweights.space import DENSE_CAP
+from metricweights import studies
 from metricweights.studies import interval_space, unit_band_subset
 from metricweights.whitney import check_cover_invariants, make_domain, whitney_cover
 
@@ -110,6 +112,29 @@ def test_malformed_space_documents_fail_to_parse(tmp_path, s2, mangle):
     mangle(doc)
     with pytest.raises(ParseError):
         io.load_space(_write(tmp_path / "mangled.json", doc))
+
+
+@pytest.mark.parametrize(
+    "mangle, message",
+    [
+        (lambda d: d.update(metric=[0.0]), "'metric' must be an object with a type"),
+        (lambda d: d["metric"].pop("type"), "'metric' must be an object with a type"),
+        (lambda d: d["metric"].update(edges={"0": [0, 1, 1.0]}), "'edges' must be a list"),
+        (lambda d: d["metric"].update(type="graph", edges=[]), "nonempty edge list"),
+        (lambda d: d["metric"].update(type="graph", edges=None), "nonempty edge list"),
+    ],
+)
+def test_space_documents_with_a_malformed_metric_fail_to_parse(tmp_path, s2, mangle, message):
+    doc = io.space_to_dict(s2)
+    mangle(doc)
+    with pytest.raises(ParseError, match=message):
+        io.load_space(_write(tmp_path / "mangled.json", doc))
+
+
+@pytest.mark.parametrize("loader", [io.load_space, io.load_function, io.load_subset])
+def test_a_document_that_is_not_an_object_fails_to_parse(tmp_path, loader):
+    with pytest.raises(ParseError, match="top-level value must be an object"):
+        loader(_write(tmp_path / "list.json", [1, {"version": 1}]))
 
 
 def test_graph_space_resolves_shortest_paths(tmp_path):
@@ -563,6 +588,46 @@ def test_cli_factorize_reports_a_certificate_that_overflows(capsys, tmp_path):
     assert "overflows" in _assert_error(rc, err, 3, "NoConvergence")
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_cli_factorize_reports_a_dual_weight_out_of_float_range(capsys, tmp_path, scale):
+    # at p = 1.02 the dual weight v ** -50 of 1e-8 overflows, and that of 1e8 underflows
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, interval_space(2))
+    io.save_function(weight, np.array([scale, 1.0, 1.0, 1.0, 1.0]))
+    rc, out, err = _run(capsys, ["factorize", "--space", str(space), "--weight", str(weight),
+                                 "--p", "1.02"])
+    assert out == ""
+    assert "dual weight" in _assert_error(rc, err, 2, "ExponentRange")
+
+
+def test_cli_factorize_at_p_1_bounds_both_factors_by_2c(capsys, line12):
+    argv = ["factorize", "--space", line12["space"], "--weight", line12["w"], "--p", "1"]
+    rc, out, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert (report["branch"], report["k_max"], report["c"]) == ("p=1", 0, 1.0)
+    assert report["bound_v1"] == report["bound_v2"] == 2.0 * report["c"]
+
+
+def test_cli_characteristic_refuses_both_a_subset_and_a_domain(capsys, line12):
+    argv = ["characteristic", "--space", line12["space"], "--weight", line12["w"], "--p", "2",
+            "--subset", line12["subset"], "--domain", line12["subset"]]
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    assert "not both" in _assert_error(rc, err, 4, "FormatError")
+
+
+@pytest.mark.parametrize("command", [["factorize", "--p", "2"], ["extend", "--p", "2", "--eps", "0.5"]])
+def test_cli_rejects_a_function_on_another_subset(capsys, tmp_path, line12, command):
+    weight = tmp_path / "w_on_123.json"
+    io.save_function(weight, np.ones(3), np.array([1, 2, 3]))
+    argv = command + ["--space", line12["space"], "--weight", str(weight),
+                      "--subset", line12["subset"]]
+    rc, out, err = _run(capsys, argv)
+    assert out == ""
+    assert "does not match" in _assert_error(rc, err, 4, "FormatError")
+
+
 def test_cli_rhi_reports_a_ball_sum_that_overflows(capsys, tmp_path):
     space, weight = tmp_path / "space.json", tmp_path / "w.json"
     io.save_space(space, build_grid_space(1, 9, 1.0))
@@ -784,6 +849,21 @@ def test_cli_study_refine_writes_csv(capsys, tmp_path):
     assert len(lines) == 3
 
 
+def test_cli_study_refine_chains_rows_hold_no_pairs(capsys, tmp_path):
+    out_dir = tmp_path / "chains"
+    argv = ["study", "refine", "--scenario", "chains", "--sides", "12,16", "--seed", "3",
+            "--out", str(out_dir)]
+    rc, _, err = _run(capsys, argv)
+    assert (rc, err) == (0, "")
+    doc = json.loads((out_dir / "study.json").read_text())
+    assert [row["side"] for row in doc["rows"]] == [12, 16]
+    for row in doc["rows"]:
+        full = studies.chain_comparability_study(row["side"], seed=3)
+        assert full["pairs"] and row == {k: v for k, v in full.items() if k != "pairs"}
+    header = (out_dir / "study.csv").read_text().splitlines()[0].split(",")
+    assert "pairs" not in header and "alpha" in header
+
+
 def test_cli_exit_codes(capsys, tmp_path, artifacts):
     rc, _, err = _run(
         capsys,
@@ -801,7 +881,27 @@ def test_cli_exit_codes(capsys, tmp_path, artifacts):
     assert rc == 2
     assert json.loads(err)["error"]["type"] == "NotProper"
 
-    assert cli._exit_code(NoConvergence("stalled")) == 3
+    assert NoConvergence("stalled").exit_code == 3
+
+
+# The CLI exit code of every error class: 2 for a domain error, 3 for a
+# convergence error and 4 for a format error.
+EXIT_CODES = {
+    "MetricWeightsError": 2, "DomainError": 2, "ConvergenceError": 3, "FormatError": 4,
+    "SizeOverflow": 2, "NonpositiveMass": 2, "GraphDisconnected": 2, "EmptySubset": 2,
+    "ZeroFunction": 2, "NonpositiveG": 2, "NonpositiveWeight": 2, "ExponentRange": 2,
+    "InvalidParameter": 2, "NoConvergence": 3, "BudgetExceededAtZero": 3, "NotProper": 2,
+    "Unreachable": 2, "Disconnected": 2, "PreconditionFail": 2, "InclusionFail": 2,
+    "ParseError": 4, "VersionMismatch": 4,
+}
+
+
+def test_every_error_class_keeps_its_exit_code():
+    classes = {
+        name: cls for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.MetricWeightsError)
+    }
+    assert {name: cls.exit_code for name, cls in classes.items()} == EXIT_CODES
 
 
 @pytest.fixture
