@@ -35,6 +35,7 @@ from .weights import (
     _characteristic,
     _check_weight,
     _eps_table,
+    _power,
     ap_tilde_characteristic,
 )
 
@@ -73,7 +74,8 @@ def wolff_extend(
     p: float,
     eps: float,
 ) -> ExtensionReport:
-    """Extend w (on E, exponent p >= 1, margin eps > 0) to a global weight."""
+    """Extend w (on E, exponent p >= 1, margin eps > 0) to a global weight;
+    ExponentRange when w^{1+eps/2} leaves float range."""
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
     if not eps > 0:
@@ -81,7 +83,7 @@ def wolff_extend(
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
 
-    v = w ** (1.0 + eps / 2.0)
+    v = _power(w, 1.0 + eps / 2.0, "w ** (1 + eps/2)", f"eps = {eps}")
     fact = jones_factorize(space, E, v, p)
     delta = 1.0 / (1.0 + eps / 2.0)
 
@@ -160,6 +162,7 @@ def restrict_weight_report(
     For every canonical ball, the subset-induced functional of (W^{1+eps})|_E
     is compared against the global functional of W^{1+eps}; the report carries
     the worst ratio (at most 1 up to roundoff) and both characteristics.
+    ExponentRange when W^{1+eps} leaves float range.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
@@ -168,7 +171,7 @@ def restrict_weight_report(
     ids, _ = as_subset(space, E)
     W = _check_weight(W, space.n)
 
-    u = W ** (1.0 + eps)
+    u = _power(W, 1.0 + eps, "W ** (1 + eps)", f"eps = {eps}")
     restr = _ap_functional(space, E, u[ids], p)
     glob = _ap_functional(space, None, u, p)
 

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ExponentRange, NoConvergence
 from .maximal import as_subset, maximal_fn
 from .space import MetricMeasureSpace
-from .weights import _check_weight, ap_tilde_characteristic, conjugate_exponent
+from .weights import _check_weight, _power, ap_tilde_characteristic, conjugate_exponent
 
 # Iteration budget all told: the warm-up, which is also the longest partial
 # sum, and the doublings of c.
@@ -190,10 +190,7 @@ def jones_factorize(
         branch, q, vv = "p>=2", float(p), v
     else:
         branch, q = "1<p<2", conjugate_exponent(p)
-        with np.errstate(over="ignore"):
-            vv = v ** (1.0 - q)
-        if not (np.isfinite(vv).all() and (vv > 0).all()):
-            raise ExponentRange(f"the dual weight v ** (1 - p') over- or underflows at p = {p}")
+        vv = _power(v, 1.0 - q, "the dual weight v ** (1 - p')", f"p = {p}")
     root = vv ** (1.0 / q)
     mu_e = space.mu[ids]
 

@@ -12,12 +12,16 @@ Two storage backends with identical semantics:
 * coords: coordinates with exact Euclidean distances computed on demand,
   used by ``build_grid_space``, ``studies.interval_space`` and coordinate
   space files, so that large grids stay cheap.
+
+A space keeps what it derives (canonical ball cache, KD-tree, resolution, edge
+graph) in cached properties, built on first read; the cache is built whole and
+holds no reference to its space, so a dropped space is freed at once.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -196,37 +200,29 @@ class _CenterBlock:
 
 
 class CanonicalBallSet:
-    """Lazy cache of the canonical ball enumeration of a space, built in
-    blocks of centers (see CANONICAL_BLOCK_CELLS)."""
+    """The canonical ball enumeration of a space in blocks of centers (see
+    CANONICAL_BLOCK_CELLS), built whole; it holds no reference to its space."""
 
     def __init__(self, space: "MetricMeasureSpace") -> None:
         if space.n > DENSE_CAP:
             raise SizeOverflow(
                 f"canonical ball structures need n <= {DENSE_CAP}, got {space.n}"
             )
-        # A proxy, so that a space and its cache form no reference cycle and
-        # are freed as soon as the space is dropped, not at the next full
-        # garbage collection.
-        self._space = weakref.proxy(space)
         self._rows = max(1, CANONICAL_BLOCK_CELLS // space.n)
-        self._blocks: list[_CenterBlock | None] = [None] * -(-space.n // self._rows)
+        self.ensure_all(space)
 
-    def _block(self, k: int) -> _CenterBlock:
-        if self._blocks[k] is None:
-            c0, n = k * self._rows, self._space.n
-            self._blocks[k] = _CenterBlock.build(self._space, c0, min(c0 + self._rows, n))
-        return self._blocks[k]
+    def ensure_all(self, space: "MetricMeasureSpace") -> None:
+        """Build every block of space's cache; all are set when it returns."""
+        self._blocks = [
+            _CenterBlock.build(space, c0, min(c0 + self._rows, space.n))
+            for c0 in range(0, space.n, self._rows)
+        ]
 
     def center(self, c: int) -> _CenterBlock:
-        return self._block(c // self._rows).center(c % self._rows)
-
-    def ensure_all(self) -> None:
-        for k in range(len(self._blocks)):
-            self._block(k)
+        return self._blocks[c // self._rows].center(c % self._rows)
 
     def __iter__(self) -> Iterator[_CenterBlock]:
-        """The blocks, in center order, all built first."""
-        self.ensure_all()
+        """The blocks, in center order."""
         return iter(self._blocks)
 
     def ball_count(self) -> int:
@@ -331,11 +327,6 @@ class MetricMeasureSpace:
             for column in self._edges:
                 column.flags.writeable = False
         self.meta = meta
-        self._canonical: CanonicalBallSet | None = None
-        self._edge_graph = None
-        self._min_positive: float | None = None
-        self._repeats: bool | None = None
-        self._kdtree = None
 
     # -- distances -----------------------------------------------------------
 
@@ -407,37 +398,40 @@ class MetricMeasureSpace:
 
     # -- masses and resolution -------------------------------------------------
 
+    @cached_property
+    def _resolution(self) -> tuple[float, bool]:
+        """(min_positive_distance(), whether a point repeats)."""
+        if self._dist is not None:
+            d = self._dist
+            m = d[d > 0].min(initial=np.inf)
+            # The diagonal holds n entries <= 0 exactly when it is all zero.
+            repeats = bool(np.diagonal(d).any()) or np.count_nonzero(d <= 0) != self.n
+        else:
+            from scipy.spatial import cKDTree
+
+            points, tree = self._coords, self._tree
+            near = tree.query(points, k=2)[0][:, 1]
+            repeats = not near.all()
+            if repeats:  # copies add no distance
+                points = np.unique(points, axis=0)
+                tree = cKDTree(points)
+                near = tree.query(points, k=2)[0][:, 1]
+            pairs = tree.query_pairs(near.min() * (1 + 1e-9), output_type="ndarray")
+            d = _distances(points[pairs[:, 1]], points[pairs[:, 0]])
+            m = d[d > 0].min(initial=np.inf)
+        return (float(m) if np.isfinite(m) else 0.0), repeats
+
     def min_positive_distance(self) -> float:
         """Resolution h: the smallest positive pairwise distance by the
         formula of dist_row, or 0.0. On coordinates the nearest tree distance
         of the distinct points bounds h, the pairs within (1 + 1e-9) times
         that bound are the candidates, and the formula decides.
 
-        Also records whether a point repeats: on coordinates, a zero
+        The same pass records whether a point repeats: on coordinates, a zero
         distance to the second-nearest point; on a matrix, any entry <= 0
         off the diagonal or any nonzero one on it.
         """
-        if self._min_positive is None:
-            if self._dist is not None:
-                d = self._dist
-                m = d[d > 0].min(initial=np.inf)
-                # The diagonal holds n entries <= 0 exactly when it is all zero.
-                self._repeats = bool(np.diagonal(d).any()) or np.count_nonzero(d <= 0) != self.n
-            else:
-                from scipy.spatial import cKDTree
-
-                points, tree = self._coords, self._tree()
-                near = tree.query(points, k=2)[0][:, 1]
-                self._repeats = not near.all()
-                if self._repeats:  # copies add no distance
-                    points = np.unique(points, axis=0)
-                    tree = cKDTree(points)
-                    near = tree.query(points, k=2)[0][:, 1]
-                pairs = tree.query_pairs(near.min() * (1 + 1e-9), output_type="ndarray")
-                d = _distances(points[pairs[:, 1]], points[pairs[:, 0]])
-                m = d[d > 0].min(initial=np.inf)
-            self._min_positive = float(m) if np.isfinite(m) else 0.0
-        return self._min_positive
+        return self._resolution[0]
 
     def singleton_radius(self) -> float:
         """The largest r for which every strict ball B(x, r) is exactly {x}.
@@ -446,17 +440,16 @@ class MetricMeasureSpace:
         lies at distance >= h, and x at distance 0. With a repeated point
         it is 0.0, and no ball is known to be a singleton.
         """
-        h = self.min_positive_distance()
-        return 0.0 if self._repeats else h
+        h, repeats = self._resolution
+        return 0.0 if repeats else h
 
     # -- balls -----------------------------------------------------------------
 
+    @cached_property
     def _tree(self):
-        if self._kdtree is None:
-            from scipy.spatial import cKDTree
+        from scipy.spatial import cKDTree
 
-            self._kdtree = cKDTree(self._coords)
-        return self._kdtree
+        return cKDTree(self._coords)
 
     def ball_members(self, center: int, radius: float) -> np.ndarray:
         """Ids y with d(center, y) < radius (strict), in (distance, id) order."""
@@ -523,7 +516,7 @@ class MetricMeasureSpace:
             ball, ids = np.nonzero(rows < radii[:, None])
             dist = rows[ball, ids]
         else:
-            cands, sizes = _flat(self._tree().query_ball_point(
+            cands, sizes = _flat(self._tree.query_ball_point(
                 self._coords[centers], radii * (1 + 1e-9), return_sorted=False
             ))
             dist = _distances(self._coords[cands], np.repeat(self._coords[centers], sizes, axis=0))
@@ -537,18 +530,15 @@ class MetricMeasureSpace:
         keys = np.sort((ball * dist.size + rank) * self.n + ids)
         return keys % self.n, np.bincount(ball, minlength=centers.size)
 
-    @property
+    @cached_property
     def canonical(self) -> CanonicalBallSet:
-        if self._canonical is None:
-            self._canonical = CanonicalBallSet(self)
-        return self._canonical
+        return CanonicalBallSet(self)
 
+    @cached_property
     def edge_graph(self):
-        """Symmetric sparse adjacency of the edge graph, weighted by edge length (cached)."""
-        if self._edge_graph is None:
-            us, vs, lengths = self._edges if self._edges is not None else ((), (), ())
-            self._edge_graph = _symmetric_csr(self.n, us, vs, lengths)
-        return self._edge_graph
+        """Symmetric sparse adjacency of the edge graph, weighted by edge length."""
+        us, vs, lengths = self._edges if self._edges is not None else ((), (), ())
+        return _symmetric_csr(self.n, us, vs, lengths)
 
     def __repr__(self) -> str:  # pragma: no cover
         kind = "dense" if self._dist is not None else "coords"
@@ -709,7 +699,7 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
     proved = (space.coords is not None and space.coords.shape[1] <= ROUNDING_DIM
               and coords_in_range(space.coords))
     if proved:
-        pairs = space._tree().query_pairs(0.0, output_type="ndarray")
+        pairs = space._tree.query_pairs(0.0, output_type="ndarray")
         if pairs.size:
             return ValidationReport(False, "ZeroDistanceDistinct", tuple(min(pairs.tolist())))
         proved = space.min_positive_distance() >= ROUNDING_FLOOR
@@ -739,7 +729,7 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
             return ValidationReport(False, "EdgeTooShort", (int(us[k]), int(vs[k])))
         from scipy.sparse.csgraph import connected_components
 
-        if connected_components(space.edge_graph(), directed=False)[0] != 1:
+        if connected_components(space.edge_graph, directed=False)[0] != 1:
             return ValidationReport(False, "GraphDisconnected")
 
     if not (proved or _closure_certifies(dist)):

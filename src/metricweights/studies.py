@@ -274,7 +274,7 @@ def _whitney_like_band(space, domain, w_on_x) -> dict:
         return {"band": 1.0, "n_pairs": 0, "n_samples": 0}
 
     partners = np.empty((centers.size, 2), dtype=np.intp)
-    graph = domain.qh_graph()
+    graph = domain.qh_graph
     for k, c in enumerate(centers.tolist()):
         # One source at a time: all rows at once would hold len(centers) x n floats.
         # The gate reads nothing farther, and scipy keeps the nodes at the limit.

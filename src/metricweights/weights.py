@@ -65,11 +65,23 @@ def _check_weight(w: np.ndarray, size: int) -> np.ndarray:
     return w
 
 
+def _power(w: np.ndarray, exponent: float, name: str, where: str, zero_ok: bool = False):
+    """w ** exponent, with no RuntimeWarning: ExponentRange, naming the power,
+    when a value overflows, or unless zero_ok underflows to 0."""
+    with np.errstate(over="ignore"):
+        out = w ** exponent
+    if not (np.isfinite(out).all() and (zero_ok or (out > 0).all())):
+        raise ExponentRange(f"{name} {'overflows' if zero_ok else 'over- or underflows'} at {where}")
+    return out
+
+
 def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
     """The ball functional of ap_tilde_characteristic, as values for sup.
 
     At p = 1 a ball that misses E is out of scope (-inf): it is the one
-    kind of ball whose minimum over B cap E is still infinite.
+    kind of ball whose minimum over B cap E is still infinite. At p > 1 a
+    dual weight w^{-1/(p-1)} that overflows is an ExponentRange; one that
+    underflows to 0 takes part as 0.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
@@ -77,7 +89,9 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
     w = _check_weight(w, ids.size)
     w_mu = scatter(space, ids, w) * space.mu
     if p > 1:
-        sig_mu = scatter(space, ids, w ** (-1.0 / (p - 1.0))) * space.mu
+        sigma = _power(w, -1.0 / (p - 1.0), "the dual weight w ** (-1/(p-1))", f"p = {p}",
+                       zero_ok=True)
+        sig_mu = scatter(space, ids, sigma) * space.mu
 
         def values(data) -> np.ndarray:
             return (data.prefix_sums(w_mu) / data.mu_prefix) * (
@@ -199,11 +213,15 @@ class ConditionReport:
 def _eps_table(
     characteristic, w: np.ndarray, p: float, eps_grid, budget: float
 ) -> ConditionReport:
-    """characteristic(w^{1+eps}) over the sorted grid, and the largest eps within budget."""
+    """characteristic(w^{1+eps}) over the sorted grid, and the largest eps within
+    budget; ExponentRange when some w^{1+eps} leaves float range."""
     grid = sorted(float(e) for e in eps_grid)
     if not grid or not all(np.isfinite(e) and e >= 0 for e in grid):
         raise InvalidParameter(f"eps grid must be nonempty, finite and nonnegative, got {grid}")
-    table = tuple((eps, characteristic(w ** (1.0 + eps))) for eps in grid)
+    table = tuple(
+        (eps, characteristic(_power(w, 1.0 + eps, "w ** (1 + eps)", f"eps = {eps}")))
+        for eps in grid
+    )
     best = max((eps for eps, char in table if char <= budget), default=None)
     return ConditionReport(best, float(budget), float(p), table)
 

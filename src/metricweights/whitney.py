@@ -15,7 +15,8 @@ surrogate of integrating reciprocal boundary distance along a path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -49,26 +50,24 @@ class DomainSpec:
     ids: np.ndarray
     mask: np.ndarray
     boundary_dist: np.ndarray
-    _qh_graph: csr_matrix | None = field(default=None, init=False, repr=False)
 
     @property
     def resolution(self) -> float:
         """The smallest positive pairwise distance of the ambient space."""
         return self.space.min_positive_distance()
 
+    @cached_property
     def qh_graph(self) -> csr_matrix:
-        if self._qh_graph is None:
-            space = self.space
-            if space.edge_arrays() is None:
-                raise PreconditionFail("quasihyperbolic distances need an edge graph")
-            us, vs, _ = space.edge_arrays()
-            inside = self.mask[us] & self.mask[vs]
-            us, vs = us[inside], vs[inside]
-            weights = space.pair_dists(us, vs) * 2.0 / (
-                self.boundary_dist[us] + self.boundary_dist[vs]
-            )
-            self._qh_graph = _symmetric_csr(space.n, us, vs, weights)
-        return self._qh_graph
+        space = self.space
+        if space.edge_arrays() is None:
+            raise PreconditionFail("quasihyperbolic distances need an edge graph")
+        us, vs, _ = space.edge_arrays()
+        inside = self.mask[us] & self.mask[vs]
+        us, vs = us[inside], vs[inside]
+        weights = space.pair_dists(us, vs) * 2.0 / (
+            self.boundary_dist[us] + self.boundary_dist[vs]
+        )
+        return _symmetric_csr(space.n, us, vs, weights)
 
 
 def make_domain(space: MetricMeasureSpace, members) -> DomainSpec:
@@ -105,7 +104,6 @@ class WhitneyCover:
     offsets: np.ndarray
     mu_balls: np.ndarray
     edges: np.ndarray  # (m, 2) intersecting pairs i < j
-    _adjacency: csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return int(self.centers.shape[0])
@@ -121,12 +119,11 @@ class WhitneyCover:
         """Balls whose radius is at least twice the grid resolution."""
         return self.radii >= 2.0 * self.domain.resolution
 
+    @cached_property
     def adjacency(self) -> csr_matrix:
         """Symmetric 0/1 intersection matrix of the balls (built on first use)."""
-        if self._adjacency is None:
-            us, vs = self.edges.T
-            self._adjacency = _symmetric_csr(len(self), us, vs, np.ones(us.size))
-        return self._adjacency
+        us, vs = self.edges.T
+        return _symmetric_csr(len(self), us, vs, np.ones(us.size))
 
     def ball_averages(self, values_on_x: np.ndarray) -> np.ndarray:
         """mu-average of a function over each cover ball."""
@@ -259,7 +256,7 @@ def _max_edge_ratio(values: np.ndarray, edges: np.ndarray) -> float:
 
 def chain_distances(cover: WhitneyCover, sources: np.ndarray) -> np.ndarray:
     """Chain lengths (edge counts) from each source ball to every ball."""
-    return dijkstra(cover.adjacency(), unweighted=True, indices=sources)
+    return dijkstra(cover.adjacency, unweighted=True, indices=sources)
 
 
 def _shortest_path(graph, start: int, goal: int, unweighted: bool, missing: Exception):
@@ -284,7 +281,7 @@ def chain_path(cover: WhitneyCover, i: int, j: int) -> list[int]:
     if not (0 <= i < b and 0 <= j < b):
         raise ValueError("ball index out of range")
     missing = Unreachable(f"no chain joins balls {i} and {j}")
-    return _shortest_path(cover.adjacency(), i, j, True, missing)
+    return _shortest_path(cover.adjacency, i, j, True, missing)
 
 
 # -- quasihyperbolic distance -----------------------------------------------------
@@ -299,7 +296,7 @@ def _check_domain_points(domain: DomainSpec, ids, what: str) -> np.ndarray:
 def qh_distances(space: MetricMeasureSpace, domain: DomainSpec, sources) -> np.ndarray:
     """Rows of quasihyperbolic distances from each source point (inf off D)."""
     sources = _check_domain_points(domain, np.atleast_1d(sources), "sources")
-    return dijkstra(domain.qh_graph(), indices=sources)
+    return dijkstra(domain.qh_graph, indices=sources)
 
 
 def qh_distance(space: MetricMeasureSpace, domain: DomainSpec, x: int, y: int) -> float:
@@ -366,7 +363,7 @@ def _edge_path(space: MetricMeasureSpace, start: int, goal: int) -> list[int]:
     if space.edge_arrays() is None:
         raise PreconditionFail("construction needs the edge graph")
     missing = Disconnected(f"no edge path joins {start} and {goal}")
-    return _shortest_path(space.edge_graph(), start, goal, False, missing)
+    return _shortest_path(space.edge_graph, start, goal, False, missing)
 
 
 def witness_intersection_ball(

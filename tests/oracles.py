@@ -373,7 +373,7 @@ def naive_whitney_like_band(space, domain, w_on_x, t_range, gate, n_centers):
         balls = [np.flatnonzero(dist[x] < delta[x] / t) for t in t_range]
         return [sequential_ball_sum(space, w_on_x * space.mu, x, ball) for ball in balls]
 
-    band, pairs, graph = 1.0, set(), domain.qh_graph()
+    band, pairs, graph = 1.0, set(), domain.qh_graph
     for c in centers:
         qh = dijkstra(graph, indices=c)
         near = [x for x in candidates if qh[x] <= gate]

@@ -66,7 +66,7 @@ def blocks(monkeypatch):
     def rebuild(space, size=None):
         if size is not None:
             monkeypatch.setattr(space_mod, "CANONICAL_BLOCK_CELLS", size * space.n)
-        space._canonical = None
+        vars(space).pop("canonical", None)
         return space
 
     return rebuild
@@ -193,17 +193,16 @@ def test_the_cache_holds_two_byte_tables_and_three_arrays_per_ball():
     # per-ball arrays; and starts has one entry per center and one per block.
     space = build_grid_space(2, 45, 1 / 22)
     cb = space.canonical
-    cb.ensure_all()
     n, balls = space.n, cb.ball_count()
     owners = {}
-    for block in cb._blocks:
+    for block in cb:
         for name in block.__slots__:
             array = getattr(block, name)
             if isinstance(array, np.ndarray):
                 while array.base is not None:
                     array = array.base
                 owners[id(array)] = array.nbytes
-    starts = (n + len(cb._blocks)) * 8
+    starts = (n + len(list(cb))) * 8
     assert sum(owners.values()) == n * n * (2 + 2) + balls * (2 + 8 + 8) + starts
 
 
@@ -281,7 +280,7 @@ def test_a_full_block_ends_at_the_largest_two_byte_index(n, rows):
     space = build_grid_space(1, n, 1.0)
     cb = space.canonical
     assert rows * n == space_mod.CANONICAL_BLOCK_CELLS
-    block = cb._block(len(cb._blocks) - 1)
+    block = list(cb)[-1]
     assert block.order.shape == (rows, n) and block.c0 == n - rows
     assert block.ends.dtype == np.int16
     assert block.ends[-1] == np.iinfo(np.int16).max
@@ -309,7 +308,7 @@ def test_restriction_evaluates_each_functional_once_per_block(monkeypatch, p):
     # prefix sums once per block (two each at p > 1, one each at p = 1),
     # for the ratio and both characteristics together.
     space = build_grid_space(2, 12, 1.0)
-    space.canonical.ensure_all()
+    space.canonical  # built before the count starts
     calls = []
     prefix_sums = space_mod._CenterBlock.prefix_sums
 
@@ -322,5 +321,5 @@ def test_restriction_evaluates_each_functional_once_per_block(monkeypatch, p):
     w = np.linspace(1.0, 2.0, space.n)
     restrict_weight_report(space, e_mask, w, p, eps=0.25)
     per_block = 4 if p > 1 else 2
-    assert len(calls) == per_block * len(space.canonical._blocks)
+    assert len(calls) == per_block * len(list(space.canonical))
     assert sorted(set(calls)) == [block.c0 for block in space.canonical]

@@ -327,3 +327,69 @@ def test_ball_sums_takes_the_member_order_as_given():
     # only adds the members in the order they come.
     source = (PACKAGE / "space.py").read_text()
     assert _method_names(source, "MetricMeasureSpace", "ball_sums") & ORDER_MACHINERY == set()
+
+
+def _hand_rolled_memos(source: str) -> list[str]:
+    """The lines of a module that memoize by hand: an `if <obj>.<attr> is None:`
+    or `if <obj>.<attr>[k] is None:` whose body assigns that attribute or an
+    item of it."""
+
+    def attribute(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return ast.unparse(node) if isinstance(node, ast.Attribute) else None
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        test = node.test if isinstance(node, ast.If) else None
+        if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+                and isinstance(test.ops[0], ast.Is)
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None):
+            continue
+        memo = attribute(test.left)
+        targets = [  # unpacked too: `self._h, self._r = ...` assigns self._h
+            part for sub in node.body for stmt in ast.walk(sub)
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            for part in ast.walk(target)
+        ]
+        if memo is not None and any(attribute(t) == memo for t in targets):
+            found.append(f"{ast.unparse(test.left)} (line {node.lineno})")
+    return found
+
+
+def test_the_checker_finds_hand_rolled_memos():
+    source = (
+        "class C:\n"
+        "    def tree(self):\n"
+        "        if self._tree is None:\n"
+        "            self._tree = build()\n"
+        "        return self._tree\n"
+        "    def block(self, k):\n"
+        "        if self._blocks[k] is None:\n"
+        "            self._blocks[k] = make(k)\n"
+        "        return self._blocks[k]\n"
+        "    def pair(self):\n"
+        "        if self._h is None:\n"
+        "            if ready:\n"
+        "                self._h, self._r = 1.0, False\n"
+        "    def other(self, ids):\n"
+        "        if ids is None:\n"
+        "            ids = all_ids()\n"
+        "        if self._tree is None:\n"
+        "            raise ValueError('no tree')\n"
+        "        if self.a is None:\n"
+        "            self.b = 1\n"
+        "        if other.c is None:\n"
+        "            self.c = 2\n"
+    )
+    assert _hand_rolled_memos(source) == [
+        "self._tree (line 3)", "self._blocks[k] (line 7)", "self._h (line 11)",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_derived_state_is_kept_in_cached_properties(module):
+    # One way to keep a derived value: functools.cached_property, built on
+    # first read, not a None sentinel tested and filled by hand.
+    assert _hand_rolled_memos(module.read_text()) == []

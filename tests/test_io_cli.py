@@ -600,6 +600,25 @@ def test_cli_factorize_reports_a_dual_weight_out_of_float_range(capsys, tmp_path
     assert "dual weight" in _assert_error(rc, err, 2, "ExponentRange")
 
 
+
+@pytest.mark.parametrize("command, power", [
+    (["extend", "--p", "2", "--eps", "1"], "w ** (1 + eps/2)"),
+    (["condition", "--p", "2", "--eps-grid", "0,0.5", "--budget", "10"], "w ** (1 + eps)"),
+    (["restrict", "--p", "2", "--eps", "0.25"], "W ** (1 + eps)"),
+    (["characteristic", "--p", "2", "--eps-grid", "0,0.5"], "w ** (1 + eps)"),
+    (["characteristic", "--p", "1.5"], "dual weight w ** (-1/(p-1))"),
+])
+def test_cli_reports_a_raised_weight_out_of_float_range(capsys, tmp_path, command, power):
+    # 1e250 ** 1.25 overflows, and so does the dual weight 1e-250 ** -2 at p = 1.5
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, interval_space(2))
+    extreme = 1e-250 if command[-1] == "1.5" else 1e250
+    io.save_function(weight, np.array([extreme, 1.0, 1.0, 1.0, 1.0]))
+    rc, out, err = _run(capsys, command + ["--space", str(space), "--weight", str(weight)])
+    assert out == ""
+    assert power in _assert_error(rc, err, 2, "ExponentRange")
+
+
 def test_cli_factorize_at_p_1_bounds_both_factors_by_2c(capsys, line12):
     argv = ["factorize", "--space", line12["space"], "--weight", line12["w"], "--p", "1"]
     rc, out, err = _run(capsys, argv)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -349,11 +351,12 @@ def test_grid_space_refuses_a_spacing_out_of_float_range(dim, spacing):
         build_grid_space(dim, 3, spacing)
 
 
-def test_grid_sampled_validation_mode():
+def test_grid_validation_mode_is_full():
+    # Every verdict is exact; there is no sampled mode.
     grid = build_grid_space(2, 8, 1.0)
     report = validate_space(grid)
     assert report.ok
-    assert report.to_dict()["mode"] in ("full", "sampled")
+    assert report.to_dict()["mode"] == "full"
 
 
 def test_canonical_structures_refuse_oversized_spaces():
@@ -362,7 +365,7 @@ def test_canonical_structures_refuse_oversized_spaces():
     with pytest.raises(SizeOverflow):
         big.dist_matrix()
     with pytest.raises(SizeOverflow):
-        big.canonical.ensure_all()
+        big.canonical
 
 
 def test_dist_matrix_leaves_a_coordinate_space_on_coordinates():
@@ -403,6 +406,22 @@ def test_ball_sums_are_the_sequential_canonical_prefix_sums(rng):
 def test_canonical_ball_count_small_fixture(s3):
     # center 0: 3 distinct balls, center 1: 2, center 2: 3
     assert s3.canonical.ball_count() == 8
+
+
+def test_a_space_and_its_derived_state_are_freed_by_del_alone():
+    # No derived value refers back to its space, so reference counting frees
+    # the space, even while its cache, tree and edge graph are still held.
+    space = build_grid_space(2, 6, 1.0)
+    derived = (space.canonical, space.edge_graph, space._tree, space.singleton_radius())
+    ref = weakref.ref(space)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del space
+        assert ref() is None and derived[0].ball_count() > 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # -- validate_space against the triple-loop oracle ------------------------------------

@@ -90,7 +90,7 @@ def test_gated_qh_rows_are_the_full_rows_inside_the_gate():
     _, domain = square_domain(64)
     _, centers = _band_centers(domain)
     assert centers.size > 1
-    graph = domain.qh_graph()
+    graph = domain.qh_graph
     full = dijkstra(graph, indices=centers)
     gated = dijkstra(graph, indices=centers, limit=HOLD2_QH_GATE)
     inside = full <= HOLD2_QH_GATE
@@ -161,7 +161,7 @@ def test_ball_integrals_compute_no_distance(monkeypatch):
     # in that order needs no distance.
     space, domain = random_grid_domain(4)
     cover = whitney_cover(space, domain)
-    domain.qh_graph()  # its edge weights are distances, computed once here
+    domain.qh_graph  # its edge weights are distances, computed once here
     values = np.random.default_rng(4).normal(size=space.n)
     averages = cover.ball_averages(values)
     band = _whitney_like_band(space, domain, _growth_weight(domain))

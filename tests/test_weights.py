@@ -286,6 +286,39 @@ def test_reverse_holder_refuses_a_ball_sum_that_overflows():
         reverse_holder_constant(space, w, 0.0267)
 
 
+
+# w = 1e250 at one point of interval_space(2): w ** 1.25 and w ** 1.5 overflow;
+# w = 1e-300 there underflows to 0 instead.
+RAISED_POWERS = {
+    "wolff_extend": lambda sp, w: wolff_extend(sp, None, w, 2.0, 1.0),
+    "check_extension_condition": lambda sp, w: check_extension_condition(
+        sp, None, w, 2.0, [0, 0.5], 10.0),
+    "self_improve_epsilon": lambda sp, w: self_improve_epsilon(sp, w, 2.0, [0, 0.5], np.inf),
+    "restrict_weight_report": lambda sp, w: restrict_weight_report(sp, None, w, 2.0, eps=0.25),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e250, 1e-300])
+@pytest.mark.parametrize("call", RAISED_POWERS.values(), ids=RAISED_POWERS.keys())
+def test_a_raised_weight_out_of_float_range_is_an_exponent_range(call, scale):
+    # It was NonpositiveWeight, after an "overflow encountered in power" warning.
+    with pytest.raises(ExponentRange, match=r"[wW] \*\* \(1 \+ eps(/2)?\) over- or underflows at eps"):
+        call(interval_space(2), np.array([scale, 1.0, 1.0, 1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_dual_weight_that_overflows_is_an_exponent_range():
+    # At p = 1.5 the dual weight is w ** -2: 1e-200 gives 1e400, which overflows,
+    # and the characteristic read inf with a warning; 1e200 underflows to 0 and
+    # takes part as 0.
+    space, w = interval_space(2), np.array([1e-200, 1.0, 1.0, 1.0, 1.0])
+    for characteristic, scope in ((ap_tilde_characteristic, None), (ap_domain_characteristic, [0, 1, 2])):
+        with pytest.raises(ExponentRange, match=r"dual weight w \*\* \(-1/\(p-1\)\) overflows at p = 1.5"):
+            characteristic(space, scope, w[:len(scope or w)], 1.5)
+    assert np.isfinite(ap_tilde_characteristic(space, None, 1.0 / w, 1.5).value)
+
+
 NAN = float("nan")
 
 

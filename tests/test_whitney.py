@@ -333,7 +333,7 @@ def test_cover_matches_the_naive_oracle(seed):
             np.testing.assert_array_equal(ball, want)
         assert cover.edges.dtype == np.intp and cover.edges.shape == (len(edges), 2)
         np.testing.assert_array_equal(cover.edges, edges)
-        adj = cover.adjacency()
+        adj = cover.adjacency
         rows = [np.flatnonzero(row) for row in adjacency]
         np.testing.assert_array_equal(adj.indptr, np.cumsum([0] + [r.size for r in rows]))
         np.testing.assert_array_equal(adj.indices, np.concatenate(rows))
@@ -346,7 +346,7 @@ def test_cover_matches_the_naive_oracle(seed):
         for u, v, _ in space.edges:
             if domain.mask[u] and domain.mask[v]:
                 want[u, v] = want[v, u] = space.dist(u, v) * 2.0 / (delta[u] + delta[v])
-        np.testing.assert_array_equal(domain.qh_graph().toarray(), want)
+        np.testing.assert_array_equal(domain.qh_graph.toarray(), want)
 
 
 @pytest.mark.parametrize("seed", range(6))
