@@ -74,12 +74,12 @@ def wolff_extend(
     p: float,
     eps: float,
 ) -> ExtensionReport:
-    """Extend w (on E, exponent p >= 1, margin eps > 0) to a global weight;
-    ExponentRange when w^{1+eps/2} leaves float range."""
+    """Extend w (on E, exponent p >= 1, finite margin eps > 0) to a global
+    weight; ExponentRange when w^{1+eps/2} leaves float range."""
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
-    if not eps > 0:
-        raise ExponentRange("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ExponentRange("eps must be positive and finite")
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
 

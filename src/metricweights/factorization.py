@@ -17,6 +17,9 @@ For 1 < p < 2 the same construction runs on the dual weight u = v^{1-p'} at
 exponent p' and the factors swap. For p = 1 the factorization is trivial.
 
 The growth constant c is estimated from norm ratios of the first 8 iterates.
+The warm-up reads m_E only at E's points, so it sweeps the canonical cache's
+view on E's columns (CanonicalBallSet.columns), which gives the same bits
+from about |E|/n of the cells.
 The series is not summed to convergence, since only the certificates are
 needed. By subadditivity and homogeneity the partial sum eta_K of K terms has
 
@@ -38,11 +41,12 @@ scale changes neither the certificates nor v1 * v2^{1-p}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ExponentRange, NoConvergence
-from .maximal import as_subset, maximal_fn
+from .maximal import _sweep, as_subset, maximal_fn, scatter
 from .space import MetricMeasureSpace
 from .weights import _check_weight, _power, ap_tilde_characteristic, conjugate_exponent
 
@@ -100,18 +104,18 @@ class FactorizationResult:
 
 
 def _rdf_parts(
-    space: MetricMeasureSpace,
-    E,
-    ids: np.ndarray,
+    m_E: Callable[[np.ndarray], np.ndarray],
+    at,
     root: np.ndarray,
     p: float,
     f: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T f on E at exponent p, with root = v^{1/p}, and the two maximal
-    functions it is made of, on all of X: m_E(root f^{p-1}) and m_E(f / root)."""
-    m_first = maximal_fn(space, root * f ** (p - 1.0), E)
-    m_second = maximal_fn(space, f / root, E)
-    t_f = (m_first[ids] / root) ** (1.0 / (p - 1.0)) + root * m_second[ids]
+    functions it is made of, m_E(root f^{p-1}) and m_E(f / root), at the
+    points m_E gives them at; E's points are those at `at` among them."""
+    m_first = m_E(root * f ** (p - 1.0))
+    m_second = m_E(f / root)
+    t_f = (m_first[at] / root) ** (1.0 / (p - 1.0)) + root * m_second[at]
     return t_f, m_first, m_second
 
 
@@ -134,7 +138,7 @@ def rdf_apply_T(
     f = np.asarray(f, dtype=float)
     if f.shape != ids.shape or np.any(f < 0):
         raise ValueError("f must be nonnegative and aligned with E")
-    return _rdf_parts(space, E, ids, v ** (1.0 / p), p, f)[0]
+    return _rdf_parts(lambda g: maximal_fn(space, g, E), ids, v ** (1.0 / p), p, f)[0]
 
 
 def _weighted_norm(values: np.ndarray, mu_e: np.ndarray, q: float) -> float:
@@ -193,6 +197,11 @@ def jones_factorize(
         vv = _power(v, 1.0 - q, "the dual weight v ** (1 - p')", f"p = {p}")
     root = vv ** (1.0 / q)
     mu_e = space.mu[ids]
+    # The warm-up reads m_E only on E: it sweeps the cache's view on E's columns.
+    view = space.canonical.columns(ids)
+
+    def m_on_e(g: np.ndarray) -> np.ndarray:
+        return _sweep(view, scatter(space, ids, np.abs(g)) * space.mu, np.zeros(m))
 
     # Normalized iterates: terms[k] has sup 1 and T^k 1 = terms[k] * exp(logscale[k]).
     # T is positively homogeneous, so rescaling commutes with iteration and
@@ -201,7 +210,7 @@ def jones_factorize(
     logscale: list[float] = [0.0]
     norms: list[float] = [_weighted_norm(terms[0], mu_e, q)]
     for _ in range(_WARMUP_ITERS):
-        raw = rdf_apply_T(space, E, vv, q, terms[-1])
+        raw = _rdf_parts(m_on_e, slice(None), root, q, terms[-1])[0]
         peak = float(raw.max())
         if not np.isfinite(peak) or peak <= 0:
             raise NoConvergence("iteration produced a degenerate iterate")
@@ -213,6 +222,7 @@ def jones_factorize(
         for k in range(_WARMUP_ITERS)
     ]
     c_hat = float(max(ratios))
+    del view  # the certificates need m_E on all of X
 
     for attempt in range(_MAX_DOUBLINGS + 1):
         c = c_hat * 2.0**attempt
@@ -233,7 +243,9 @@ def jones_factorize(
                 break
         eta = eta / eta.max()
 
-        t_eta, m_first, m_second = _rdf_parts(space, E, ids, root, q, eta)
+        t_eta, m_first, m_second = _rdf_parts(
+            lambda g: maximal_fn(space, g, E), ids, root, q, eta
+        )
         v1q = root * eta ** (q - 1.0)
         v2q = eta / root
         if branch == "p>=2":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySubset, ExponentRange, InvalidParameter, NonpositiveG, ZeroFunction
-from .space import MetricMeasureSpace, point_ids
+from .space import CanonicalBallSet, MetricMeasureSpace, point_ids
 
 
 def as_subset(space: MetricMeasureSpace, E) -> tuple[np.ndarray, np.ndarray]:
@@ -70,12 +70,19 @@ def maximal_fn(
     f = np.asarray(f, dtype=float)
     if np.isnan(f).any():
         raise InvalidParameter("f must not contain NaN")
-    fx_mu = scatter(space, ids, np.abs(f)) * space.mu
     if radius_cap is not None and not radius_cap > 0:
         raise InvalidParameter("radius_cap must be positive")
+    return _sweep(space.canonical, scatter(space, ids, np.abs(f)) * space.mu, np.zeros(space.n),
+                  radius_cap)
 
-    out = np.zeros(space.n)
-    for block in space.canonical:
+
+def _sweep(balls: CanonicalBallSet, fx_mu: np.ndarray, out: np.ndarray,
+           radius_cap: float | None = None) -> np.ndarray:
+    """The largest average of fx_mu (|f| * mu on X) over the balls of balls
+    that hold each of its columns, written into out (one zero per column).
+    balls is space.canonical, whose columns are X, or its view on some
+    columns (CanonicalBallSet.columns); only the former has the radii a cap reads."""
+    for block in balls:
         avg = block.prefix_sums(fx_mu) / block.mu_prefix
         if radius_cap is not None:
             avg[block.values >= radius_cap] = 0.0
@@ -87,7 +94,9 @@ def maximal_fn(
         table = np.zeros(last[-1] + 1)
         table[np.repeat(last + block.starts[:-1], counts) - np.arange(avg.size)] = avg
         table = np.maximum.accumulate(table.reshape(counts.size, -1), axis=1)
-        np.maximum(out, np.take(table, last[:, None] - block.point_prefix).max(axis=0), out=out)
+        # a flat index into table lies below b * n, so in point_prefix's type
+        at = last.astype(block.point_prefix.dtype)[:, None] - block.point_prefix
+        np.maximum(out, np.take(table, at).max(axis=0), out=out)
     return out
 
 

@@ -20,6 +20,7 @@ holds no reference to its space, so a dropped space is freed at once.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -104,9 +105,10 @@ class _CenterBlock:
 
     order        b x n: point ids sorted by (distance to the center, id)
     point_prefix b x n: for each point y, the smallest k with y in prefix k;
-                 maximal_fn subtracts it from intp
+                 the maximal sweep subtracts it from a flat table index
     ends         per ball: flat index into the b x n tables of its last point
-    values       per ball: its distinct distance (0.0 first for each center)
+    values       per ball: its distinct distance (0.0 first for each center);
+                 None in a view on some columns (see columns)
     mu_prefix    per ball: its mu-mass
     starts       each center's first ball in the per-ball arrays, then their size
 
@@ -128,7 +130,7 @@ class _CenterBlock:
     order: np.ndarray
     point_prefix: np.ndarray
     ends: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | None
     mu_prefix: np.ndarray
     starts: np.ndarray
 
@@ -176,6 +178,30 @@ class _CenterBlock:
         values[odd] = rows.ravel()[last - last % n + order.ravel()[last]]
         return cls(c0, order, point_prefix, ends.astype(PREFIX_DTYPE), values, mu_prefix, starts)
 
+    def columns(self, ids: np.ndarray, mask: np.ndarray) -> "_CenterBlock":
+        """This block on the columns ids (mask their indicator); see
+        CanonicalBallSet.columns."""
+        b, m = self.order.shape[0], ids.size
+        order = np.compress(mask.take(self.order).ravel(), self.order).reshape(b, m)
+        # the ball of each id's distance group, numbered across the block
+        # (below b * n, so in PREFIX_DTYPE)
+        ball = self.point_prefix.take(ids, axis=1)
+        ball += self.starts[:-1, None].astype(PREFIX_DTYPE)
+        held = np.bincount(ball.ravel(), minlength=self.mu_prefix.size)
+        kept = np.flatnonzero(held > 0)
+        starts = np.searchsorted(kept, self.starts)
+        number = np.empty(held.size, dtype=PREFIX_DTYPE)
+        number[kept] = np.arange(kept.size, dtype=PREFIX_DTYPE)
+        point_prefix = number.take(ball)
+        point_prefix -= starts[:-1, None].astype(PREFIX_DTYPE)
+        # Every row holds all m ids, so the running count of ids is the flat
+        # index, into the b x m tables, of each kept ball's last id.
+        ends = np.cumsum(held, out=held).take(kept) - 1
+        return _CenterBlock(
+            self.c0, order, point_prefix, ends.astype(PREFIX_DTYPE), None,
+            self.mu_prefix.take(kept), starts,
+        )
+
     def center(self, i: int) -> "_CenterBlock":
         s, e = self.starts[i:i + 2]
         return _CenterBlock(
@@ -217,6 +243,32 @@ class CanonicalBallSet:
             _CenterBlock.build(space, c0, min(c0 + self._rows, space.n))
             for c0 in range(0, space.n, self._rows)
         ]
+
+    def columns(self, ids: np.ndarray) -> "CanonicalBallSet":
+        """The view of this cache on the columns ids (sorted point ids), for
+        the maximal function of an f that is 0 off ids, read only at ids.
+
+        No distance is computed. Per block the view keeps ids' points in
+        canonical order (order holds their point ids, point_prefix has one
+        column per id) and only the balls whose last distance group holds one
+        of them, each with its full mu_prefix; it has no values. A dropped
+        ball holds the ids of the ball before it and no more, at no less mass,
+        so its average of such an f is no larger and it raises the maximum at
+        no id. So the maximal sweep (maximal._sweep) over the view gives
+        maximal_fn's values at ids bit for bit, from about len(ids) / n of
+        the cells: a kept ball's sum leaves out only the +0.0 terms off ids.
+        (That holds while no ball's sum and mass both overflow: inf / inf is
+        NaN.) All of X is the cache itself. The view supports that sweep and
+        nothing else.
+        """
+        n = self._blocks[0].order.shape[1]
+        if ids.size == n:
+            return self
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        view = copy.copy(self)
+        view._blocks = [block.columns(ids, mask) for block in self]
+        return view
 
     def center(self, c: int) -> _CenterBlock:
         return self._blocks[c // self._rows].center(c % self._rows)

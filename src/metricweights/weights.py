@@ -81,7 +81,10 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
     At p = 1 a ball that misses E is out of scope (-inf): it is the one
     kind of ball whose minimum over B cap E is still infinite. At p > 1 a
     dual weight w^{-1/(p-1)} that overflows is an ExponentRange; one that
-    underflows to 0 takes part as 0.
+    underflows to 0 takes part as 0. A ball whose value is +inf or NaN is an
+    ExponentRange, with no RuntimeWarning; with a domain, sup computes the
+    values of every ball of a block that holds a center in the domain, those
+    that leave it included.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
@@ -106,7 +109,14 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
             avg = data.prefix_sums(w_mu) / data.mu_prefix
             return np.where(mins < np.inf, avg / mins, -np.inf)
 
-    return values
+    def in_range(data) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = values(data)
+        if not (out < np.inf).all():
+            raise ExponentRange(f"a ball's A_p functional leaves float range at p = {p}")
+        return out
+
+    return in_range
 
 
 def _characteristic(found, p: float, scope: str) -> CharacteristicReport:

@@ -11,7 +11,8 @@ the sha256 of its bytes:
   file and study CSV, the stdout of a command run without --out, and the
   error object and exit code of a command that fails;
 * the raw bytes (with dtype and shape) of library arrays: extensions at p = 1,
-  1.5, 2 and 3, characteristics, maximal functions and doubling constants at
+  1.5, 2 and 3 (at p = 1.5 and 2 also on E = one point and E = X minus one
+  point), characteristics, maximal functions and doubling constants at
   n = 64 to 2025, and six random Whitney domains with their covers, chains
   and quasihyperbolic distances; and the JSON of the studies.
 
@@ -221,6 +222,15 @@ def library_manifest(mw) -> dict:
             record(f"extend/line/{kind}/p={p}/fact", lambda: [
                 fact.c, fact.k_max, fact.residual, fact.branch, fact.a1_char_v1,
                 fact.a1_char_v2, list(fact.bounds())])
+        if p in (1.5, 2.0):
+            # the warm-up's extreme views: one column, and all columns but one
+            for name, e_ids in (("one-point", np.array([line.n // 3])),
+                                ("all-but-one", np.delete(np.arange(line.n), line.n // 3))):
+                w = mw.power_weight(line, -0.3, ids=e_ids)
+                for kind, space in _both_backends(mw, line).items():
+                    tag = f"extend/{name}/{kind}/p={p}"
+                    record(tag, lambda: mw.wolff_extend(space, e_ids, w, p, 0.5).W)
+                    record(f"{tag}/fact", lambda: mw.jones_factorize(space, e_ids, w, p).eta)
         grid = mw.build_grid_space(2, 7, 0.5)
         e_mask = rng.random(grid.n) < 0.5
         e_mask[0] = True

@@ -23,7 +23,8 @@ from metricweights import (
 )
 from metricweights.space import MetricMeasureSpace
 from metricweights import space as space_mod
-from metricweights.maximal import scatter
+from metricweights.maximal import _sweep, scatter
+from metricweights.studies import interval_space
 from metricweights.weights import holder_average_bound_margin
 
 
@@ -302,6 +303,19 @@ def test_a_full_block_ends_at_the_largest_two_byte_index(n, rows):
     np.testing.assert_array_equal(members, order[-1])
 
 
+def test_a_sweep_over_full_blocks_equals_one_over_blocks_of_7(blocks):
+    # On a line of 512 points every block's padded table ends at flat index
+    # 64 * 512 - 1 = 32767, the largest the two-byte gather index can hold.
+    space = blocks(build_grid_space(1, 512, 1.0))
+    f = np.random.default_rng(512).lognormal(size=space.n)
+    e_ids = np.arange(0, space.n, 3)
+    full = [maximal_fn(space, f), maximal_fn(space, f[e_ids], e_ids)]
+    assert list(space.canonical)[0].order.shape == (64, 512)
+    space = blocks(space, 7)
+    for got, fe, e in zip(full, (f, f[e_ids]), (None, e_ids)):
+        assert got.tobytes() == maximal_fn(space, fe, e).tobytes()
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_restriction_evaluates_each_functional_once_per_block(monkeypatch, p):
     # One pass: the restricted and the global functional each take their
@@ -323,3 +337,82 @@ def test_restriction_evaluates_each_functional_once_per_block(monkeypatch, p):
     per_block = 4 if p > 1 else 2
     assert len(calls) == per_block * len(list(space.canonical))
     assert sorted(set(calls)) == [block.c0 for block in space.canonical]
+
+
+# -- the cache's view on E's columns -------------------------------------------------
+
+
+def _view_spaces():
+    """A line, a 2-D grid (many ties) and a 3-D cloud, each on coordinates
+    and as a matrix."""
+    rng = np.random.default_rng(20261020)
+    cloud = MetricMeasureSpace(mu=rng.lognormal(sigma=0.5, size=60),
+                               coords=rng.uniform(size=(60, 3)), meta="cloud")
+    spaces = {"line": interval_space(24), "grid": build_grid_space(2, 9, 0.5), "cloud": cloud}
+    out = {}
+    for name, space in spaces.items():
+        out[f"{name}-coords"] = space
+        out[f"{name}-matrix"] = space_from_matrix(space.dist_matrix(), space.mu)
+    return out
+
+
+VIEW_SPACES = _view_spaces()
+
+
+def _view_subset(n, kind, rng):
+    if kind == "one point":
+        return np.array([n // 3])
+    if kind == "a random half":
+        return np.flatnonzero(rng.permutation(n) < n // 2)
+    if kind == "all but one":
+        return np.delete(np.arange(n), n // 3)
+    return np.arange(n)
+
+
+@pytest.mark.parametrize("size", [None, 7])
+@pytest.mark.parametrize("kind", ["one point", "a random half", "all but one", "all"])
+@pytest.mark.parametrize("name", VIEW_SPACES)
+def test_the_sweep_on_e_columns_is_maximal_fn_at_e(blocks, name, kind, size):
+    # The factorization's warm-up sweep: f on E, zeros and values over 10^+-8.
+    space = blocks(VIEW_SPACES[name], size)
+    rng = np.random.default_rng(len(name) + len(kind))
+    ids = _view_subset(space.n, kind, rng)
+    f = 10.0 ** rng.uniform(-8.0, 8.0, ids.size)
+    f[rng.random(ids.size) < 0.3] = 0.0
+    view = space.canonical.columns(ids)
+    got = _sweep(view, scatter(space, ids, f) * space.mu, np.zeros(ids.size))
+    assert got.tobytes() == maximal_fn(space, f, ids)[ids].tobytes()
+    mask = np.zeros(space.n, dtype=bool)
+    mask[ids] = True
+    want = oracles.naive_maximal(space, scatter(space, ids, f), mask)[ids]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    if ids.size == space.n:
+        assert view is space.canonical
+
+
+@pytest.mark.parametrize("size", [None, 7])
+def test_the_view_keeps_the_balls_whose_last_group_holds_a_point_of_e(blocks, size):
+    space = blocks(build_grid_space(2, 9, 0.5), size)
+    ids = np.flatnonzero(np.random.default_rng(3).random(space.n) < 0.4)
+    mask = np.zeros(space.n, dtype=bool)
+    mask[ids] = True
+    m, cells, kept_balls = ids.size, 0, 0
+    view = space.canonical.columns(ids)
+    for full, part in zip(space.canonical, view):
+        assert part.values is None and part.c0 == full.c0
+        assert part.order.dtype == part.point_prefix.dtype == part.ends.dtype == np.int16
+        for i in range(full.order.shape[0]):
+            # E's points in canonical order, and the balls of their distance groups
+            np.testing.assert_array_equal(part.order[i], full.order[i][mask[full.order[i]]])
+            kept = np.unique(full.point_prefix[i, ids])
+            s, e = part.starts[i:i + 2]
+            np.testing.assert_array_equal(part.mu_prefix[s:e], full.mu_prefix[full.starts[i] + kept])
+            np.testing.assert_array_equal(
+                part.point_prefix[i], np.searchsorted(kept, full.point_prefix[i, ids])
+            )
+            # each kept ball ends at its last point of E
+            held = np.count_nonzero(full.point_prefix[i, ids][:, None] <= kept, axis=0)
+            np.testing.assert_array_equal(part.ends[s:e], i * m + held - 1)
+        cells += part.order.size
+        kept_balls += part.ends.size
+    assert cells == space.n * m and kept_balls == view.ball_count() < space.canonical.ball_count()

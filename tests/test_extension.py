@@ -172,8 +172,9 @@ def test_extension_takes_at_most_twenty_maximal_sweeps(monkeypatch, p):
         if getattr(module, "maximal_fn", None) is maximal_fn:
             monkeypatch.setattr(module, "maximal_fn", counted)
     rep = wolff_extend(space, e_ids, w, p, eps=0.5)
-    # 8 warm-up iterates of two sweeps each and one two-sweep verification;
-    # summing the series to a 1e-12 tail took 86
+    # one two-sweep verification; the 8 warm-up iterates of two sweeps each
+    # run on the cache's view on E's columns, not through maximal_fn; summing
+    # the series to a 1e-12 tail took 86
     assert 0 < len(calls) <= 20
 
     fact = rep.factorization
@@ -193,6 +194,15 @@ def test_extend_rejects_bad_inputs(s3):
         wolff_extend(s3, None, np.array([1.0, 0.0, 3.0]), 2.0, eps=1.0)
     with pytest.raises(ValueError):
         wolff_extend(s3, np.array([0]), w, 2.0, eps=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w", [np.ones(5), np.array([2.0, 1.0, 1.0, 1.0, 1.0])])
+def test_an_infinite_margin_is_an_exponent_range(w):
+    # It returned delta 0.0 and eps inf for w = 1, which no report can hold,
+    # and blamed w ** (1 + eps/2) for w = [2, 1, 1, 1, 1].
+    with pytest.raises(ExponentRange, match="eps must be positive and finite"):
+        wolff_extend(interval_space(2), None, w, 2.0, np.inf)
 
 
 def test_a_nan_weight_is_an_input_error(line11):

@@ -6,6 +6,7 @@ from metricweights import (
     FactorizationResult,
     MetricMeasureSpace,
     a1_bounds,
+    build_grid_space,
     conjugate_exponent,
     jones_factorize,
     maximal_fn,
@@ -219,6 +220,45 @@ def test_no_convergence_when_every_certificate_fails(line11, rng, monkeypatch):
         jones_factorize(line11, None, v, 2.0)
     # the warm-up, then one certificate per c: c_hat and its 10 doublings
     assert len(calls) == 8 + 11
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("share", [0.1, 0.5, 1.0])
+def test_the_warm_up_applies_the_operator_bit_for_bit(monkeypatch, p, share):
+    # The warm-up sweeps the cache's view on E's columns; each of its
+    # iterates is the public operator's, bit for bit.
+    rng = np.random.default_rng(int(10 * p + 10 * share))
+    space = build_grid_space(2, 8, 0.5)
+    mask = rng.random(space.n) < share
+    mask[0] = True
+    v = 10.0 ** rng.uniform(-2.0, 2.0, int(mask.sum()))
+    seen = []
+    parts = factorization._rdf_parts
+
+    def recorded(*args):
+        out = parts(*args)
+        seen.append((args[-1], out[0]))
+        return out
+
+    monkeypatch.setattr(factorization, "_rdf_parts", recorded)
+    fact = jones_factorize(space, mask, v, p)
+    monkeypatch.undo()
+    assert len(seen) == 9
+    for f, t_f in seen[:8]:
+        want = rdf_apply_T(space, mask, fact.base_weight, fact.base_p, f)
+        assert t_f.tobytes() == want.tobytes()
+    _check_certificates(space, mask, v, fact)
+
+
+def test_the_factorization_leaves_no_state_on_the_space(rng):
+    space = build_grid_space(2, 8, 0.5)
+    space.canonical
+    before = dict(vars(space))
+    mask = rng.random(space.n) < 0.5
+    mask[0] = True
+    jones_factorize(space, mask, oracles.random_weight(rng, int(mask.sum())), 2.0)
+    assert vars(space).keys() == before.keys()
+    assert all(vars(space)[key] is value for key, value in before.items())
 
 
 def test_random_factorizations_verify_on_their_first_certificate(monkeypatch):

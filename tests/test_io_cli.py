@@ -619,6 +619,18 @@ def test_cli_reports_a_raised_weight_out_of_float_range(capsys, tmp_path, comman
     assert power in _assert_error(rc, err, 2, "ExponentRange")
 
 
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_cli_reports_a_characteristic_out_of_float_range(capsys, tmp_path, p):
+    # It exited 4 as FormatError, refusing to write the characteristic inf.
+    space, weight = tmp_path / "space.json", tmp_path / "w.json"
+    io.save_space(space, interval_space(2))
+    io.save_function(weight, np.array([1e300, 1e-300, 1.0, 1.0, 1.0]))
+    rc, out, err = _run(capsys, ["characteristic", "--p", p, "--space", str(space),
+                                 "--weight", str(weight)])
+    assert out == ""
+    assert "leaves float range" in _assert_error(rc, err, 2, "ExponentRange")
+
+
 def test_cli_factorize_at_p_1_bounds_both_factors_by_2c(capsys, line12):
     argv = ["factorize", "--space", line12["space"], "--weight", line12["w"], "--p", "1"]
     rc, out, err = _run(capsys, argv)

@@ -319,6 +319,21 @@ def test_a_dual_weight_that_overflows_is_an_exponent_range():
     assert np.isfinite(ap_tilde_characteristic(space, None, 1.0 / w, 1.5).value)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_a_ball_functional_out_of_float_range_is_an_exponent_range(p):
+    # The ball {0, 1} has the A_p functional ~1e600 at p = 2 (an overflow in
+    # multiply) and ~1e600 at p = 1 (in divide); both read inf with a warning.
+    space, w = interval_space(2), np.array([1e300, 1e-300, 1.0, 1.0, 1.0])
+    for call in (lambda: ap_tilde_characteristic(space, None, w, p),
+                 lambda: ap_domain_characteristic(space, [0, 1, 2], w[:3], p),
+                 lambda: restrict_weight_report(space, [0, 1, 2], w, p)):
+        with pytest.raises(ExponentRange, match=f"functional leaves float range at p = {p}"):
+            call()
+    # a ball out of scope (-inf at p = 1: it misses E) is no range fault
+    assert ap_tilde_characteristic(space, [4], w[4:], 1.0).value == 1.0
+
+
 NAN = float("nan")
 
 
