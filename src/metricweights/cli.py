@@ -157,18 +157,9 @@ def _cmd_rhi(args):
 def _cmd_factorize(args):
     space, e_ids, expect, v = _scoped_weight(args, "subset")
     fact = jones_factorize(space, e_ids, v, args.p)
-    k1, k2 = fact.bounds()
-    payload = {
-        "p": fact.p,
-        "branch": fact.branch,
-        "c": fact.c,
-        "k_max": fact.k_max,
-        "residual": fact.residual,
-        "a1_char_v1": fact.a1_char_v1,
-        "a1_char_v2": fact.a1_char_v2,
-        "bound_v1": k1,
-        "bound_v2": k2,
-    }
+    fields = ("p", "branch", "c", "k_max", "residual", "a1_char_v1", "a1_char_v2")
+    payload = {key: getattr(fact, key) for key in fields}  # reports sort their keys
+    payload["bound_v1"], payload["bound_v2"] = fact.bounds()
     if out := _out_dir(args):
         io.save_function(out / "v1.json", fact.v1, expect)
         io.save_function(out / "v2.json", fact.v2, expect)

@@ -172,14 +172,14 @@ def restrict_weight_report(
     W = _check_weight(W, space.n)
 
     u = _power(W, 1.0 + eps, "W ** (1 + eps)", f"eps = {eps}")
-    restr = _ap_functional(space, E, u[ids], p)
-    glob = _ap_functional(space, None, u, p)
+    restr, message = _ap_functional(space, E, u[ids], p)
+    glob, _ = _ap_functional(space, None, u, p)
 
     def values(data) -> np.ndarray:
         r, g = restr(data), glob(data)
         return np.stack([r / g, r, g])
 
-    (worst, _), found_restr, found_glob = space.canonical.sups(values, 3)
+    (worst, _), found_restr, found_glob = space.canonical.sups(values, 3, message)
     return RestrictionReport(
         max(0.0, worst),
         _characteristic(found_restr, p, "tilde"),

@@ -14,7 +14,8 @@ functions inside T eta are m_E v1 and m_E v2, so one application of T checks
 all three bounds.
 
 For 1 < p < 2 the same construction runs on the dual weight u = v^{1-p'} at
-exponent p' and the factors swap. For p = 1 the factorization is trivial.
+exponent p' and the factors swap. For p = 1 the factors are v and 1, and 2c is
+the largest m_E v_i / v_i on E, raised by ulps until the certificates hold.
 
 The growth constant c is estimated from norm ratios of the first 8 iterates.
 The warm-up reads m_E only at E's points, so it sweeps the canonical cache's
@@ -46,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExponentRange, NoConvergence
-from .maximal import _sweep, as_subset, maximal_fn, scatter
+from .maximal import _mu_weighted, _sweep, as_subset, maximal_fn
 from .space import MetricMeasureSpace
 from .weights import _check_weight, _power, ap_tilde_characteristic, conjugate_exponent
 
@@ -141,6 +142,16 @@ def rdf_apply_T(
     return _rdf_parts(lambda g: maximal_fn(space, g, E), ids, v ** (1.0 / p), p, f)[0]
 
 
+def _certified(k1, k2, v1, v2, m1, m2, c) -> bool:
+    """Whether m1 <= k1 v1 and m2 <= k2 v2 at every point, as a caller checks them;
+    NoConvergence for a right side of inf, which would hold vacuously."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+        bound1, bound2 = k1 * v1, k2 * v2
+    if not (np.isfinite(bound1).all() and np.isfinite(bound2).all()):
+        raise NoConvergence(f"a factor bound times its factor overflows at c = {c}")
+    return bool(np.all(m1 <= bound1) and np.all(m2 <= bound2))
+
+
 def _weighted_norm(values: np.ndarray, mu_e: np.ndarray, q: float) -> float:
     return float(np.sum(values**q * mu_e) ** (1.0 / q))
 
@@ -184,11 +195,14 @@ def jones_factorize(
     m = ids.size
 
     if p == 1:
-        ones = np.ones(m)
-        return _result(
-            space, E, v, 1.0, v.copy(), ones, maximal_fn(space, v, E), maximal_fn(space, ones, E),
-            eta=ones.copy(), c=1.0, k_max=0, branch="p=1", base_p=1.0, base_weight=v.copy(),
-        )
+        v1, v2 = v.copy(), np.ones(m)
+        m1, m2 = maximal_fn(space, v1, E), maximal_fn(space, v2, E)
+        with np.errstate(over="ignore"):  # _certified refuses a c of inf
+            c = 0.5 * max(float(np.max(m1[ids] / v1)), float(np.max(m2[ids])))
+        while not _certified(*a1_bounds(c, 1.0), v1, v2, m1[ids], m2[ids], c):
+            c = float(np.nextafter(c, np.inf))  # the ratio may round below m / v
+        return _result(space, E, v, 1.0, v1, v2, m1, m2, eta=v2.copy(), c=c, k_max=0,
+                       branch="p=1", base_p=1.0, base_weight=v.copy())
 
     if p >= 2:
         branch, q, vv = "p>=2", float(p), v
@@ -201,7 +215,7 @@ def jones_factorize(
     view = space.canonical.columns(ids)
 
     def m_on_e(g: np.ndarray) -> np.ndarray:
-        return _sweep(view, scatter(space, ids, np.abs(g)) * space.mu, np.zeros(m))
+        return _sweep(view, _mu_weighted(space, ids, np.abs(g)), np.zeros(m))
 
     # Normalized iterates: terms[k] has sup 1 and T^k 1 = terms[k] * exp(logscale[k]).
     # T is positively homogeneous, so rescaling commutes with iteration and
@@ -229,9 +243,7 @@ def jones_factorize(
         # the swapped branch reports the bound translated back to exponent p
         with np.errstate(over="ignore"):
             c_rep = c if branch == "p>=2" else float(0.5 * np.float64(2.0 * c) ** (q / p))
-        k1, k2 = a1_bounds(c_rep, p)
-        if not np.isfinite([k1, k2]).all():
-            raise NoConvergence(f"the factor bounds overflow at c = {c}")
+        k1, k2 = a1_bounds(c_rep, p)  # _certified refuses a bound of inf
 
         log2c = np.log(2.0 * c)
         eta = np.zeros(m)
@@ -252,16 +264,10 @@ def jones_factorize(
             v1, v2, m1, m2 = v1q, v2q, m_first, m_second
         else:
             v1, v2, m1, m2 = v2q, v1q, m_second, m_first
-        # A right side of inf would hold vacuously, and doubling c only raises it.
-        with np.errstate(over="ignore"):
-            bound1, bound2 = k1 * v1, k2 * v2
-        if not (np.isfinite(bound1).all() and np.isfinite(bound2).all()):
-            raise NoConvergence(f"a factor bound times its factor overflows at c = {c}")
         if (
-            np.all(t_eta <= 2.0 * c * eta)
+            _certified(k1, k2, v1, v2, m1[ids], m2[ids], c)
+            and np.all(t_eta <= 2.0 * c * eta)
             and np.all(t_eta <= 2.0 * c_rep * eta)
-            and np.all(m1[ids] <= bound1)
-            and np.all(m2[ids] <= bound2)
         ):
             return _result(
                 space, E, v, p, v1, v2, m1, m2,

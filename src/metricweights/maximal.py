@@ -45,6 +45,16 @@ def scatter(space: MetricMeasureSpace, ids: np.ndarray, values: np.ndarray) -> n
     return full
 
 
+def _mu_weighted(space: MetricMeasureSpace, ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """scatter(space, ids, values) * space.mu, the one place an integrand f * mu is
+    formed; ExponentRange, with no RuntimeWarning, for a product that is not finite."""
+    with np.errstate(all="ignore"):
+        out = scatter(space, ids, values) * space.mu
+    if not np.isfinite(out).all():
+        raise ExponentRange("a value times its point's mass leaves float range")
+    return out
+
+
 def maximal_fn(
     space: MetricMeasureSpace,
     f: np.ndarray,
@@ -72,8 +82,7 @@ def maximal_fn(
         raise InvalidParameter("f must not contain NaN")
     if radius_cap is not None and not radius_cap > 0:
         raise InvalidParameter("radius_cap must be positive")
-    return _sweep(space.canonical, scatter(space, ids, np.abs(f)) * space.mu, np.zeros(space.n),
-                  radius_cap)
+    return _sweep(space.canonical, _mu_weighted(space, ids, np.abs(f)), np.zeros(space.n), radius_cap)
 
 
 def _sweep(balls: CanonicalBallSet, fx_mu: np.ndarray, out: np.ndarray,
@@ -81,9 +90,11 @@ def _sweep(balls: CanonicalBallSet, fx_mu: np.ndarray, out: np.ndarray,
     """The largest average of fx_mu (|f| * mu on X) over the balls of balls
     that hold each of its columns, written into out (one zero per column).
     balls is space.canonical, whose columns are X, or its view on some
-    columns (CanonicalBallSet.columns); only the former has the radii a cap reads."""
+    columns (CanonicalBallSet.columns); only the former has the radii a cap reads.
+    ExponentRange, with no RuntimeWarning, when an average is not finite."""
     for block in balls:
-        avg = block.prefix_sums(fx_mu) / block.mu_prefix
+        with np.errstate(over="ignore"):  # a sum past max float is checked below
+            avg = block.prefix_sums(fx_mu) / block.mu_prefix
         if radius_cap is not None:
             avg[block.values >= radius_cap] = 0.0
         # Row i of table holds center i's averages, last prefix first, after
@@ -97,6 +108,8 @@ def _sweep(balls: CanonicalBallSet, fx_mu: np.ndarray, out: np.ndarray,
         # a flat index into table lies below b * n, so in point_prefix's type
         at = last.astype(block.point_prefix.dtype)[:, None] - block.point_prefix
         np.maximum(out, np.take(table, at).max(axis=0), out=out)
+    if not np.isfinite(out).all():
+        raise ExponentRange("a ball average of |f| leaves float range")
     return out
 
 
@@ -133,7 +146,7 @@ def coifman_rochberg_weight(
         if not np.all((0 < g) & (g < np.inf)):
             raise NonpositiveG("g must be strictly positive and finite")
 
-    mf = maximal_fn(space, f, E=None)
-    w = g * mf**eps
+    with np.errstate(over="ignore"):  # the A1 characteristic refuses a w of inf
+        w = g * maximal_fn(space, f, E=None) ** eps
     a1 = ap_tilde_characteristic(space, None, w, 1.0).value
     return w, a1

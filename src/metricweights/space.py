@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, SizeOverflow
+from .errors import ExponentRange, InvalidParameter, SizeOverflow
 
 # Dense structures (distance matrix, cached ball prefixes) refuse to build
 # beyond this many points; coordinate-backed row queries have no such limit.
@@ -257,9 +257,7 @@ class CanonicalBallSet:
         no id. So the maximal sweep (maximal._sweep) over the view gives
         maximal_fn's values at ids bit for bit, from about len(ids) / n of
         the cells: a kept ball's sum leaves out only the +0.0 terms off ids.
-        (That holds while no ball's sum and mass both overflow: inf / inf is
-        NaN.) All of X is the cache itself. The view supports that sweep and
-        nothing else.
+        All of X is the cache itself. The view supports that sweep and nothing else.
         """
         n = self._blocks[0].order.shape[1]
         if ids.size == n:
@@ -284,6 +282,7 @@ class CanonicalBallSet:
     def sup(
         self,
         values: Callable[[_CenterBlock], np.ndarray],
+        message: str,
         domain_mask: np.ndarray | None = None,
     ) -> tuple[float, tuple[int, int]]:
         """Supremum of a ball functional over the canonical balls, with its witness.
@@ -291,16 +290,18 @@ class CanonicalBallSet:
         values(block) gives one value per ball of a block of centers, in center
         then prefix order; -inf marks a ball out of scope. With a domain mask
         only balls with no point outside D take part, which leaves out every
-        center outside D. Centers are visited in id order, the first maximum
-        wins, and a center with a NaN ball takes no part. Returns (value,
+        center outside D. values runs with numpy's float warnings off, and a
+        ball in scope whose value is +inf or NaN is an ExponentRange(message).
+        Centers are visited in id order, the first maximum wins. Returns (value,
         (center, prefix)), or (-inf, (-1, -1)) when no ball is in scope.
         """
-        return self.sups(lambda block: values(block)[None], 1, domain_mask)[0]
+        return self.sups(lambda block: values(block)[None], 1, message, domain_mask)[0]
 
     def sups(
         self,
         values: Callable[[_CenterBlock], np.ndarray],
         count: int,
+        message: str,
         domain_mask: np.ndarray | None = None,
     ) -> list[tuple[float, tuple[int, int]]]:
         """sup of count ball functionals in one pass over the blocks: values(block)
@@ -309,16 +310,15 @@ class CanonicalBallSet:
         found = [(-np.inf, (-1, -1))] * count
         for block in self:
             starts = block.starts
-            if domain_mask is not None:
-                if not domain_mask[block.c0:block.c0 + starts.size - 1].any():
-                    continue
-                # A block's centers outside D may divide 0 by 0; those balls drop out.
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    vals = np.where(block.prefix_sums(outside) == 0, values(block), -np.inf)
-            else:
+            if domain_mask is not None and not domain_mask[block.c0:block.c0 + starts.size - 1].any():
+                continue
+            with np.errstate(all="ignore"):
                 vals = values(block)
+            if domain_mask is not None:
+                vals = np.where(block.prefix_sums(outside) == 0, vals, -np.inf)
+            if not (vals < np.inf).all():
+                raise ExponentRange(message)
             maxima = np.maximum.reduceat(vals, starts[:-1], axis=1)
-            maxima[np.isnan(maxima)] = -np.inf
             for r, i in enumerate(np.argmax(maxima, axis=1).tolist()):
                 if maxima[r, i] > found[r][0]:
                     k = int(np.argmax(vals[r, starts[i]:starts[i + 1]]))
@@ -353,6 +353,9 @@ class MetricMeasureSpace:
         if self.mu.ndim != 1 or self.mu.shape[0] == 0:
             raise ValueError("mu must be a nonempty 1-d array")
         self.n = int(self.mu.shape[0])
+        with np.errstate(all="ignore"):  # a NaN or inf mass makes the total one too
+            if not np.isfinite(self.mu.sum()):
+                raise InvalidParameter("masses and their total must be finite")
         if (dist is None) == (coords is None):
             raise ValueError("need exactly one of a distance matrix and coordinates")
         self._dist = None
@@ -542,7 +545,8 @@ class MetricMeasureSpace:
         integral: a ball adds its members one at a time in that order, as the
         canonical prefix sums do, so its mu sum is its mu_prefix bit for bit. The
         balls are summed in padded blocks of at most BALL_QUERY_BLOCK balls and,
-        unless one ball is wider, CANONICAL_BLOCK_CELLS entries, as the cache's."""
+        unless one ball is wider, CANONICAL_BLOCK_CELLS entries, as the cache's;
+        ExponentRange, with no RuntimeWarning, for a sum that is not finite."""
         values = np.asarray(values, dtype=float)
         sizes = np.diff(offsets)
         out = np.empty(sizes.size)
@@ -553,8 +557,11 @@ class MetricMeasureSpace:
             counts, first = sizes[block], offsets[:-1][block, None]
             # A row pads with its ball's last member, past the column read.
             order = members[np.minimum(first + np.arange(int(counts.max())), first + counts[:, None] - 1)]
-            out[block] = _prefix_sums(values, order, np.arange(counts.size) * order.shape[1] + counts - 1)
+            with np.errstate(all="ignore"):
+                out[block] = _prefix_sums(values, order, np.arange(counts.size) * order.shape[1] + counts - 1)
             start += counts.size
+        if not np.isfinite(out).all():
+            raise ExponentRange("a ball's sum leaves float range")
         return out
 
     def _block_members(self, centers: np.ndarray, radii: np.ndarray):
@@ -863,5 +870,5 @@ def doubling_constant(space: MetricMeasureSpace, workers: int = 1) -> float:
             out[s:e - 1] = m[np.searchsorted(v, 2.0 * v[1:], side="left") - 1] / m[:-1]
         return out
 
-    value, _ = space.canonical.sup(ratios)
+    value, _ = space.canonical.sup(ratios, "a ball's doubling ratio leaves float range")
     return value

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import InvalidParameter, PreconditionFail
 from .extension import wolff_extend
+from .maximal import _mu_weighted
 from .space import MetricMeasureSpace, build_grid_space
 from .weights import ap_tilde_characteristic, power_weight
 from .whitney import (
@@ -283,7 +284,7 @@ def _whitney_like_band(space, domain, w_on_x) -> dict:
         ranked = near[np.lexsort((near, domain.boundary_dist[near]))]
         partners[k] = ranked[0], ranked[-1]
 
-    w_mu = w_on_x * space.mu * domain.mask
+    w_mu = _mu_weighted(space, domain.ids, w_on_x[domain.ids])
 
     def integrals(points: np.ndarray) -> np.ndarray:
         """w mu over B(x, delta(x)/t) for each point x and each t of HOLD2_T_RANGE."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededAtZero, ExponentRange, InvalidParameter, NonpositiveWeight
-from .maximal import as_subset, scatter
+from .maximal import _mu_weighted, as_subset
 from .space import MetricMeasureSpace, _distances
 
 
@@ -76,25 +76,22 @@ def _power(w: np.ndarray, exponent: float, name: str, where: str, zero_ok: bool 
 
 
 def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
-    """The ball functional of ap_tilde_characteristic, as values for sup.
+    """The ball functional of ap_tilde_characteristic, as values for sup, and its range message.
 
     At p = 1 a ball that misses E is out of scope (-inf): it is the one
     kind of ball whose minimum over B cap E is still infinite. At p > 1 a
     dual weight w^{-1/(p-1)} that overflows is an ExponentRange; one that
-    underflows to 0 takes part as 0. A ball whose value is +inf or NaN is an
-    ExponentRange, with no RuntimeWarning; with a domain, sup computes the
-    values of every ball of a block that holds a center in the domain, those
-    that leave it included.
+    underflows to 0 takes part as 0.
     """
     if not p >= 1:
         raise ExponentRange("p must be >= 1")
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
-    w_mu = scatter(space, ids, w) * space.mu
+    w_mu = _mu_weighted(space, ids, w)
     if p > 1:
         sigma = _power(w, -1.0 / (p - 1.0), "the dual weight w ** (-1/(p-1))", f"p = {p}",
                        zero_ok=True)
-        sig_mu = scatter(space, ids, sigma) * space.mu
+        sig_mu = _mu_weighted(space, ids, sigma)
 
         def values(data) -> np.ndarray:
             return (data.prefix_sums(w_mu) / data.mu_prefix) * (
@@ -109,14 +106,7 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
             avg = data.prefix_sums(w_mu) / data.mu_prefix
             return np.where(mins < np.inf, avg / mins, -np.inf)
 
-    def in_range(data) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = values(data)
-        if not (out < np.inf).all():
-            raise ExponentRange(f"a ball's A_p functional leaves float range at p = {p}")
-        return out
-
-    return in_range
+    return values, f"a ball's A_p functional leaves float range at p = {p}"
 
 
 def _characteristic(found, p: float, scope: str) -> CharacteristicReport:
@@ -140,7 +130,7 @@ def ap_tilde_characteristic(
     average divided by min over B cap E of w, skipping empty intersections.
     w is given on E (sorted-id alignment); E = None means all of X.
     """
-    return _characteristic(space.canonical.sup(_ap_functional(space, E, w, p)), p, "tilde")
+    return _characteristic(space.canonical.sup(*_ap_functional(space, E, w, p)), p, "tilde")
 
 
 def ap_domain_characteristic(
@@ -158,9 +148,9 @@ def ap_domain_characteristic(
     A ball inside D has B cap D = B, so this is the subset-induced
     functional of D restricted to those balls.
     """
-    values = _ap_functional(space, D, w, p)
+    values, message = _ap_functional(space, D, w, p)
     _, mask = as_subset(space, D)
-    return _characteristic(space.canonical.sup(values, mask), p, "domain")
+    return _characteristic(space.canonical.sup(values, message, mask), p, "domain")
 
 
 def reverse_holder_constant(
@@ -175,31 +165,23 @@ def reverse_holder_constant(
     Scope is every canonical ball when domain is None (w on X), otherwise
     only balls entirely contained in the domain (w on the domain ids).
     Always >= 1 by the power mean inequality. ExponentRange unless delta is
-    positive and finite and every w^{1+delta}, and every ball's sum of it and
-    of w (times mu), is a finite float.
+    positive and finite and w^{1+delta} (0 if it underflows) and every ball sum is finite.
     """
     if not 0 < delta < np.inf:
         raise ExponentRange("delta must be positive and finite")
     ids, mask = as_subset(space, domain)
     w = _check_weight(w, ids.size)
-    with np.errstate(over="ignore"):
-        whi = w ** (1.0 + delta)
-        w_mu = scatter(space, ids, w) * space.mu
-        whi_mu = scatter(space, ids, whi) * space.mu
-    if not np.isfinite(whi).all():
-        raise ExponentRange("w ** (1 + delta) overflows; take a smaller delta")
+    w_mu = _mu_weighted(space, ids, w)
+    whi_mu = _mu_weighted(space, ids, _power(w, 1.0 + delta, "w ** (1 + delta)",
+                                             f"delta = {delta}", zero_ok=True))
     inv = 1.0 / (1.0 + delta)
 
     def values(data) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            high, low = data.prefix_sums(whi_mu), data.prefix_sums(w_mu)
-        # Terms of inf (w or w ** (1 + delta) times mu) overflow the sums too.
-        if not (np.isfinite(high).all() and np.isfinite(low).all()):
-            raise ExponentRange("a ball's sum of w ** (1 + delta) or of w overflows")
-        return (high / data.mu_prefix) ** inv / (low / data.mu_prefix)
+        return (data.prefix_sums(whi_mu) / data.mu_prefix) ** inv / (
+            data.prefix_sums(w_mu) / data.mu_prefix)
 
-    value, _ = space.canonical.sup(values, None if domain is None else mask)
-    return value
+    return space.canonical.sup(values, "a ball's sum of w ** (1 + delta) or of w overflows",
+                               None if domain is None else mask)[0]
 
 
 @dataclass(frozen=True)
@@ -266,7 +248,7 @@ def power_weight(
 
     Points whose coordinate norm is exactly zero get (h/2)^exponent where h
     is the resolution, keeping the weight finite and positive for negative
-    exponents and zero-free for positive ones.
+    exponents and zero-free for positive ones; ExponentRange if one over- or underflows.
     """
     if space.coords is None:
         raise ValueError("power weights need a coordinate-backed space")
@@ -274,7 +256,7 @@ def power_weight(
     r = _distances(points, np.zeros(points.shape[1]))
     half = 0.5 * space.min_positive_distance()
     r = np.where(r == 0.0, half, r)
-    return r**exponent
+    return _power(r, exponent, "the power weight |x| ** exponent", f"exponent = {exponent}")
 
 
 def holder_average_bound_margin(
@@ -300,14 +282,14 @@ def holder_average_bound_margin(
     if g.shape != ids.shape:
         raise ValueError("g length does not match subset size")
 
-    v_mu = scatter(space, ids, v) * space.mu
-    g_mu = scatter(space, ids, g) * space.mu
-    gqv_mu = scatter(space, ids, g**q * v) * space.mu
+    v_mu, g_mu = _mu_weighted(space, ids, v), _mu_weighted(space, ids, g)
+    with np.errstate(over="ignore"):  # _mu_weighted refuses a product of inf
+        gqv_mu = _mu_weighted(space, ids, g**q * v)
 
     def ratios(data) -> np.ndarray:
         lhs = data.prefix_sums(v_mu) * (data.prefix_sums(g_mu) / data.mu_prefix) ** q
         rhs = data.prefix_sums(gqv_mu)
         return np.divide(lhs, rhs, out=np.full_like(lhs, -np.inf), where=rhs > 0)
 
-    worst, _ = space.canonical.sup(ratios)
+    worst, _ = space.canonical.sup(ratios, f"a ball's Holder ratio leaves float range at q = {q}")
     return max(0.0, worst)

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionFail,
     Unreachable,
 )
-from .maximal import as_subset, scatter
+from .maximal import _mu_weighted, as_subset, scatter
 from .space import BALL_QUERY_BLOCK, Ball, MetricMeasureSpace, REL_TOL, _symmetric_csr, point_ids
 
 # Rows of the ball-ball overlap product built at once by _intersection_edges.
@@ -130,7 +130,7 @@ class WhitneyCover:
         space = self.domain.space
         if np.shape(values_on_x) != (space.n,):
             raise ValueError("values_on_x must be defined on all of X")
-        v_mu = values_on_x * space.mu
+        v_mu = _mu_weighted(space, np.arange(space.n), values_on_x)
         return space.ball_sums(v_mu, self.members, self.offsets) / self.mu_balls
 
 

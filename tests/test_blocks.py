@@ -21,6 +21,7 @@ from metricweights import (
     reverse_holder_constant,
     space_from_matrix,
 )
+from metricweights.errors import ExponentRange
 from metricweights.space import MetricMeasureSpace
 from metricweights import space as space_mod
 from metricweights.maximal import _sweep, scatter
@@ -153,25 +154,34 @@ def test_equal_maxima_in_two_blocks_go_to_the_first_center(blocks, size):
     cb = space.canonical
     # blocks of 7 centers put 70 and 129 in different blocks
     plants = [(129, 2, 5.0), (70, 3, 5.0), (100, 1, 4.0)]
-    assert cb.sup(_planted(plants)) == (5.0, (70, 3))
+    assert cb.sup(_planted(plants), "planted") == (5.0, (70, 3))
     domain = np.ones(space.n, dtype=bool)
     domain[[69, 70, 71, 72]] = False  # every ball of 70 leaves the domain
-    assert cb.sup(_planted(plants), domain) == (5.0, (129, 2))
+    assert cb.sup(_planted(plants), "planted", domain) == (5.0, (129, 2))
     # a block whose first center (98 in blocks of 7) is outside D still counts
     domain = np.ones(space.n, dtype=bool)
     domain[[64, 70, 98]] = False
-    assert cb.sup(_planted([(100, 1, 5.0), (129, 2, 5.0), (70, 3, 6.0)]), domain) == (
+    assert cb.sup(_planted([(100, 1, 5.0), (129, 2, 5.0), (70, 3, 6.0)]), "planted", domain) == (
         5.0, (100, 1)
     )
-    # a center with a NaN ball takes no part, as its argmax is the NaN
-    assert cb.sup(_planted(plants + [(65, 0, np.nan), (65, 1, 9.0)])) == (5.0, (70, 3))
+    # A ball in scope whose value is NaN or +inf is a range fault (a center
+    # with a NaN ball took no part); a ball that leaves D is out of scope first.
+    for bad in (np.nan, np.inf):
+        faulty = _planted(plants + [(65, 0, bad), (65, 1, 9.0)])
+        with pytest.raises(ExponentRange, match="^planted$"):
+            cb.sup(faulty, "planted")
+        outside_65 = np.arange(space.n) != 65
+        assert cb.sup(faulty, "planted", outside_65) == (5.0, (70, 3))
     nothing = np.zeros(space.n, dtype=bool)
-    assert cb.sup(_planted(plants), nothing) == (-np.inf, (-1, -1))
+    assert cb.sup(_planted(plants), "planted", nothing) == (-np.inf, (-1, -1))
     # sups answers each of several rows in one pass as sup does
-    rows = [_planted(plants), _planted(plants + [(65, 0, np.nan), (65, 1, 9.0)]), _planted([])]
+    rows = [_planted(plants), _planted(plants + [(65, 1, 9.0)]), _planted([])]
     for mask in (None, domain, nothing):
-        got = cb.sups(lambda block: np.stack([f(block) for f in rows]), len(rows), mask)
-        assert got == [cb.sup(f, mask) for f in rows]
+        got = cb.sups(lambda block: np.stack([f(block) for f in rows]), len(rows), "planted", mask)
+        assert got == [cb.sup(f, "planted", mask) for f in rows]
+    rows[2] = _planted([(3, 1, np.nan)])
+    with pytest.raises(ExponentRange, match="^planted$"):
+        cb.sups(lambda block: np.stack([f(block) for f in rows]), len(rows), "planted")
 
 
 @pytest.mark.parametrize("size", [None, 7])

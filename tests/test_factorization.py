@@ -28,11 +28,7 @@ def _recovered_base_bound(fact):
 
 def _check_certificates(space, E, v, fact):
     ids, _ = as_subset(space, E)
-    if fact.p > 1:
-        k1, k2 = fact.bounds()
-    else:
-        # the trivial branch certifies through the A1 characteristics alone
-        k1, k2 = fact.a1_char_v1, fact.a1_char_v2
+    k1, k2 = fact.bounds()
     # the maximal functions handed to the extension are the ones a fresh sweep gives
     np.testing.assert_array_equal(fact.m_v1, maximal_fn(space, fact.v1, E))
     np.testing.assert_array_equal(fact.m_v2, maximal_fn(space, fact.v2, E))
@@ -117,12 +113,39 @@ def test_p_equal_one_is_trivial(line11, rng):
     v = oracles.random_weight(rng, line11.n)
     fact = jones_factorize(line11, None, v, 1.0)
     assert fact.branch == "p=1"
-    assert fact.c == 1.0
+    # 2c is the largest m_E v_i / v_i, which the A1 characteristic of v1
+    # bounds (it was c = 1, whatever v), and both bounds hold exactly
+    two_c = np.max(fact.m_v1 / v)
+    assert two_c <= 2.0 * fact.c <= two_c * (1.0 + 1e-15)
+    assert fact.bounds() == (2.0 * fact.c, 2.0 * fact.c)
+    assert 2.0 * fact.c <= fact.a1_char_v1 * (1.0 + 1e-15)
+    assert np.all(fact.m_v1 <= 2.0 * fact.c * fact.v1)
+    assert np.all(fact.m_v2 <= 2.0 * fact.c * fact.v2)
     assert fact.residual == 0.0
     np.testing.assert_array_equal(fact.v1, v)
     np.testing.assert_array_equal(fact.v2, 1.0)
     assert fact.a1_char_v2 == pytest.approx(1.0, rel=1e-14)
     _check_certificates(line11, None, v, fact)
+
+
+def test_p_equal_one_reports_the_bounds_that_hold():
+    # m_E v1 / v1 reaches 50.5 at the point beside the peak; c = 1 reported 2
+    fact = jones_factorize(interval_space(2), None, np.array([1.0, 100.0, 1.0, 1.0, 1.0]), 1.0)
+    assert (fact.c, fact.bounds(), fact.a1_char_v1) == (25.25, (50.5, 50.5), 50.5)
+    assert np.max(fact.m_v1 / fact.v1) == 50.5
+
+
+def test_p_equal_one_raises_c_by_ulps_until_the_certificates_hold():
+    # here the largest m_E v / v, times v, rounds below m_E v at some point
+    space = interval_space(2)
+    v = np.array([1.133976204153072, 0.8762491038964166, 1.8972825972005432,
+                  1.1105996749581577, 0.5852773900190299])
+    m = maximal_fn(space, v)
+    ratio = np.max(m / v)
+    assert not np.all(m <= ratio * v)
+    fact = jones_factorize(space, None, v, 1.0)
+    assert 2.0 * fact.c == np.nextafter(ratio, np.inf)
+    assert np.all(fact.m_v1 <= 2.0 * fact.c * fact.v1)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

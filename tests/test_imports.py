@@ -393,3 +393,59 @@ def test_derived_state_is_kept_in_cached_properties(module):
     # One way to keep a derived value: functools.cached_property, built on
     # first read, not a None sentinel tested and filled by hand.
     assert _hand_rolled_memos(module.read_text()) == []
+
+
+def _mu_products(source: str) -> list[str]:
+    """The innermost function around each product with a .mu attribute (or
+    an item of it) in a module, by *, *= or a multiply call, in line order;
+    "<module>" for one outside every function."""
+    tree = ast.parse(source)
+    around = {}
+    for node in ast.walk(tree):  # breadth first, so inner functions win
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            around.update(dict.fromkeys(ast.walk(node), node.name))
+
+    def is_mu(node):
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return isinstance(node, ast.Attribute) and node.attr == "mu"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = [node.target, node.value]
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)) == "multiply":
+            operands = node.args
+        else:
+            continue
+        if any(map(is_mu, operands)):
+            found.append((node.lineno, f"{around.get(node, '<module>')} (line {node.lineno})"))
+    return [name for _, name in sorted(found)]
+
+
+def test_the_checker_finds_products_with_mu():
+    source = (
+        "def a(space, f):\n"
+        "    return f * space.mu\n"
+        "def b(self, space, f, ids):\n"
+        "    out = space.mu[ids] * f\n"
+        "    out *= self.mu\n"
+        "    return np.multiply(f, space.mu) + multiply(space.mu, f)\n"
+        "def c(space, m, o, mu):\n"
+        "    return space.ball_sums(space.mu, m, o) / space.mu_balls * mu + space.mu\n"
+        "x = f * s.mu\n"
+    )
+    assert _mu_products(source) == [
+        "a (line 2)", "b (line 4)", "b (line 5)", "b (line 6)", "b (line 6)", "<module> (line 9)",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_only_the_helper_forms_f_times_mu(module):
+    # Every ball integrand f * mu is formed by maximal._mu_weighted, which
+    # refuses a product that is not finite; a product elsewhere could leave
+    # float range unchecked.
+    found = [name.split(" ")[0] for name in _mu_products(module.read_text())]
+    assert found == (["_mu_weighted"] if module.name == "maximal.py" else [])

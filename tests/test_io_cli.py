@@ -636,8 +636,10 @@ def test_cli_factorize_at_p_1_bounds_both_factors_by_2c(capsys, line12):
     rc, out, err = _run(capsys, argv)
     assert (rc, err) == (0, "")
     report = json.loads(out)
-    assert (report["branch"], report["k_max"], report["c"]) == ("p=1", 0, 1.0)
-    assert report["bound_v1"] == report["bound_v2"] == 2.0 * report["c"]
+    # w rises from 1 to 2 along the line, so m_E w / w peaks at the first
+    # point, at the mean 1.5 (c read 1.0 for every weight)
+    assert (report["branch"], report["k_max"], report["c"]) == ("p=1", 0, 0.75)
+    assert report["bound_v1"] == report["bound_v2"] == 2.0 * report["c"] <= report["a1_char_v1"]
 
 
 def test_cli_characteristic_refuses_both_a_subset_and_a_domain(capsys, line12):

@@ -44,8 +44,13 @@ _PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
     dict(mu=np.ones(3), dist=[[0, 1, 5], [1, 0, 1], [5, 1, 0]], coords=[[0], [1], [2]]),
     dict(mu=np.ones(3), dist=_PATH3, edges=[(0, 1, np.nan), (1, 2, 1.0)]),
     dict(mu=np.ones(3), dist=_PATH3, edges=[(0, 1, np.inf), (1, 2, 1.0)]),
+    # validate_space read ok: true, and doubling_constant -inf (NaN) or a warning (inf)
+    dict(mu=[1.0, np.nan, 1.0], dist=_PATH3),
+    dict(mu=[1.0, np.inf, 1.0], coords=[[0], [1], [2]]),
+    dict(mu=[1e308, 1e308, 1e308], coords=[[0], [1], [2]]),
 ], ids=["empty_mu", "no_metric", "matrix_shape", "coords_rows", "coords_1d",
-        "coords_no_columns", "edge_pairs", "matrix_and_coords", "edge_nan", "edge_inf"])
+        "coords_no_columns", "edge_pairs", "matrix_and_coords", "edge_nan", "edge_inf",
+        "mass_nan", "mass_inf", "mass_total"])
 def test_constructor_rejects_malformed_shapes(kwargs):
     with pytest.raises(ValueError):
         MetricMeasureSpace(**kwargs)
