@@ -19,8 +19,8 @@ the largest m_E v_i / v_i on E, raised by ulps until the certificates hold.
 
 The growth constant c is estimated from norm ratios of the first 8 iterates.
 The warm-up reads m_E only at E's points, so it sweeps the canonical cache's
-view on E's columns (CanonicalBallSet.columns), which gives the same bits
-from about |E|/n of the cells.
+view on E's columns (CanonicalBallSet.columns), stored in its sweep's own
+layout, which gives the same bits from about |E|/n of the cells.
 The series is not summed to convergence, since only the certificates are
 needed. By subadditivity and homogeneity the partial sum eta_K of K terms has
 
@@ -36,7 +36,8 @@ bound that overflows, or a bound times its factor, as a doubling only makes
 it larger. Every bound is verified pointwise, a posteriori, in the
 arithmetic the caller re-checks.
 eta is returned scaled to maximum 1; T is positively homogeneous, so the
-scale changes neither the certificates nor v1 * v2^{1-p}.
+scale changes neither the certificates nor v1 * v2^{1-p}. Each factor's A1
+constant, max over E of m_E v_i / v_i, is read off the certified m_E v_i.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 from .errors import ExponentRange, NoConvergence
 from .maximal import _mu_weighted, _sweep, as_subset, maximal_fn
 from .space import MetricMeasureSpace
-from .weights import _check_weight, _power, ap_tilde_characteristic, conjugate_exponent
+from .weights import _check_weight, _power, conjugate_exponent
 
 # Iteration budget all told: the warm-up, which is also the longest partial
 # sum, and the doublings of c.
@@ -81,8 +82,8 @@ class FactorizationResult:
     records which route was taken. eta has maximum 1, and k_max is the
     number of series terms in the partial sum that verified. m_v1 and m_v2
     are m_E v1 and m_E v2 on all of X, the maximal functions the
-    certificates were checked with. residual is the worst relative
-    recomposition error over E.
+    certificates were checked with; a1_char_v_i is max over E of m_v_i / v_i.
+    residual is the worst relative recomposition error over E.
     """
 
     v1: np.ndarray
@@ -131,6 +132,7 @@ def rdf_apply_T(
 
     All functions live on E (sorted-id alignment); the result does too.
     Sublinear, positively homogeneous, and bounded below by 2f for f >= 0.
+    ExponentRange, with no RuntimeWarning, when T f is not finite.
     """
     if not p >= 2:
         raise ExponentRange("the iteration operator needs p >= 2")
@@ -139,7 +141,11 @@ def rdf_apply_T(
     f = np.asarray(f, dtype=float)
     if f.shape != ids.shape or np.any(f < 0):
         raise ValueError("f must be nonnegative and aligned with E")
-    return _rdf_parts(lambda g: maximal_fn(space, g, E), ids, v ** (1.0 / p), p, f)[0]
+    with np.errstate(all="ignore"):  # a T f out of float range is refused below
+        t_f = _rdf_parts(lambda g: maximal_fn(space, g, E), ids, v ** (1.0 / p), p, f)[0]
+    if not np.isfinite(t_f).all():
+        raise ExponentRange("T f leaves float range")
+    return t_f
 
 
 def _certified(k1, k2, v1, v2, m1, m2, c) -> bool:
@@ -156,21 +162,18 @@ def _weighted_norm(values: np.ndarray, mu_e: np.ndarray, q: float) -> float:
     return float(np.sum(values**q * mu_e) ** (1.0 / q))
 
 
-def _result(space, E, v, p, v1, v2, m_v1, m_v2, **run) -> FactorizationResult:
+def _result(ids, v, p, v1, v2, m_v1, m_v2, **run) -> FactorizationResult:
     """The FactorizationResult of v = v1 * v2^{1-p}: its residual and A1
-    characteristics; run holds the fields of the iteration."""
+    characteristics; run holds the fields of the iteration. m_v_i / v_i
+    divides the ball averages ap_tilde_characteristic(v_i, 1) divides, and a
+    rounded quotient is monotone in each operand: the two maxima are equal."""
     residual = float(np.max(np.abs(v1 * v2 ** (1.0 - p) / v - 1.0)))
-    return FactorizationResult(
-        v1=v1,
-        v2=v2,
-        residual=residual,
-        p=float(p),
-        a1_char_v1=ap_tilde_characteristic(space, E, v1, 1.0).value,
-        a1_char_v2=ap_tilde_characteristic(space, E, v2, 1.0).value,
-        m_v1=m_v1,
-        m_v2=m_v2,
-        **run,
-    )
+    with np.errstate(all="ignore"):
+        a1 = [float(np.max(m[ids] / v_i)) for m, v_i in ((m_v1, v1), (m_v2, v2))]
+    if not np.isfinite(a1).all():
+        raise ExponentRange("a ball's A_p functional leaves float range at p = 1.0")
+    return FactorizationResult(v1=v1, v2=v2, residual=residual, p=float(p), a1_char_v1=a1[0],
+                               a1_char_v2=a1[1], m_v1=m_v1, m_v2=m_v2, **run)
 
 
 def jones_factorize(
@@ -201,7 +204,7 @@ def jones_factorize(
             c = 0.5 * max(float(np.max(m1[ids] / v1)), float(np.max(m2[ids])))
         while not _certified(*a1_bounds(c, 1.0), v1, v2, m1[ids], m2[ids], c):
             c = float(np.nextafter(c, np.inf))  # the ratio may round below m / v
-        return _result(space, E, v, 1.0, v1, v2, m1, m2, eta=v2.copy(), c=c, k_max=0,
+        return _result(ids, v, 1.0, v1, v2, m1, m2, eta=v2.copy(), c=c, k_max=0,
                        branch="p=1", base_p=1.0, base_weight=v.copy())
 
     if p >= 2:
@@ -270,7 +273,7 @@ def jones_factorize(
             and np.all(t_eta <= 2.0 * c_rep * eta)
         ):
             return _result(
-                space, E, v, p, v1, v2, m1, m2,
+                ids, v, p, v1, v2, m1, m2,
                 eta=eta, c=c_rep, k_max=k, branch=branch, base_p=q, base_weight=vv,
             )
 

@@ -20,7 +20,6 @@ holds no reference to its space, so a dropped space is freed at once.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -107,8 +106,7 @@ class _CenterBlock:
     point_prefix b x n: for each point y, the smallest k with y in prefix k;
                  the maximal sweep subtracts it from a flat table index
     ends         per ball: flat index into the b x n tables of its last point
-    values       per ball: its distinct distance (0.0 first for each center);
-                 None in a view on some columns (see columns)
+    values       per ball: its distinct distance (0.0 first for each center)
     mu_prefix    per ball: its mu-mass
     starts       each center's first ball in the per-ball arrays, then their size
 
@@ -130,19 +128,21 @@ class _CenterBlock:
     order: np.ndarray
     point_prefix: np.ndarray
     ends: np.ndarray
-    values: np.ndarray | None
+    values: np.ndarray
     mu_prefix: np.ndarray
     starts: np.ndarray
 
     @classmethod
     def build(cls, space: "MetricMeasureSpace", c0: int, c1: int) -> "_CenterBlock":
         rows = space.dist_rows(c0, c1)
-        n = rows.shape[1]
+        b, n = rows.shape
+        # each row's first flat index (below b * n, so in int32)
+        row_at = np.arange(0, b * n, n, dtype=np.int32)[:, None]
         # numpy's default argsort (a SIMD quicksort where the CPU has one)
         # leaves ties in any order; on a 2-D grid's rows it is about 3x
         # faster than the stable sort.
         order = np.argsort(rows, axis=1)
-        sorted_d = np.take_along_axis(rows, order, axis=1)
+        sorted_d = rows.ravel().take(order + row_at)
         change = np.ones(rows.shape, dtype=bool)
         np.not_equal(sorted_d[:, 1:], sorted_d[:, :-1], out=change[:, :-1])
         ends = np.flatnonzero(change)
@@ -165,8 +165,9 @@ class _CenterBlock:
         key.sort(axis=1)
         key &= (1 << bits) - 1
         order = key.astype(PREFIX_DTYPE)
+        key += row_at
         point_prefix = np.empty(rows.shape, dtype=PREFIX_DTYPE)
-        np.put_along_axis(point_prefix, order, prefix, axis=1)
+        np.put(point_prefix, key, prefix)
         mu_prefix = _prefix_sums(space.mu, order, ends)
         starts = np.concatenate(([0], np.cumsum(change.sum(axis=1))))
         # A ball's distance is that of its last point. Equal distances have
@@ -178,29 +179,21 @@ class _CenterBlock:
         values[odd] = rows.ravel()[last - last % n + order.ravel()[last]]
         return cls(c0, order, point_prefix, ends.astype(PREFIX_DTYPE), values, mu_prefix, starts)
 
-    def columns(self, ids: np.ndarray, mask: np.ndarray) -> "_CenterBlock":
-        """This block on the columns ids (mask their indicator); see
-        CanonicalBallSet.columns."""
-        b, m = self.order.shape[0], ids.size
-        order = np.compress(mask.take(self.order).ravel(), self.order).reshape(b, m)
-        # the ball of each id's distance group, numbered across the block
-        # (below b * n, so in PREFIX_DTYPE)
-        ball = self.point_prefix.take(ids, axis=1)
-        ball += self.starts[:-1, None].astype(PREFIX_DTYPE)
-        held = np.bincount(ball.ravel(), minlength=self.mu_prefix.size)
-        kept = np.flatnonzero(held > 0)
-        starts = np.searchsorted(kept, self.starts)
-        number = np.empty(held.size, dtype=PREFIX_DTYPE)
-        number[kept] = np.arange(kept.size, dtype=PREFIX_DTYPE)
-        point_prefix = number.take(ball)
-        point_prefix -= starts[:-1, None].astype(PREFIX_DTYPE)
-        # Every row holds all m ids, so the running count of ids is the flat
-        # index, into the b x m tables, of each kept ball's last id.
-        ends = np.cumsum(held, out=held).take(kept) - 1
-        return _CenterBlock(
-            self.c0, order, point_prefix, ends.astype(PREFIX_DTYPE), None,
-            self.mu_prefix.take(kept), starts,
-        )
+    def columns(self, mask: np.ndarray, col_of: np.ndarray) -> tuple[np.ndarray, ...]:
+        """This block's order, mass and at in the view on the columns where
+        mask holds, col_of giving each such point id its column; see _ColumnView."""
+        b, n = self.order.shape
+        order = np.compress(mask.take(self.order).ravel(), self.order).reshape(b, -1)
+        m = order.shape[1]
+        # each cell's distance group, then the ball of that group
+        group = self.point_prefix.ravel().take(order + np.arange(0, b * n, n)[:, None])
+        mass = self.mu_prefix.take(group + self.starts[:-1, None])
+        # cell (i, k) is flat index i * m + m - 1 - k of the row-reversed table
+        flat = np.arange(0, b * m, m, dtype=PREFIX_DTYPE)[:, None]
+        cell = col_of.take(order) + flat
+        at = np.empty(b * m, dtype=PREFIX_DTYPE)
+        at[cell.ravel()] = (flat + np.arange(m - 1, -1, -1, dtype=PREFIX_DTYPE)).ravel()
+        return order, mass, at.reshape(b, m)
 
     def center(self, i: int) -> "_CenterBlock":
         s, e = self.starts[i:i + 2]
@@ -244,29 +237,21 @@ class CanonicalBallSet:
             for c0 in range(0, space.n, self._rows)
         ]
 
-    def columns(self, ids: np.ndarray) -> "CanonicalBallSet":
+    def columns(self, ids: np.ndarray) -> "CanonicalBallSet | _ColumnView":
         """The view of this cache on the columns ids (sorted point ids), for
-        the maximal function of an f that is 0 off ids, read only at ids.
-
-        No distance is computed. Per block the view keeps ids' points in
-        canonical order (order holds their point ids, point_prefix has one
-        column per id) and only the balls whose last distance group holds one
-        of them, each with its full mu_prefix; it has no values. A dropped
-        ball holds the ids of the ball before it and no more, at no less mass,
-        so its average of such an f is no larger and it raises the maximum at
-        no id. So the maximal sweep (maximal._sweep) over the view gives
-        maximal_fn's values at ids bit for bit, from about len(ids) / n of
-        the cells: a kept ball's sum leaves out only the +0.0 terms off ids.
-        All of X is the cache itself. The view supports that sweep and nothing else.
+        the maximal function of an f that is 0 off ids, read only at ids:
+        a _ColumnView, swept by maximal._sweep, which gives maximal_fn's
+        values at ids bit for bit. No distance is computed. All of X is the
+        cache itself, so E = X adds no table.
         """
         n = self._blocks[0].order.shape[1]
         if ids.size == n:
             return self
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
-        view = copy.copy(self)
-        view._blocks = [block.columns(ids, mask) for block in self]
-        return view
+        col_of = np.zeros(n, dtype=PREFIX_DTYPE)
+        col_of[ids] = np.arange(ids.size)
+        return _ColumnView([block.columns(mask, col_of) for block in self])
 
     def center(self, c: int) -> _CenterBlock:
         return self._blocks[c // self._rows].center(c % self._rows)
@@ -324,6 +309,32 @@ class CanonicalBallSet:
                     k = int(np.argmax(vals[r, starts[i]:starts[i + 1]]))
                     found[r] = float(vals[r, starts[i] + k]), (block.c0 + i, k)
         return found
+
+
+@dataclass(slots=True, eq=False)
+class _ColumnView:
+    """CanonicalBallSet.columns(ids) for ids short of X, in its sweep's layout:
+    per block of b centers, three b x |ids| tables over the cells (i, k), the
+    k-th point of ids in center i's canonical order: order (its point id),
+    mass (the mu of its distance group's ball, the smallest of center i that
+    holds it) and at (per id, the flat index of its cell in the row-reversed
+    table). A row's cumsum of f mu (f >= 0, 0 off ids) is a ball's sum at the
+    ball's last cell and no larger before, so the running maximum from the
+    right of cumsum / mass at a point's cell is its largest ball average.
+    """
+
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def sweep(self, fx_mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The largest average of fx_mu (f mu on X, 0 off ids) over the balls
+        that hold each point of ids, maxed into out (one entry per id)."""
+        for order, mass, at in self.blocks:
+            with np.errstate(over="ignore"):  # maximal._sweep checks out
+                avg = np.cumsum(np.take(fx_mu, order), axis=1)
+                avg /= mass
+            table = np.maximum.accumulate(avg[:, ::-1], axis=1)
+            np.maximum(out, table.take(at).max(axis=0), out=out)
+        return out
 
 
 class MetricMeasureSpace:

@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import dijkstra
 from .errors import (
     Disconnected,
     EmptySubset,
+    ExponentRange,
     InclusionFail,
     InvalidParameter,
     NotProper,
@@ -336,15 +337,16 @@ def chain_weight_ratio(
     """
     averages = cover.ball_averages(scatter(space, domain.ids, w))
     path = chain_path(cover, i, j)
-    steps = tuple(
-        float(averages[a] / averages[b]) for a, b in zip(path[:-1], path[1:])
-    )
+    with np.errstate(all="ignore"):  # a ratio out of float range is refused below
+        ratios = averages[[i] + path[:-1]] / averages[[j] + path[1:]]
+    if not np.isfinite(ratios).all():
+        raise ExponentRange("a ratio of two cover ball averages leaves float range")
     qh = qh_distance(space, domain, int(cover.centers[i]), int(cover.centers[j]))
     return ChainRatioReport(
-        ratio=float(averages[i] / averages[j]),
+        ratio=float(ratios[0]),
         k_tilde=len(path) - 1,
         qh_centers=qh,
-        step_ratios=steps,
+        step_ratios=tuple(ratios[1:].tolist()),
         p=float(p),
     )
 

@@ -397,32 +397,59 @@ def test_the_sweep_on_e_columns_is_maximal_fn_at_e(blocks, name, kind, size):
     want = oracles.naive_maximal(space, scatter(space, ids, f), mask)[ids]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     if ids.size == space.n:
-        assert view is space.canonical
+        assert view is space.canonical  # the cache's own sweep, no table added
+    else:
+        assert isinstance(view, space_mod._ColumnView)
 
 
 @pytest.mark.parametrize("size", [None, 7])
-def test_the_view_keeps_the_balls_whose_last_group_holds_a_point_of_e(blocks, size):
+def test_the_view_holds_each_cells_point_smallest_ball_mass_and_reversed_index(blocks, size):
     space = blocks(build_grid_space(2, 9, 0.5), size)
     ids = np.flatnonzero(np.random.default_rng(3).random(space.n) < 0.4)
     mask = np.zeros(space.n, dtype=bool)
     mask[ids] = True
-    m, cells, kept_balls = ids.size, 0, 0
+    m, cells = ids.size, 0
     view = space.canonical.columns(ids)
-    for full, part in zip(space.canonical, view):
-        assert part.values is None and part.c0 == full.c0
-        assert part.order.dtype == part.point_prefix.dtype == part.ends.dtype == np.int16
-        for i in range(full.order.shape[0]):
-            # E's points in canonical order, and the balls of their distance groups
-            np.testing.assert_array_equal(part.order[i], full.order[i][mask[full.order[i]]])
-            kept = np.unique(full.point_prefix[i, ids])
-            s, e = part.starts[i:i + 2]
-            np.testing.assert_array_equal(part.mu_prefix[s:e], full.mu_prefix[full.starts[i] + kept])
-            np.testing.assert_array_equal(
-                part.point_prefix[i], np.searchsorted(kept, full.point_prefix[i, ids])
-            )
-            # each kept ball ends at its last point of E
-            held = np.count_nonzero(full.point_prefix[i, ids][:, None] <= kept, axis=0)
-            np.testing.assert_array_equal(part.ends[s:e], i * m + held - 1)
-        cells += part.order.size
-        kept_balls += part.ends.size
-    assert cells == space.n * m and kept_balls == view.ball_count() < space.canonical.ball_count()
+    assert len(view.blocks) == len(list(space.canonical))
+    for full, (order, mass, at) in zip(space.canonical, view.blocks):
+        b = full.order.shape[0]
+        assert order.shape == mass.shape == at.shape == (b, m)
+        assert order.dtype == at.dtype == np.int16 and mass.dtype == np.float64
+        for i in range(b):
+            # E's points in canonical order
+            np.testing.assert_array_equal(order[i], full.order[i][mask[full.order[i]]])
+            # each cell's mass is that of its point's distance group's ball,
+            # the smallest ball of the center that holds the point (kept, as
+            # its last group holds the point), summed in canonical order
+            row = space.dist_row(full.c0 + i)
+            sizes = np.count_nonzero(row[None, :] <= row[order[i], None], axis=1)
+            want = np.cumsum(space.mu[full.order[i]])[sizes - 1]
+            assert mass[i].tobytes() == want.tobytes()
+            # column j's index in the row-reversed table is that of its cell
+            k = m - 1 - (at[i] - i * m)
+            np.testing.assert_array_equal(order[i, k], ids)
+        cells += order.size
+    nbytes = sum(table.nbytes for tables in view.blocks for table in tables)
+    assert cells == space.n * m and nbytes == 12 * space.n * m
+
+
+def test_a_cell_mass_one_ulp_low_moves_the_view_sweep():
+    # A planted fault: with f the indicator of a point x of E, m_E f(x) = 1,
+    # the average over the singleton {x}, read at x's own cell of center x's
+    # row; a mass one ulp low there gives mu(x) / mu(x)- > 1.
+    space = build_grid_space(2, 9, 0.5)
+    ids = np.flatnonzero(np.random.default_rng(4).random(space.n) < 0.5)
+    j = ids.size // 2
+    x = int(ids[j])
+    f = (ids == x).astype(float)
+    view = space.canonical.columns(ids)
+    fx_mu = scatter(space, ids, f) * space.mu
+    want = maximal_fn(space, f, ids)[ids]
+    assert _sweep(view, fx_mu, np.zeros(ids.size)).tobytes() == want.tobytes()
+    rows = list(space.canonical)[0].order.shape[0]
+    order, mass, _ = view.blocks[x // rows]
+    cell = x % rows, int(np.flatnonzero(order[x % rows] == x)[0])
+    mass[cell] = np.nextafter(mass[cell], 0.0)
+    got = _sweep(view, fx_mu, np.zeros(ids.size))
+    assert got.tobytes() != want.tobytes()
+    assert got[j] > 1.0 == want[j]

@@ -6,13 +6,17 @@ from metricweights import (
     FactorizationResult,
     MetricMeasureSpace,
     a1_bounds,
+    ap_tilde_characteristic,
     build_grid_space,
     conjugate_exponent,
     jones_factorize,
     maximal_fn,
     rdf_apply_T,
+    space_from_matrix,
+    wolff_extend,
 )
 from metricweights import factorization
+from metricweights import space as space_mod
 from metricweights.errors import ExponentRange, NoConvergence, NonpositiveWeight
 from metricweights.maximal import as_subset
 from metricweights.studies import interval_space
@@ -349,3 +353,58 @@ def test_a_nan_weight_is_an_input_error(line11):
             jones_factorize(line11, None, v, p)
     with pytest.raises(NonpositiveWeight):
         rdf_apply_T(line11, None, v, 2.0, ones)
+
+
+def _a1_spaces():
+    """A line, a 2-D grid and a 3-D cloud, each on coordinates and as a matrix."""
+    rng = np.random.default_rng(20261021)
+    cloud = MetricMeasureSpace(mu=rng.lognormal(sigma=0.5, size=40),
+                               coords=rng.uniform(size=(40, 3)))
+    spaces = []
+    for space in (interval_space(12), build_grid_space(2, 6, 0.5), cloud):
+        spaces += [space, space_from_matrix(space.dist_matrix(), space.mu)]
+    return spaces
+
+
+A1_SPACES = _a1_spaces()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["random", "one point", "X"])
+def test_the_a1_characteristics_are_the_tilde_characteristics_bit_for_bit(p, kind):
+    # a1_char_v_i is read off m_v_i, the certified maximal function; it is
+    # ap_tilde_characteristic(v_i, 1), which scans every ball again
+    for s, space in enumerate(A1_SPACES):
+        rng = np.random.default_rng(100 * s + int(10 * p) + len(kind))
+        if kind == "random":
+            mask = rng.random(space.n) < 0.5
+            mask[rng.integers(space.n)] = True
+        elif kind == "one point":
+            mask = np.arange(space.n) == space.n // 3
+        else:
+            mask = np.ones(space.n, dtype=bool)
+        fact = jones_factorize(space, mask, 10.0 ** rng.uniform(-3.0, 3.0, mask.sum()), p)
+        for got, v in ((fact.a1_char_v1, fact.v1), (fact.a1_char_v2, fact.v2)):
+            want = ap_tilde_characteristic(space, mask, v, 1.0).value
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (s, got, want)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_a_factorization_scans_no_ball_functional_and_an_extension_one(monkeypatch, p):
+    # the A1 constants come from the certificates' sweeps; the extension
+    # scans once, for W's characteristic
+    space = interval_space(16)
+    e_ids = np.arange(0, space.n, 2)
+    w = 10.0 ** np.random.default_rng(5).uniform(-1.0, 1.0, e_ids.size)
+    calls = []
+    sups = space_mod.CanonicalBallSet.sups
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return sups(*args, **kwargs)
+
+    monkeypatch.setattr(space_mod.CanonicalBallSet, "sups", counted)
+    jones_factorize(space, e_ids, w, p)
+    assert calls == []
+    wolff_extend(space, e_ids, w, p, eps=0.5)
+    assert len(calls) == 1

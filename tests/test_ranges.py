@@ -11,12 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from metricweights import (
     MetricMeasureSpace,
     ap_domain_characteristic,
     ap_tilde_characteristic,
     build_grid_space,
+    chain_weight_ratio,
     check_extension_condition,
     cli,
     coifman_rochberg_weight,
@@ -25,6 +27,7 @@ from metricweights import (
     jones_factorize,
     make_domain,
     maximal_fn,
+    rdf_apply_T,
     restrict_weight_report,
     reverse_holder_constant,
     self_improve_epsilon,
@@ -32,6 +35,7 @@ from metricweights import (
     wolff_extend,
 )
 from metricweights.errors import ExponentRange, MetricWeightsError
+from metricweights.studies import square_domain
 from metricweights.weights import holder_average_bound_margin, power_weight
 
 P_VALUES = (1.0, 1.01, 1.5, 2.0, 3.0, 12.0, 60.0)
@@ -87,7 +91,24 @@ ENTRY_POINTS = {
     "power_weight": lambda c: power_weight(c["space"], -5.0 * c["p"]),
     "WhitneyCover.ball_averages": lambda c: whitney_cover(
         c["space"], make_domain(c["space"], c["E"])).ball_averages(c["w"]),
+    "rdf_apply_T": lambda c: rdf_apply_T(
+        c["space"], c["E"], c["w"][c["ids"]], max(c["p"], 2.0), c["g"][c["ids"]]),
+    "chain_weight_ratio": lambda c: _chain_ratio(c),
 }
+
+
+def _farthest_ball(cover) -> int:
+    """The cover ball the most chain steps from ball 0 (0 when it has no neighbour)."""
+    steps = dijkstra(cover.adjacency, unweighted=True, indices=0)
+    return int(np.argmax(np.where(np.isfinite(steps), steps, -1.0)))
+
+
+def _chain_ratio(c):
+    """chain_weight_ratio from the first ball of E's Whitney cover to the farthest it reaches."""
+    domain = make_domain(c["space"], c["E"])
+    cover = whitney_cover(c["space"], domain)
+    return chain_weight_ratio(c["space"], domain, c["w"][c["ids"]], c["p"], cover,
+                              0, _farthest_ball(cover))
 
 
 def _numbers(value) -> list[float]:
@@ -165,7 +186,24 @@ RANGE_FAULTS = {
     "doubling": (lambda: doubling_constant(MetricMeasureSpace(
         mu=[1e-320, 1e300], coords=[[0.0], [1.0]])), "doubling ratio"),
     "power_weight": (lambda: power_weight(_line(9, 1e-3), -300.0), "power weight"),
+    # at p = 2 and v = 1, T f = 2 m(f), which is 2e308 where f is 1e308
+    "rdf_apply_T": (lambda: rdf_apply_T(_line(9), None, np.ones(9), 2.0,
+                                        np.array([1e308] + [1.0] * 8)), "T f"),
+    "chain_weight_ratio": (lambda: _far_chain_ratio(), "ratio of two cover ball averages"),
 }
+
+
+def _far_chain_ratio():
+    """1e300 on one cover ball of the square's domain and 1e-300 on another
+    of its chain component, two steps away, which shares no point with it."""
+    space, domain = square_domain(12)
+    cover = whitney_cover(space, domain)
+    j = _farthest_ball(cover)
+    assert j != 0 and cover.adjacency[0, j] == 0
+    w = np.ones(space.n)
+    w[cover.members[cover.offsets[0]:cover.offsets[1]]] = 1e300
+    w[cover.members[cover.offsets[j]:cover.offsets[j + 1]]] = 1e-300
+    return chain_weight_ratio(space, domain, w[domain.ids], 2.0, cover, 0, j)
 
 
 @pytest.mark.parametrize("call, message", RANGE_FAULTS.values(), ids=RANGE_FAULTS.keys())
