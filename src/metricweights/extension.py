@@ -33,6 +33,7 @@ from .weights import (
     ConditionReport,
     _ap_functional,
     _characteristic,
+    _check_exponent,
     _check_weight,
     _eps_table,
     _power,
@@ -76,8 +77,7 @@ def wolff_extend(
 ) -> ExtensionReport:
     """Extend w (on E, exponent p >= 1, finite margin eps > 0) to a global
     weight; ExponentRange when w^{1+eps/2} leaves float range."""
-    if not p >= 1:
-        raise ExponentRange("p must be >= 1")
+    _check_exponent(p)
     if not 0 < eps < np.inf:
         raise ExponentRange("eps must be positive and finite")
     ids, _ = as_subset(space, E)
@@ -120,8 +120,7 @@ def check_extension_condition(
     workers: int = 1,
 ) -> ConditionReport:
     """Tabulate the subset-induced characteristic of w^{1+eps} over the grid."""
-    if not p >= 1:
-        raise ExponentRange("p must be >= 1")
+    _check_exponent(p)
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
     return _eps_table(
@@ -164,10 +163,9 @@ def restrict_weight_report(
     the worst ratio (at most 1 up to roundoff) and both characteristics.
     ExponentRange when W^{1+eps} leaves float range.
     """
-    if not p >= 1:
-        raise ExponentRange("p must be >= 1")
-    if not eps >= 0:
-        raise ExponentRange("eps must be >= 0")
+    _check_exponent(p)
+    if not 0 <= eps < np.inf:
+        raise ExponentRange("eps must be nonnegative and finite")
     ids, _ = as_subset(space, E)
     W = _check_weight(W, space.n)
 

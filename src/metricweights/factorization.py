@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ExponentRange, NoConvergence
 from .maximal import _mu_weighted, _sweep, as_subset, maximal_fn
 from .space import MetricMeasureSpace
-from .weights import _check_weight, _power, conjugate_exponent
+from .weights import _check_exponent, _check_weight, _power, conjugate_exponent
 
 # Iteration budget all told: the warm-up, which is also the longest partial
 # sum, and the doublings of c.
@@ -134,8 +134,7 @@ def rdf_apply_T(
     Sublinear, positively homogeneous, and bounded below by 2f for f >= 0.
     ExponentRange, with no RuntimeWarning, when T f is not finite.
     """
-    if not p >= 2:
-        raise ExponentRange("the iteration operator needs p >= 2")
+    _check_exponent(p, 2.0)
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)
     f = np.asarray(f, dtype=float)
@@ -191,8 +190,7 @@ def jones_factorize(
     NoConvergence when no attempt verifies, or when a factor bound, or a bound
     times its factor at a point of E, is not finite.
     """
-    if not p >= 1:
-        raise ExponentRange("p must be >= 1")
+    _check_exponent(p)
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)
     m = ids.size
@@ -218,7 +216,7 @@ def jones_factorize(
     view = space.canonical.columns(ids)
 
     def m_on_e(g: np.ndarray) -> np.ndarray:
-        return _sweep(view, _mu_weighted(space, ids, np.abs(g)), np.zeros(m))
+        return _sweep(view.sweep(_mu_weighted(space, ids, np.abs(g)), np.zeros(m)))
 
     # Normalized iterates: terms[k] has sup 1 and T^k 1 = terms[k] * exp(logscale[k]).
     # T is positively homogeneous, so rescaling commutes with iteration and

@@ -7,7 +7,8 @@ what makes the operator useful for extending weights off E.
 
 Enumeration is exact: every real radius produces one of the canonical
 distance-sorted prefixes, so per center a cumulative-sum plus suffix-maximum
-sweep covers all balls in O(n log n).
+sweep covers all balls in O(n log n). The sweeps are methods of the cache and its
+view in space.py, which owns their layouts; this module forms f * mu and checks the result.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptySubset, ExponentRange, InvalidParameter, NonpositiveG, ZeroFunction
-from .space import CanonicalBallSet, MetricMeasureSpace, _ColumnView, point_ids
+from .space import MetricMeasureSpace, point_ids
 
 
 def as_subset(space: MetricMeasureSpace, E) -> tuple[np.ndarray, np.ndarray]:
@@ -71,10 +72,6 @@ def maximal_fn(
     radius_cap : optional R > 0; only balls B(x, r) with r <= R participate,
         that is the prefixes whose distance v is below R. Points contained in
         no such ball get 0.
-
-    Averages are nonnegative, so a ball past the cap takes part with
-    average 0 instead of being dropped, and one suffix-maximum sweep per
-    center serves both the capped and the uncapped case.
     """
     ids, _ = as_subset(space, E)
     f = np.asarray(f, dtype=float)
@@ -82,35 +79,13 @@ def maximal_fn(
         raise InvalidParameter("f must not contain NaN")
     if radius_cap is not None and not radius_cap > 0:
         raise InvalidParameter("radius_cap must be positive")
-    return _sweep(space.canonical, _mu_weighted(space, ids, np.abs(f)), np.zeros(space.n), radius_cap)
+    return _sweep(space.canonical.sweep(_mu_weighted(space, ids, np.abs(f)), np.zeros(space.n),
+                                        radius_cap))
 
 
-def _sweep(balls: CanonicalBallSet | _ColumnView, fx_mu: np.ndarray, out: np.ndarray,
-           radius_cap: float | None = None) -> np.ndarray:
-    """The largest average of fx_mu (|f| * mu on X) over the balls of balls
-    that hold each of its columns, written into out (one zero per column).
-    balls is space.canonical, whose columns are X, or its view on some
-    columns (CanonicalBallSet.columns), which sweeps itself and has no radii.
-    ExponentRange, with no RuntimeWarning, when an average is not finite."""
-    if isinstance(balls, _ColumnView):
-        balls.sweep(fx_mu, out)
-    else:
-        for block in balls:
-            with np.errstate(over="ignore"):  # a sum past max float is checked below
-                avg = block.prefix_sums(fx_mu) / block.mu_prefix
-            if radius_cap is not None:
-                avg[block.values >= radius_cap] = 0.0
-            # Row i of table holds center i's averages, last prefix first, after
-            # zeros that no average (all >= 0) loses to; its running maximum at
-            # flat index last[i] - k is the largest average of a ball holding prefix k.
-            counts = np.diff(block.starts)
-            last = np.arange(1, counts.size + 1) * int(counts.max()) - 1
-            table = np.zeros(last[-1] + 1)
-            table[np.repeat(last + block.starts[:-1], counts) - np.arange(avg.size)] = avg
-            table = np.maximum.accumulate(table.reshape(counts.size, -1), axis=1)
-            # a flat index into table lies below b * n, so in point_prefix's type
-            at = last.astype(block.point_prefix.dtype)[:, None] - block.point_prefix
-            np.maximum(out, np.take(table, at).max(axis=0), out=out)
+def _sweep(out: np.ndarray) -> np.ndarray:
+    """out, the largest ball averages of |f| as CanonicalBallSet.sweep or _ColumnView.sweep
+    wrote them; ExponentRange, with no RuntimeWarning, when one is not finite."""
     if not np.isfinite(out).all():
         raise ExponentRange("a ball average of |f| leaves float range")
     return out

@@ -179,22 +179,6 @@ class _CenterBlock:
         values[odd] = rows.ravel()[last - last % n + order.ravel()[last]]
         return cls(c0, order, point_prefix, ends.astype(PREFIX_DTYPE), values, mu_prefix, starts)
 
-    def columns(self, mask: np.ndarray, col_of: np.ndarray) -> tuple[np.ndarray, ...]:
-        """This block's order, mass and at in the view on the columns where
-        mask holds, col_of giving each such point id its column; see _ColumnView."""
-        b, n = self.order.shape
-        order = np.compress(mask.take(self.order).ravel(), self.order).reshape(b, -1)
-        m = order.shape[1]
-        # each cell's distance group, then the ball of that group
-        group = self.point_prefix.ravel().take(order + np.arange(0, b * n, n)[:, None])
-        mass = self.mu_prefix.take(group + self.starts[:-1, None])
-        # cell (i, k) is flat index i * m + m - 1 - k of the row-reversed table
-        flat = np.arange(0, b * m, m, dtype=PREFIX_DTYPE)[:, None]
-        cell = col_of.take(order) + flat
-        at = np.empty(b * m, dtype=PREFIX_DTYPE)
-        at[cell.ravel()] = (flat + np.arange(m - 1, -1, -1, dtype=PREFIX_DTYPE)).ravel()
-        return order, mass, at.reshape(b, m)
-
     def center(self, i: int) -> "_CenterBlock":
         s, e = self.starts[i:i + 2]
         return _CenterBlock(
@@ -211,6 +195,10 @@ class _CenterBlock:
     def prefix_sums(self, point_values: np.ndarray) -> np.ndarray:
         """Sum of point_values over each prefix (accumulated in canonical order)."""
         return _prefix_sums(point_values, self.order, self.ends)
+
+    def averages(self, fx_mu: np.ndarray) -> np.ndarray:
+        """Each ball's average of f, given as fx_mu = f * mu: prefix sum over ball mass."""
+        return self.prefix_sums(fx_mu) / self.mu_prefix
 
     def prefix_mins(self, point_values: np.ndarray) -> np.ndarray:
         """Running minimum of point_values over each prefix."""
@@ -240,18 +228,32 @@ class CanonicalBallSet:
     def columns(self, ids: np.ndarray) -> "CanonicalBallSet | _ColumnView":
         """The view of this cache on the columns ids (sorted point ids), for
         the maximal function of an f that is 0 off ids, read only at ids:
-        a _ColumnView, swept by maximal._sweep, which gives maximal_fn's
-        values at ids bit for bit. No distance is computed. All of X is the
-        cache itself, so E = X adds no table.
+        a _ColumnView, whose sweep gives this cache's sweep at ids bit for
+        bit. No distance is computed. All of X is the cache itself, so E = X
+        adds no table.
         """
         n = self._blocks[0].order.shape[1]
-        if ids.size == n:
+        m = ids.size
+        if m == n:
             return self
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
         col_of = np.zeros(n, dtype=PREFIX_DTYPE)
-        col_of[ids] = np.arange(ids.size)
-        return _ColumnView([block.columns(mask, col_of) for block in self])
+        col_of[ids] = np.arange(m)
+        tables = []
+        for block in self:
+            b = block.order.shape[0]
+            order = np.compress(mask.take(block.order).ravel(), block.order).reshape(b, m)
+            # each cell's distance group, then the ball of that group
+            group = block.point_prefix.ravel().take(order + np.arange(0, b * n, n)[:, None])
+            mass = block.mu_prefix.take(group + block.starts[:-1, None])
+            # cell (i, k) is flat index i * m + m - 1 - k of the row-reversed table
+            flat = np.arange(0, b * m, m, dtype=PREFIX_DTYPE)[:, None]
+            at = np.empty(b * m, dtype=PREFIX_DTYPE)
+            at[(col_of.take(order) + flat).ravel()] = (
+                flat + np.arange(m - 1, -1, -1, dtype=PREFIX_DTYPE)).ravel()
+            tables.append((order, mass, at.reshape(b, m)))
+        return _ColumnView(tables)
 
     def center(self, c: int) -> _CenterBlock:
         return self._blocks[c // self._rows].center(c % self._rows)
@@ -263,6 +265,28 @@ class CanonicalBallSet:
     def ball_count(self) -> int:
         """Total number of canonical (center, prefix) pairs."""
         return sum(int(block.ends.size) for block in self)
+
+    def sweep(self, fx_mu: np.ndarray, out: np.ndarray, radius_cap: float | None = None):
+        """The largest average of fx_mu (f mu on X, f >= 0) over the balls that hold
+        each point, maxed into out (inf past max float, with no RuntimeWarning); a
+        ball of distance radius_cap or more takes part with average 0, which no
+        average (all >= 0) loses to, so one sweep serves both cases."""
+        for block in self:
+            with np.errstate(over="ignore"):
+                avg = block.averages(fx_mu)
+            if radius_cap is not None:
+                avg[block.values >= radius_cap] = 0.0
+            # Row i of table holds center i's averages, last prefix first, after
+            # zeros; its running maximum at flat index last[i] - k is the
+            # largest average of a ball holding prefix k.
+            counts = np.diff(block.starts)
+            last = np.arange(1, counts.size + 1) * int(counts.max()) - 1
+            table = np.zeros(last[-1] + 1)
+            table[np.repeat(last + block.starts[:-1], counts) - np.arange(avg.size)] = avg
+            # a flat index into table lies below b * n, so in PREFIX_DTYPE
+            _max_into(table.reshape(counts.size, -1), last.astype(PREFIX_DTYPE)[:, None]
+                      - block.point_prefix, out)
+        return out
 
     def sup(
         self,
@@ -326,15 +350,19 @@ class _ColumnView:
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def sweep(self, fx_mu: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The largest average of fx_mu (f mu on X, 0 off ids) over the balls
-        that hold each point of ids, maxed into out (one entry per id)."""
+        """The largest average of fx_mu (f mu on X, 0 off ids) over the balls that hold
+        each point of ids, maxed into out (inf past max float, with no RuntimeWarning)."""
         for order, mass, at in self.blocks:
-            with np.errstate(over="ignore"):  # maximal._sweep checks out
+            with np.errstate(over="ignore"):
                 avg = np.cumsum(np.take(fx_mu, order), axis=1)
                 avg /= mass
-            table = np.maximum.accumulate(avg[:, ::-1], axis=1)
-            np.maximum(out, table.take(at).max(axis=0), out=out)
+            _max_into(avg[:, ::-1], at, out)
         return out
+
+
+def _max_into(table: np.ndarray, at: np.ndarray, out: np.ndarray) -> None:
+    """Both sweeps' last step: table's running row maxima, read at at, maxed over rows into out."""
+    np.maximum(out, np.maximum.accumulate(table, axis=1).take(at).max(axis=0), out=out)
 
 
 class MetricMeasureSpace:
@@ -346,6 +374,7 @@ class MetricMeasureSpace:
     dist : full n x n matrix, or None for coordinate-backed spaces.
     coords : lattice coordinates (n x dim, dim >= 1) for Euclidean row
         computation, or None; exactly one of dist and coords is given.
+        InvalidParameter unless they pass coords_in_range.
     edges : optional (u, v, length) triples, or an (m, 3) array of them;
         lengths are finite and must dominate distances. Kept as three
         read-only arrays.
@@ -380,6 +409,8 @@ class MetricMeasureSpace:
             coords = np.asarray(coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != self.n or coords.shape[1] == 0:
                 raise ValueError("coords must be one row of at least one coordinate per point")
+            if not coords_in_range(coords):
+                raise InvalidParameter("coordinates must be finite, with finite distances")
             self._coords = coords
         self._edges = None
         if edges is not None and len(edges):
@@ -735,10 +766,9 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
     connectivity; the triangle inequality last, its witness the first bad
     (x, y, z) in (y, x, z) order. Every verdict is exact, by one of two rules.
 
-    Coordinates that pass coords_in_range, with dim <= ROUNDING_DIM and
-    min_positive_distance() >= ROUNDING_FLOOR = 2^-480, are decided in
-    O(n log n). Proof, for d = |a - b| exact, d^ = _distances(a, b) and u =
-    2^-53:
+    Coordinates (in range: the constructor requires coords_in_range), with dim
+    <= ROUNDING_DIM and min_positive_distance() >= ROUNDING_FLOOR = 2^-480, are
+    decided in O(n log n). Proof, for d = |a - b| exact, d^ = _distances(a, b) and u = 2^-53:
     - d^ is exactly symmetric (fl(a_i - b_i) = -fl(b_i - a_i)), exactly 0 for
       a = b, and finite, as nothing overflows. So only distinct points at
       d^ = 0 can fail a pair axiom: those whose squares are all 0, in any
@@ -766,8 +796,7 @@ def validate_space(space: MetricMeasureSpace) -> ValidationReport:
     if bad_mass.size:
         return ValidationReport(False, "NonpositiveMass", (int(bad_mass[0]),))
 
-    proved = (space.coords is not None and space.coords.shape[1] <= ROUNDING_DIM
-              and coords_in_range(space.coords))
+    proved = space.coords is not None and space.coords.shape[1] <= ROUNDING_DIM
     if proved:
         pairs = space._tree.query_pairs(0.0, output_type="ndarray")
         if pairs.size:

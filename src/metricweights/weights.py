@@ -28,10 +28,15 @@ from .maximal import _mu_weighted, as_subset
 from .space import MetricMeasureSpace, _distances
 
 
+def _check_exponent(p: float, least: float = 1.0) -> None:
+    """ExponentRange unless least <= p < inf; NaN fails too."""
+    if not least <= p < np.inf:
+        raise ExponentRange(f"the exponent must be finite and at least {least:g}, got {p}")
+
+
 def conjugate_exponent(p: float) -> float:
-    """Holder conjugate p' = p/(p-1); infinity when p = 1."""
-    if not p >= 1:
-        raise ExponentRange("p must be >= 1")
+    """Holder conjugate p' = p/(p-1) of a finite p >= 1; infinity when p = 1."""
+    _check_exponent(p)
     if p == 1:
         return np.inf
     return p / (p - 1.0)
@@ -83,8 +88,7 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
     dual weight w^{-1/(p-1)} that overflows is an ExponentRange; one that
     underflows to 0 takes part as 0.
     """
-    if not p >= 1:
-        raise ExponentRange("p must be >= 1")
+    _check_exponent(p)
     ids, _ = as_subset(space, E)
     w = _check_weight(w, ids.size)
     w_mu = _mu_weighted(space, ids, w)
@@ -94,17 +98,14 @@ def _ap_functional(space: MetricMeasureSpace, E, w: np.ndarray, p: float):
         sig_mu = _mu_weighted(space, ids, sigma)
 
         def values(data) -> np.ndarray:
-            return (data.prefix_sums(w_mu) / data.mu_prefix) * (
-                data.prefix_sums(sig_mu) / data.mu_prefix
-            ) ** (p - 1.0)
+            return data.averages(w_mu) * data.averages(sig_mu) ** (p - 1.0)
     else:
         w_inf = np.full(space.n, np.inf)
         w_inf[ids] = w
 
         def values(data) -> np.ndarray:
             mins = data.prefix_mins(w_inf)
-            avg = data.prefix_sums(w_mu) / data.mu_prefix
-            return np.where(mins < np.inf, avg / mins, -np.inf)
+            return np.where(mins < np.inf, data.averages(w_mu) / mins, -np.inf)
 
     return values, f"a ball's A_p functional leaves float range at p = {p}"
 
@@ -177,8 +178,7 @@ def reverse_holder_constant(
     inv = 1.0 / (1.0 + delta)
 
     def values(data) -> np.ndarray:
-        return (data.prefix_sums(whi_mu) / data.mu_prefix) ** inv / (
-            data.prefix_sums(w_mu) / data.mu_prefix)
+        return data.averages(whi_mu) ** inv / data.averages(w_mu)
 
     return space.canonical.sup(values, "a ball's sum of w ** (1 + delta) or of w overflows",
                                None if domain is None else mask)[0]
@@ -274,8 +274,7 @@ def holder_average_bound_margin(
     for this ratio; callers assert margin <= characteristic. Balls where the
     right side vanishes have a vanishing left side and are skipped.
     """
-    if not q >= 1:
-        raise ExponentRange("q must be >= 1")
+    _check_exponent(q)
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)
     g = np.abs(np.asarray(g, dtype=float))
@@ -287,7 +286,7 @@ def holder_average_bound_margin(
         gqv_mu = _mu_weighted(space, ids, g**q * v)
 
     def ratios(data) -> np.ndarray:
-        lhs = data.prefix_sums(v_mu) * (data.prefix_sums(g_mu) / data.mu_prefix) ** q
+        lhs = data.prefix_sums(v_mu) * data.averages(g_mu) ** q
         rhs = data.prefix_sums(gqv_mu)
         return np.divide(lhs, rhs, out=np.full_like(lhs, -np.inf), where=rhs > 0)
 

@@ -390,7 +390,7 @@ def test_the_sweep_on_e_columns_is_maximal_fn_at_e(blocks, name, kind, size):
     f = 10.0 ** rng.uniform(-8.0, 8.0, ids.size)
     f[rng.random(ids.size) < 0.3] = 0.0
     view = space.canonical.columns(ids)
-    got = _sweep(view, scatter(space, ids, f) * space.mu, np.zeros(ids.size))
+    got = _sweep(view.sweep(scatter(space, ids, f) * space.mu, np.zeros(ids.size)))
     assert got.tobytes() == maximal_fn(space, f, ids)[ids].tobytes()
     mask = np.zeros(space.n, dtype=bool)
     mask[ids] = True
@@ -445,11 +445,11 @@ def test_a_cell_mass_one_ulp_low_moves_the_view_sweep():
     view = space.canonical.columns(ids)
     fx_mu = scatter(space, ids, f) * space.mu
     want = maximal_fn(space, f, ids)[ids]
-    assert _sweep(view, fx_mu, np.zeros(ids.size)).tobytes() == want.tobytes()
+    assert _sweep(view.sweep(fx_mu, np.zeros(ids.size))).tobytes() == want.tobytes()
     rows = list(space.canonical)[0].order.shape[0]
     order, mass, _ = view.blocks[x // rows]
     cell = x % rows, int(np.flatnonzero(order[x % rows] == x)[0])
     mass[cell] = np.nextafter(mass[cell], 0.0)
-    got = _sweep(view, fx_mu, np.zeros(ids.size))
+    got = _sweep(view.sweep(fx_mu, np.zeros(ids.size)))
     assert got.tobytes() != want.tobytes()
     assert got[j] > 1.0 == want[j]

@@ -264,11 +264,15 @@ def test_only_space_sums_over_balls(module):
     assert _ordered_sums(module.read_text()) == []
 
 
+CACHE_TABLES = ("order", "ends", "point_prefix", "starts", "mu_prefix")
+
+
 def _cache_table_reads(source: str) -> list[str]:
-    """The lines of a module that name an .order or .ends attribute."""
+    """The lines of a module that name one of the canonical cache's tables as
+    an attribute (values is too common a name to flag)."""
     return sorted(
         f"{node.attr} (line {node.lineno})" for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in ("order", "ends")
+        if isinstance(node, ast.Attribute) and node.attr in CACHE_TABLES
     )
 
 
@@ -278,16 +282,23 @@ def test_the_checker_finds_cache_table_reads():
         "b = np.take(values, data.ends - 1)\n"
         "order, ends = block.prefix_sums(f), block.counts\n"
         "c = self.order.shape[1] + x.ends_of\n"
+        "d = block.point_prefix - block.starts[:-1]\n"
+        "e = data.prefix_sums(f) / data.mu_prefix + token.startswith('-') + data.values\n"
+        "point_prefix, starts, mu_prefix = data.averages(f), data.center(0), data.mu\n"
     )
-    assert _cache_table_reads(source) == ["ends (line 2)", "order (line 1)", "order (line 4)"]
+    assert _cache_table_reads(source) == [
+        "ends (line 2)", "mu_prefix (line 6)", "order (line 1)", "order (line 4)",
+        "point_prefix (line 5)", "starts (line 5)",
+    ]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m.name != "space.py"],
                          ids=lambda p: p.name)
 def test_only_space_reads_the_cache_index_tables(module):
-    # The canonical cache keeps order and ends in two bytes (PREFIX_DTYPE);
-    # other modules reach them only through _CenterBlock's methods and
-    # canonical_balls, which hand out sums, minima, counts and intp ids.
+    # The canonical cache's layout has one owner: other modules reach its
+    # tables only through the methods of _CenterBlock, CanonicalBallSet and
+    # _ColumnView (averages, prefix sums and minima, counts, the sweeps) and
+    # canonical_balls, which hand out floats and intp ids.
     assert _cache_table_reads(module.read_text()) == []
 
 

@@ -48,9 +48,13 @@ _PATH3 = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
     dict(mu=[1.0, np.nan, 1.0], dist=_PATH3),
     dict(mu=[1.0, np.inf, 1.0], coords=[[0], [1], [2]]),
     dict(mu=[1e308, 1e308, 1e308], coords=[[0], [1], [2]]),
+    # maximal_fn read [1, 1, 1] (NaN), and distances overflowed with a warning (inf, far)
+    dict(mu=np.ones(3), coords=[[0.0], [np.nan], [1.0]]),
+    dict(mu=np.ones(3), coords=[[0.0], [np.inf], [1.0]]),
+    dict(mu=np.ones(3), coords=[[1e200], [-1e200], [0.0]]),
 ], ids=["empty_mu", "no_metric", "matrix_shape", "coords_rows", "coords_1d",
         "coords_no_columns", "edge_pairs", "matrix_and_coords", "edge_nan", "edge_inf",
-        "mass_nan", "mass_inf", "mass_total"])
+        "mass_nan", "mass_inf", "mass_total", "coords_nan", "coords_inf", "coords_far"])
 def test_constructor_rejects_malformed_shapes(kwargs):
     with pytest.raises(ValueError):
         MetricMeasureSpace(**kwargs)

@@ -334,29 +334,34 @@ def test_a_ball_functional_out_of_float_range_is_an_exponent_range(p):
     assert ap_tilde_characteristic(space, [4], w[4:], 1.0).value == 1.0
 
 
-NAN = float("nan")
+EXPONENT_CALLS = {
+    "conjugate": lambda s, w, x: conjugate_exponent(x),
+    "ap_tilde": lambda s, w, x: ap_tilde_characteristic(s, None, w, x),
+    "ap_domain": lambda s, w, x: ap_domain_characteristic(s, None, w, x),
+    "jones": lambda s, w, x: jones_factorize(s, None, w, x),
+    "rdf_T": lambda s, w, x: rdf_apply_T(s, None, w, x, w),
+    "wolff_p": lambda s, w, x: wolff_extend(s, None, w, x, 0.5),
+    "wolff_eps": lambda s, w, x: wolff_extend(s, None, w, 2.0, x),
+    "condition": lambda s, w, x: check_extension_condition(s, None, w, x, [0.0], 10.0),
+    "self_improve": lambda s, w, x: self_improve_epsilon(s, w, x, [0.0], 10.0),
+    "restrict_p": lambda s, w, x: restrict_weight_report(s, None, w, x),
+    "restrict_eps": lambda s, w, x: restrict_weight_report(s, None, w, 2.0, x),
+    "reverse_holder": lambda s, w, x: reverse_holder_constant(s, w, x),
+    "holder_margin": lambda s, w, x: holder_average_bound_margin(s, None, w, x, w),
+}
 
 
-@pytest.mark.parametrize("call", [
-    lambda s, w: conjugate_exponent(NAN),
-    lambda s, w: ap_tilde_characteristic(s, None, w, NAN),
-    lambda s, w: ap_domain_characteristic(s, None, w, NAN),
-    lambda s, w: jones_factorize(s, None, w, NAN),
-    lambda s, w: rdf_apply_T(s, None, w, NAN, w),
-    lambda s, w: wolff_extend(s, None, w, NAN, 0.5),
-    lambda s, w: wolff_extend(s, None, w, 2.0, NAN),
-    lambda s, w: check_extension_condition(s, None, w, NAN, [0.0], 10.0),
-    lambda s, w: restrict_weight_report(s, None, w, NAN),
-    lambda s, w: restrict_weight_report(s, None, w, 2.0, NAN),
-    lambda s, w: reverse_holder_constant(s, w, NAN),
-    lambda s, w: holder_average_bound_margin(s, None, w, NAN, w),
-], ids=["conjugate", "ap_tilde", "ap_domain", "jones", "rdf_T", "wolff_p", "wolff_eps",
-        "condition", "restrict_p", "restrict_eps", "reverse_holder", "holder_margin"])
-def test_a_nan_exponent_is_out_of_range(call):
-    # Each guard is written "not p >= 1", so that NaN fails it as well.
+@pytest.mark.parametrize("call, bad", [
+    pytest.param(call, bad, id=name + suffix)
+    for suffix, bad in (("", float("nan")), ("-inf", float("inf")))
+    for name, call in EXPONENT_CALLS.items()
+])
+def test_a_nan_exponent_is_out_of_range(call, bad):
+    # Each guard is written "least <= p < inf", so that NaN and inf fail it;
+    # before, inf passed "p >= 1" and came back as nan, 2.0 or NoConvergence.
     space = interval_space(8)
     with pytest.raises(ExponentRange):
-        call(space, np.linspace(1.0, 2.0, space.n))
+        call(space, np.linspace(1.0, 2.0, space.n), bad)
 
 
 # -- self-improvement of the exponent ----------------------------------------------

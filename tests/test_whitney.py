@@ -8,6 +8,7 @@ import oracles
 from metricweights import (
     Ball,
     MetricMeasureSpace,
+    ap_tilde_characteristic,
     build_grid_space,
     chain_weight_ratio,
     check_cover_invariants,
@@ -26,6 +27,7 @@ from metricweights.errors import (
     PreconditionFail,
     Unreachable,
 )
+from metricweights.maximal import scatter
 from metricweights.space import BALL_QUERY_BLOCK, space_from_matrix
 from metricweights.studies import interval_space, random_grid_domain, square_domain
 from metricweights.whitney import _intersection_edges, chain_path
@@ -188,6 +190,82 @@ def test_chain_ratio_requires_aligned_weights(line11, line_domain, line_cover):
         chain_weight_ratio(
             line11, line_domain, np.ones(3), 2.0, line_cover, 0, 1
         )
+
+
+# -- the paper's estimate on chains ---------------------------------------------------
+
+# The bound below holds in exact arithmetic. Each side is a product of at most
+# eight factors, each a sum of at most n <= 1024 positive terms, a quotient of
+# two such sums, or (the characteristic) a square of one, so each side rounds
+# by at most about 8 * 2 * 1024 * 2^-53 < 2e-12 relative; 1e-10 leaves room.
+CHAIN_BOUND_ALLOWANCE = 1e-10
+
+
+def _member_runs(cover, balls):
+    """Indices into cover.members of the balls' members, ball after ball, and
+    the first index of each ball's run."""
+    sizes = np.diff(cover.offsets)[balls]
+    first = np.cumsum(sizes) - sizes
+    return np.repeat(cover.offsets[balls] - first, sizes) + np.arange(sizes.sum()), first
+
+
+def _chain_step_over_bound(space, domain, cover, w, p, averages=None):
+    """For each pair of cover balls that meet, in both directions (a, b):
+    avg_{B_a} w / avg_{B_b} w over its bound from Holder's inequality on B* cap D,
+    [w]~_{A_p(D)} (mu(B*) / mu(B_b))^p mu(B_b) / mu(B_a), where B* is the
+    smallest canonical ball around x_a that holds B_a and B_b."""
+    if averages is None:
+        averages = cover.ball_averages(scatter(space, domain.ids, w))
+    char = ap_tilde_characteristic(space, domain.mask, w, p).value
+    blocks = [space.canonical.center(int(c)) for c in cover.centers]
+    rank = np.stack([block.point_prefix for block in blocks]).astype(np.intp)
+    a, b = np.concatenate([cover.edges, cover.edges[:, ::-1]]).T
+    # k: the first prefix of x_a that holds every member of B_a and of B_b;
+    # far: the largest distance from x_a to one of those members
+    k, far = np.zeros(a.size, dtype=np.intp), np.zeros(a.size)
+    for ball in (a, b):
+        at, first = _member_runs(cover, ball)
+        rows, points = np.repeat(a, np.diff(cover.offsets)[ball]), cover.members[at]
+        k = np.maximum(k, np.maximum.reduceat(rank[rows, points], first))
+        far = np.maximum(far, np.maximum.reduceat(
+            space.pair_dists(cover.centers[rows], points), first))
+    # B* holds both balls on the point set, and no smaller ball of x_a does:
+    # its distance is that of the farthest member.
+    radius = np.array([blocks[i].values[j] for i, j in zip(a.tolist(), k.tolist())])
+    np.testing.assert_array_equal(radius, far)
+    mu_star = np.array([blocks[i].mu_prefix[j] for i, j in zip(a.tolist(), k.tolist())])
+    mu_a, mu_b = cover.mu_balls[a], cover.mu_balls[b]
+    bound = char * (mu_star / mu_b) ** p * mu_b / mu_a
+    return averages[a] / averages[b] / bound
+
+
+def _chain_cases():
+    space, domain = square_domain(32)
+    yield "square32", space, domain
+    # The seeds below 40 whose covers have two balls that meet; the other
+    # domains are thin, and their covers hold only disjoint singletons.
+    for seed in (4, 6, 7, 9, 10, 13, 24, 27, 28, 30, 35, 37, 38):
+        yield (f"random{seed}", *random_grid_domain(seed))
+
+
+CHAIN_CASES = list(_chain_cases())
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("case", CHAIN_CASES, ids=lambda c: c[0])
+def test_each_chain_step_keeps_the_papers_bound(case, p):
+    _, space, domain = case
+    cover = whitney_cover(space, domain)
+    w = domain.boundary_dist[domain.ids] ** 0.3
+    over = _chain_step_over_bound(space, domain, cover, w, p)
+    assert over.size == 2 * len(cover.edges) > 0
+    assert over.max() <= 1.0 + CHAIN_BOUND_ALLOWANCE
+    # A planted violation: the worst step's first average raised past its bound.
+    a = np.concatenate([cover.edges, cover.edges[:, ::-1]])[np.argmax(over), 0]
+    averages = cover.ball_averages(scatter(space, domain.ids, w))
+    averages[a] *= 1.01 / over.max()
+    planted = _chain_step_over_bound(space, domain, cover, w, p, averages)
+    assert planted.max() > 1.0 + CHAIN_BOUND_ALLOWANCE
 
 
 # -- quasihyperbolic distances -----------------------------------------------------------
