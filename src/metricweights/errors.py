@@ -69,11 +69,9 @@ class ExponentRange(DomainError):
 
 
 class InvalidParameter(DomainError, ValueError):
-    """A numeric parameter (a tolerance, an eps grid) outside its range.
-
-    Also a ValueError, which is what these checks raised before they were
-    typed.
-    """
+    """A parameter outside its range (a tolerance, an eps grid) or a malformed
+    argument (a wrong shape, a non-integer id); also a ValueError, so code that
+    catches one still does."""
 
 
 # -- iterations and searches ---------------------------------------------------

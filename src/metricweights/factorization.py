@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ExponentRange, NoConvergence
+from .errors import ExponentRange, InvalidParameter, NoConvergence
 from .maximal import _mu_weighted, _sweep, as_subset, maximal_fn
 from .space import MetricMeasureSpace
 from .weights import _check_exponent, _check_weight, _power, conjugate_exponent
@@ -139,7 +139,7 @@ def rdf_apply_T(
     v = _check_weight(v, ids.size)
     f = np.asarray(f, dtype=float)
     if f.shape != ids.shape or np.any(f < 0):
-        raise ValueError("f must be nonnegative and aligned with E")
+        raise InvalidParameter("f must be nonnegative and aligned with E")
     with np.errstate(all="ignore"):  # a T f out of float range is refused below
         t_f = _rdf_parts(lambda g: maximal_fn(space, g, E), ids, v ** (1.0 / p), p, f)[0]
     if not np.isfinite(t_f).all():

@@ -12,9 +12,11 @@ Three JSON artifact kinds, all schema-versioned:
 * function files: {"version": 1, "domain": "X"|"E", "E": [ids]?, "values"};
 * subset files: {"version": 1, "ids": [...]}.
 
-Loaders accept only finite numbers, coordinates whose distances are finite
-too, and integer ids; anything else is a ParseError. A space file whose
-masses are not all positive fails with NonpositiveMass.
+Loaders accept only finite numbers (a string such as "1" or a boolean is
+refused, not cast), coordinates whose distances are finite too, and ids by
+space.point_ids's rule; anything else is a ParseError. Known limit: numpy
+casts a boolean among numbers ([true, 2, 3]) before any check can see it.
+A space file whose masses are not all positive fails with NonpositiveMass.
 
 Reports are written as two files: <name>.json holds only deterministic
 content (sorted keys, stable float repr), <name>.meta.json holds timestamps
@@ -41,7 +43,7 @@ from .errors import (
     SizeOverflow,
     VersionMismatch,
 )
-from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr, coords_in_range
+from .space import DENSE_CAP, MetricMeasureSpace, _symmetric_csr, coords_in_range, point_ids
 
 FORMAT_VERSION = 1
 
@@ -86,7 +88,10 @@ def _field(doc: dict, key: str, path) -> object:
 def _finite(doc: dict, key: str, path) -> np.ndarray:
     """A field as a float array, every entry a finite number."""
     try:
-        values = np.asarray(_field(doc, key, path), dtype=float)
+        values = np.asarray(_field(doc, key, path))
+        if values.dtype.kind in "bU":  # a float cast would read "1" and true as numbers
+            raise TypeError(values.dtype)
+        values = values.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: field {key!r} must hold numbers") from exc
     finite = np.isfinite(values)
@@ -97,15 +102,14 @@ def _finite(doc: dict, key: str, path) -> np.ndarray:
 
 
 def _ids(doc: dict, key: str, path) -> np.ndarray:
-    """A field as a 1-d array of distinct whole-number point ids, in file order."""
+    """A field as a 1-d array of distinct point ids (space.point_ids), in file order."""
     bad = ParseError(f"{path}: field {key!r} must be a list of integer ids")
     try:
-        ids = np.asarray(_field(doc, key, path))
-    except ValueError as exc:  # a ragged list, such as [2, [3], 4]
+        ids = point_ids(np.asarray(_field(doc, key, path)), None, key)
+    except ValueError as exc:  # InvalidParameter, or a ragged list such as [2, [3], 4]
         raise bad from exc
-    whole = ids.dtype.kind in "iuf" and np.isfinite(ids).all() and not (ids % 1).any()
     with np.errstate(invalid="ignore"):  # an id beyond intp must not wrap around
-        if ids.ndim != 1 or not whole or (ids.astype(np.intp) != ids).any():
+        if ids.ndim != 1 or (ids.astype(np.intp) != ids).any():
             raise bad
     if np.unique(ids).size != ids.size:
         raise ParseError(f"{path}: {key!r} contains repeated ids")
@@ -122,6 +126,8 @@ def _parse_edges(raw, n: int, path) -> list[tuple[int, int, float]] | None:
         if not isinstance(edge, list) or len(edge) != 3:
             raise ParseError(f"{path}: edges[{i}] must be a [u, v, length] triple")
         try:
+            if any(type(x) not in (int, float) for x in edge):  # json's numbers; not "1" or true
+                raise TypeError(edge)
             u, v = int(edge[0]), int(edge[1])
             edges.append((u, v, float(edge[2])))
         except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
@@ -179,7 +185,7 @@ def save_space(path, space: MetricMeasureSpace) -> None:
 def load_space(path) -> MetricMeasureSpace:
     doc = _load_json(path)
     n = _field(doc, "n", path)
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # not a bool either
         raise ParseError(f"{path}: field 'n' must be a positive integer")
     mu = _finite(doc, "mu", path)
     if mu.shape != (n,):

@@ -25,7 +25,7 @@ def as_subset(space: MetricMeasureSpace, E) -> tuple[np.ndarray, np.ndarray]:
     E = np.ones(space.n, dtype=bool) if E is None else np.asarray(E)
     if E.dtype == bool:
         if E.shape != (space.n,):
-            raise ValueError("subset mask length does not match the space")
+            raise InvalidParameter("subset mask length does not match the space")
         mask = E.copy()
     else:
         mask = np.zeros(space.n, dtype=bool)
@@ -40,7 +40,7 @@ def scatter(space: MetricMeasureSpace, ids: np.ndarray, values: np.ndarray) -> n
     """Extend values given on sorted subset ids to all of X by zero."""
     values = np.asarray(values, dtype=float)
     if values.shape != ids.shape:
-        raise ValueError("values length does not match subset size")
+        raise InvalidParameter("values length does not match subset size")
     full = np.zeros(space.n)
     full[ids] = values
     return full
@@ -106,11 +106,9 @@ def coifman_rochberg_weight(
     """
     from .weights import ap_tilde_characteristic
 
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
-        raise ValueError("f must be defined on all of X")
+    f = np.asarray(f, dtype=float)  # maximal_fn's scatter refuses one not on all of X
     if np.any(f < 0):
-        raise ValueError("f must be nonnegative")
+        raise InvalidParameter("f must be nonnegative")
     if not np.any(f > 0):
         raise ZeroFunction("f must not be identically zero")
     if not 0 < eps < 1:
@@ -120,7 +118,7 @@ def coifman_rochberg_weight(
     else:
         g = np.asarray(g, dtype=float)
         if g.shape != (space.n,):
-            raise ValueError("g must be defined on all of X")
+            raise InvalidParameter("g must be defined on all of X")
         if not np.all((0 < g) & (g < np.inf)):
             raise NonpositiveG("g must be strictly positive and finite")
 

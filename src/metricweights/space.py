@@ -71,7 +71,7 @@ class Ball:
 
     def __post_init__(self) -> None:
         if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+            raise InvalidParameter("ball radius must be positive")
         point_ids(self.center, None, "ball centers")  # the space checks the range
         object.__setattr__(self, "center", int(self.center))
 
@@ -391,24 +391,24 @@ class MetricMeasureSpace:
     ) -> None:
         self.mu = np.asarray(mu, dtype=float)
         if self.mu.ndim != 1 or self.mu.shape[0] == 0:
-            raise ValueError("mu must be a nonempty 1-d array")
+            raise InvalidParameter("mu must be a nonempty 1-d array")
         self.n = int(self.mu.shape[0])
         with np.errstate(all="ignore"):  # a NaN or inf mass makes the total one too
             if not np.isfinite(self.mu.sum()):
                 raise InvalidParameter("masses and their total must be finite")
         if (dist is None) == (coords is None):
-            raise ValueError("need exactly one of a distance matrix and coordinates")
+            raise InvalidParameter("need exactly one of a distance matrix and coordinates")
         self._dist = None
         self._coords = None
         if dist is not None:
             dist = np.asarray(dist, dtype=float)
             if dist.shape != (self.n, self.n):
-                raise ValueError("distance matrix shape does not match mu")
+                raise InvalidParameter("distance matrix shape does not match mu")
             self._dist = dist
         if coords is not None:
             coords = np.asarray(coords, dtype=float)
             if coords.ndim != 2 or coords.shape[0] != self.n or coords.shape[1] == 0:
-                raise ValueError("coords must be one row of at least one coordinate per point")
+                raise InvalidParameter("coords must be one row of at least one coordinate per point")
             if not coords_in_range(coords):
                 raise InvalidParameter("coordinates must be finite, with finite distances")
             self._coords = coords
@@ -416,7 +416,7 @@ class MetricMeasureSpace:
         if edges is not None and len(edges):
             triples = np.asarray(edges, dtype=float)
             if triples.ndim != 2 or triples.shape[1] != 3:
-                raise ValueError("edges must be (u, v, length) triples")
+                raise InvalidParameter("edges must be (u, v, length) triples")
             ends = point_ids(triples[:, :2].T, self.n, "edge endpoints")
             if not np.isfinite(triples[:, 2]).all():
                 raise InvalidParameter("edge lengths must be finite")
@@ -560,9 +560,9 @@ class MetricMeasureSpace:
         centers = np.asarray(centers)
         radii = np.asarray(radii, dtype=float)
         if centers.shape != radii.shape or centers.ndim != 1:
-            raise ValueError("centers and radii must be 1-d arrays of one length")
+            raise InvalidParameter("centers and radii must be 1-d arrays of one length")
         if not (radii > 0).all():
-            raise ValueError("ball radius must be positive")
+            raise InvalidParameter("ball radius must be positive")
         centers = point_ids(centers, self.n, "ball centers")
         alone = radii <= self.singleton_radius()
         wide = np.flatnonzero(~alone)

@@ -13,10 +13,10 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InvalidParameter, PreconditionFail
-from .extension import wolff_extend
+from .extension import check_extension_condition, wolff_extend
 from .maximal import _mu_weighted
 from .space import MetricMeasureSpace, build_grid_space
-from .weights import ap_tilde_characteristic, power_weight
+from .weights import power_weight
 from .whitney import (
     DomainSpec,
     chain_distances,
@@ -83,14 +83,14 @@ def extension_refinement_study(
         space = interval_space(int(side))
         e_ids = unit_band_subset(space)
         w = power_weight(space, exponent, ids=e_ids)
-        cond = ap_tilde_characteristic(space, e_ids, w ** (1.0 + eps), p)
-        ext = wolff_extend(space, e_ids, w, p, eps)
+        ext = wolff_extend(space, e_ids, w, p, eps)  # first: it refuses an eps <= 0
+        cond = check_extension_condition(space, e_ids, w, p, [eps], np.inf)
         rows.append(
             {
                 "side": int(side),
                 "n_points": space.n,
                 "n_balls": space.canonical.ball_count(),
-                "condition_value": cond.value,
+                "condition_value": cond.table[0][1],
                 "extension_ap": ext.ap_constant_W,
                 "agreement_error": ext.agreement_error,
             }
@@ -110,8 +110,8 @@ def condition_refinement_study(
         space = interval_space(int(side))
         e_ids = unit_band_subset(space)
         w = power_weight(space, exponent, ids=e_ids)
-        rep = ap_tilde_characteristic(space, e_ids, w ** (1.0 + eps), p)
-        rows.append({"side": int(side), "n_points": space.n, "value": rep.value})
+        rep = check_extension_condition(space, e_ids, w, p, [eps], np.inf)
+        rows.append({"side": int(side), "n_points": space.n, "value": rep.table[0][1]})
     return rows
 
 

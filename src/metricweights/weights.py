@@ -64,7 +64,7 @@ class CharacteristicReport:
 def _check_weight(w: np.ndarray, size: int) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (size,):
-        raise ValueError("weight length does not match its domain")
+        raise InvalidParameter("weight length does not match its domain")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise NonpositiveWeight("weights must be strictly positive and finite")
     return w
@@ -251,7 +251,7 @@ def power_weight(
     exponents and zero-free for positive ones; ExponentRange if one over- or underflows.
     """
     if space.coords is None:
-        raise ValueError("power weights need a coordinate-backed space")
+        raise InvalidParameter("power weights need a coordinate-backed space")
     points = space.coords if ids is None else space.coords[ids]
     r = _distances(points, np.zeros(points.shape[1]))
     half = 0.5 * space.min_positive_distance()
@@ -277,10 +277,7 @@ def holder_average_bound_margin(
     _check_exponent(q)
     ids, _ = as_subset(space, E)
     v = _check_weight(v, ids.size)
-    g = np.abs(np.asarray(g, dtype=float))
-    if g.shape != ids.shape:
-        raise ValueError("g length does not match subset size")
-
+    g = np.abs(np.asarray(g, dtype=float))  # _mu_weighted's scatter checks its shape
     v_mu, g_mu = _mu_weighted(space, ids, v), _mu_weighted(space, ids, g)
     with np.errstate(over="ignore"):  # _mu_weighted refuses a product of inf
         gqv_mu = _mu_weighted(space, ids, g**q * v)

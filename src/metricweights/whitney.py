@@ -130,7 +130,7 @@ class WhitneyCover:
         """mu-average of a function over each cover ball."""
         space = self.domain.space
         if np.shape(values_on_x) != (space.n,):
-            raise ValueError("values_on_x must be defined on all of X")
+            raise InvalidParameter("values_on_x must be defined on all of X")
         v_mu = _mu_weighted(space, np.arange(space.n), values_on_x)
         return space.ball_sums(v_mu, self.members, self.offsets) / self.mu_balls
 
@@ -280,7 +280,7 @@ def chain_path(cover: WhitneyCover, i: int, j: int) -> list[int]:
     """One shortest chain i -> j as a list of ball indices."""
     b = len(cover)
     if not (0 <= i < b and 0 <= j < b):
-        raise ValueError("ball index out of range")
+        raise InvalidParameter("ball index out of range")
     missing = Unreachable(f"no chain joins balls {i} and {j}")
     return _shortest_path(cover.adjacency, i, j, True, missing)
 
@@ -383,7 +383,7 @@ def witness_intersection_ball(
     The inclusion in both balls is verified on the point set.
     """
     if not 0 < a <= 1:
-        raise ValueError("a must lie in (0, 1]")
+        raise InvalidParameter("a must lie in (0, 1]")
     if a * b.radius > bp.radius:
         raise PreconditionFail("need a * rad(B) <= rad(Bp)")
     point_ids([b.center, bp.center], space.n, "ball centers")

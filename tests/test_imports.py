@@ -63,6 +63,40 @@ def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
+def _value_error_raises(source: str) -> list[int]:
+    """The lines of a module that raise ValueError, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        exc = exc.func if isinstance(exc, ast.Call) else exc
+        if getattr(exc, "id", getattr(exc, "attr", None)) == "ValueError":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_the_checker_finds_value_error_raises():
+    source = (
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise ValueError('negative')\n"
+        "    if x > 9:\n"
+        "        raise builtins.ValueError\n"
+        "    try:\n"
+        "        g(x, ValueError)\n"
+        "    except ValueError as exc:\n"
+        "        raise InvalidParameter('bad') from exc\n"
+        "    raise\n"
+    )
+    assert _value_error_raises(source) == [3, 5]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_every_input_fault_is_typed(module):
+    # Every library input fault is a MetricWeightsError, which cli.main
+    # reports as a JSON error object; InvalidParameter is the typed ValueError.
+    assert _value_error_raises(module.read_text()) == []
+
+
 WORKLOADS = PACKAGE.parents[1] / "perfbench" / "workloads.py"
 
 

@@ -102,6 +102,14 @@ def test_parse_error_carries_line_diagnostics(tmp_path):
         lambda d: d["metric"].update(type="coords", data=[[], []]),
         lambda d: d["metric"].update(type="coords", data=[[0.0], ["one"]]),
         lambda d: d["metric"].pop("data"),
+        # numbers written as strings, and booleans, are refused, not cast
+        lambda d: d.update(n=True, mu=[1.0], metric={"type": "coords", "data": [[0.0]]}),
+        lambda d: d.update(mu=[str(m) for m in d["mu"]]),
+        lambda d: d.update(mu=[True] * len(d["mu"])),
+        lambda d: d["metric"].update(data=[[str(x) for x in row] for row in d["metric"]["data"]]),
+        lambda d: d["metric"].update(type="coords", data=[[str(i)] for i in range(d["n"])]),
+        lambda d: d["metric"]["edges"][0].__setitem__(2, "1.0"),
+        lambda d: d["metric"]["edges"][0].__setitem__(0, True),
     ],
 )
 def test_malformed_space_documents_fail_to_parse(tmp_path, s2, mangle):
@@ -375,6 +383,11 @@ def test_function_documents_are_validated(tmp_path):
         io.load_function(
             _write(tmp_path / "dom.json", {"version": 1, "domain": "Y", "values": [1.0]})
         )
+    for values in (["1", "2", "3e0"], [True, False]):
+        with pytest.raises(ParseError, match="'values' must hold numbers"):
+            io.load_function(
+                _write(tmp_path / "str.json", {"version": 1, "domain": "X", "values": values})
+            )
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ParseError, match="values"):
             io.load_function(
@@ -394,7 +407,8 @@ def test_subset_round_trip_sorts_and_rejects_duplicates(tmp_path):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "ids", [[2.7, 3], [[1, 2]], 3, ["1"], [1, None], [2, [3], 4], [1, 2**63], [1, 1e308]]
+    "ids",
+    [[2.7, 3], [[1, 2]], 3, ["1"], [1, None], [2, [3], 4], [1, 2**63], [1, 1e308], [True, False]],
 )
 def test_id_lists_in_files_must_be_integers(tmp_path, ids):
     with pytest.raises(ParseError, match="integer ids"):
@@ -1260,6 +1274,24 @@ def test_cli_rejects_a_side_of_zero(capsys, argv):
     rc, out, err = _run(capsys, [a.format("0") for a in argv])
     assert out == ""
     assert "side" in _assert_error(rc, err, 2, "InvalidParameter")
+
+
+@pytest.mark.parametrize(
+    "argv, kind, message",
+    [
+        (["condition", "--sides", "3", "--eps", "-5"], "InvalidParameter", "eps grid"),
+        (["condition", "--sides", "4", "--exponent", "300"], "ExponentRange",
+         "w ** (1 + eps) over- or underflows at eps = 0.5"),
+        (["extension", "--sides", "4", "--eps", "-1"], "ExponentRange",
+         "eps must be positive and finite"),
+    ],
+    ids=["condition-eps", "condition-power", "extension-eps"],
+)
+def test_cli_studies_check_eps_and_the_raised_weight(capsys, argv, kind, message):
+    # Both studies take w ** (1 + eps) from the condition table, which checks both.
+    rc, out, err = _run(capsys, ["study", "refine", "--scenario", *argv])
+    assert out == ""
+    assert message in _assert_error(rc, err, 2, kind)
 
 
 def test_cli_takes_a_negative_number_after_its_flag(capsys, line12):
